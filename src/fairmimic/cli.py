@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -25,8 +24,6 @@ from .estimate import OptimOptions, fit
 from .exceptions import FairMimicError
 from .model import load_model, log_likelihood, save_model, template
 
-THREADS_ENV_VAR = "FAIRMIMIC_THREADS"
-
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
 EXIT_NOT_CONVERGED = 2
@@ -40,16 +37,8 @@ def _read_json(path):
     return json.loads(Path(path).read_text())
 
 
-def _thread_count() -> int:
-    try:
-        return max(1, int(os.environ.get(THREADS_ENV_VAR, "1")))
-    except ValueError:
-        return 1
-
-
 def _echo_config(args: argparse.Namespace, out_dir: Path) -> None:
     config = {k: v for k, v in vars(args).items() if k != "func"}
-    config["threads"] = _thread_count()
     _dump_json(config, out_dir / "run_config.json")
 
 

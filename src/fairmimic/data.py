@@ -72,28 +72,29 @@ class Dataset:
         return self.values[name]
 
     def indicator_matrix(self, names=None) -> np.ndarray:
-        names = self.indicator_names if names is None else tuple(names)
-        self._require(names, "indicator")
-        return np.column_stack([self.values[c] for c in names])
+        names = self.indicator_names if names is None else names
+        return np.column_stack(self.role_columns(names, "indicator"))
 
     def covariate_matrix(self, names=None) -> np.ndarray:
-        names = self.covariate_names if names is None else tuple(names)
-        self._require(names, "covariate")
+        names = self.covariate_names if names is None else names
         if not names:
             return np.empty((self.n, 0))
-        return np.column_stack([self.values[c] for c in names])
+        return np.column_stack(self.role_columns(names, "covariate"))
 
-    def _require(self, names, role):
+    def role_columns(self, names, role) -> list:
+        """The named columns, not copied, each checked to have ``role``."""
         for c in names:
             if self.roles.get(c) != role:
                 raise DataValidationError(f"column {c!r} is not a {role} column")
+        return [self.values[c] for c in names]
 
     def sensitive_labels(self) -> np.ndarray:
         return self.values[self.sensitive_name]
 
     def sensitive_codes(self) -> np.ndarray:
-        coding = self.sensitive_coding
-        return np.array([coding[lbl] for lbl in self.sensitive_labels()], dtype=np.float64)
+        code = {label: float(c) for label, c in self.sensitive_coding.items()}
+        labels = self.sensitive_labels()
+        return np.fromiter(map(code.__getitem__, labels), dtype=np.float64, count=len(labels))
 
     def row_ids(self) -> tuple:
         if self.id_name is not None:

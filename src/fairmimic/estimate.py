@@ -10,7 +10,7 @@ from scipy.optimize import minimize
 from scipy.stats import chi2
 
 from .exceptions import NotPositiveDefiniteError, SingularInformationError
-from .model import MimicModel, _extract_arrays, _ll_and_grad, n_free_params, pack, param_names, unpack
+from .model import MimicModel, _loglik, data_moments, n_free_params, pack, param_names, unpack
 
 # A fit is declared converged when the Euclidean gradient norm at the
 # returned point is below this, independent of why the optimizer stopped.
@@ -105,7 +105,7 @@ class LrTestResult:
         return cls(statistic=statistic, df=df, p_value=p)
 
 
-def _start_values(spec: MimicModel, Y, X, s) -> np.ndarray:
+def _start_values(spec: MimicModel, mom) -> np.ndarray:
     """Deterministic scale-aware starting point.
 
     Indicator means seed the intercepts, half the indicator variances seed
@@ -115,34 +115,29 @@ def _start_values(spec: MimicModel, Y, X, s) -> np.ndarray:
     1, gamma and all free deltas at 0.
     """
     p, q = spec.n_indicators, spec.n_covariates
-    nu = Y.mean(axis=0)
-    theta = Y.var(axis=0, ddof=1) / 2.0
-    psi = float(Y[:, 0].var(ddof=1)) / 2.0
-    if q > 0:
-        design = np.column_stack([np.ones(Y.shape[0]), X])
-        coef, *_ = np.linalg.lstsq(design, Y[:, 0], rcond=None)
-        beta = coef[1:]
-    else:
-        beta = np.zeros(0)
+    var = np.diag(mom.gram)[q + 1 :] / (mom.n - 1)
+    beta, *_ = np.linalg.lstsq(mom.gram[:q, :q], mom.gram[:q, q + 1], rcond=None)
     start = spec.with_values(
         loadings=np.ones(p),
-        intercepts=nu,
+        intercepts=mom.mean[q + 1 :],
         struct_coefs=beta,
         sens_coef=0.0,
         dif_offsets=np.zeros(p),
-        resid_vars=theta,
-        latent_var=psi,
+        resid_vars=var / 2.0,
+        latent_var=float(var[0]) / 2.0,
     )
     return pack(start)
 
 
 def fit(spec: MimicModel, data, options: OptimOptions | None = None, callback=None) -> FitResult:
-    """Maximize the model log-likelihood by BFGS with the analytic gradient.
+    """Maximize the model log-likelihood by BFGS with the analytic gradient,
+    then polish with Newton steps on the exact Hessian.
 
-    Deterministic given (spec, data, options): starting values are fixed
-    functions of the data, the optimizer uses no randomness, and the
-    sensitive effect gamma is always estimated freely.  Non-convergence
-    does not raise; it is reported through ``converged=False``.
+    The data enter once, through their sample moments.  Deterministic given
+    (spec, data, options): starting values are fixed functions of the data,
+    the optimizer uses no randomness, and the sensitive effect gamma is
+    always estimated freely.  Non-convergence does not raise; it is reported
+    through ``converged=False``.
 
     Parameters
     ----------
@@ -156,21 +151,22 @@ def fit(spec: MimicModel, data, options: OptimOptions | None = None, callback=No
         optimizer iterate.
     """
     options = options or OptimOptions()
-    Y, X, s = _extract_arrays(spec, data)
-    n = Y.shape[0]
+    mom = data_moments(spec, data)
+    n = mom.n
     k = n_free_params(spec)
     if n < k:
         raise ValueError(f"need at least {k} rows to estimate {k} free parameters, got {n}")
-    if np.any(Y.var(axis=0) == 0.0):
-        j = int(np.argmin(Y.var(axis=0)))
+    var = np.diag(mom.gram)[spec.n_covariates + 1 :]
+    if np.any(var == 0.0):
+        j = int(np.argmin(var))
         raise ValueError(f"indicator {spec.indicator_names[j]!r} is constant")
 
-    x0 = pack(spec) if options.init == "model" else _start_values(spec, Y, X, s)
+    x0 = pack(spec) if options.init == "model" else _start_values(spec, mom)
 
     def objective(x):
         try:
             with np.errstate(over="raise", invalid="raise"):
-                ll, grad = _ll_and_grad(x, spec, Y, X, s)
+                ll, grad = _loglik(x, spec, mom, order=1)
         except (FloatingPointError, NotPositiveDefiniteError):
             return np.inf, np.zeros_like(x)
         if not np.isfinite(ll):
@@ -192,25 +188,20 @@ def fit(spec: MimicModel, data, options: OptimOptions | None = None, callback=No
 
     # The summed log-likelihood is large in absolute value, so the line
     # search runs out of float resolution with the gradient still around
-    # n * eps.  Newton steps on the analytic gradient (which stays accurate
-    # far below that) push the gradient norm to the requested tolerance.
-    # Skipped when the iteration budget is already exhausted.
+    # n * eps.  Newton steps on the exact Hessian (the gradient stays
+    # accurate far below that) push the gradient norm to the requested
+    # tolerance.  Skipped when the iteration budget is already exhausted.
     if res.nit < options.max_iter:
-        x_hat, ll_hat, grad_hat, n_polish = _newton_polish(
-            res.x, spec, Y, X, s, data, options, callback
-        )
+        x_hat, ll_hat, grad_hat, hess, n_polish = _newton_polish(res.x, spec, mom, options, callback)
     else:
         x_hat = res.x
-        ll_hat, grad_hat = _ll_and_grad(x_hat, spec, Y, X, s)
+        ll_hat, grad_hat, hess = _loglik(x_hat, spec, mom, order=2)
         n_polish = 0
     grad_norm = float(np.linalg.norm(grad_hat))
     converged = grad_norm < CONVERGED_GRAD_NORM
-    fitted = unpack(spec, x_hat)
 
-    names = param_names(spec)
     try:
-        info = observed_information(fitted, data, _warn_threshold=np.inf)
-        vcov = _invert_information(info)
+        vcov = _invert_information(-hess)
         diag = np.diag(vcov).copy()
         bad = diag < 0
         if bad.any():
@@ -223,11 +214,11 @@ def fit(spec: MimicModel, data, options: OptimOptions | None = None, callback=No
         std_errors = np.full(k, np.nan)
 
     return FitResult(
-        model=fitted,
+        model=unpack(spec, x_hat),
         loglik=float(ll_hat),
         std_errors=std_errors,
         vcov=vcov,
-        param_names=names,
+        param_names=param_names(spec),
         n_iter=int(res.nit) + n_polish,
         converged=converged,
         grad_norm=grad_norm,
@@ -236,33 +227,28 @@ def fit(spec: MimicModel, data, options: OptimOptions | None = None, callback=No
     )
 
 
-def _newton_polish(x, spec, Y, X, s, data, options, callback, max_steps: int = 15):
+def _newton_polish(x, spec, mom, options, callback, max_steps: int = 15):
     """Drive the gradient norm below options.grad_tol with damped Newton
-    steps based on the observed information.
+    steps on the exact Hessian.
 
     A step is accepted only if it shrinks the gradient norm and does not
     decrease the log-likelihood by more than rel_obj_tol in relative terms
     (objective changes below that are float-resolution noise here), so
     accepted iterates remain monotone in the likelihood up to that slack.
     Stops on the gradient tolerance or when no damped step helps, the
-    latter being the objective-stagnation stop.
+    latter being the objective-stagnation stop.  Returns the point with its
+    log-likelihood, gradient and Hessian, and the number of steps taken.
     """
-    ll, g = _ll_and_grad(x, spec, Y, X, s)
+    ll, g, hess = _loglik(x, spec, mom, order=2)
     steps = 0
-    if np.linalg.norm(g) < options.grad_tol:
-        return x, ll, g, steps
-    try:
-        info = observed_information(unpack(spec, x), data, _warn_threshold=np.inf)
-        step_full = np.linalg.solve(info, g)
-    except (np.linalg.LinAlgError, SingularInformationError):
-        return x, ll, g, steps
-    for _ in range(max_steps):
-        accepted = False
-        step = step_full
+    while steps < max_steps and np.linalg.norm(g) >= options.grad_tol:
+        try:
+            step = np.linalg.solve(hess, -g)
+        except np.linalg.LinAlgError:
+            break
         for _ in range(8):  # halve until the step helps
-            x_try = x + step
             try:
-                ll_try, g_try = _ll_and_grad(x_try, spec, Y, X, s)
+                ll_try, g_try, hess_try = _loglik(x + step, spec, mom, order=2)
             except NotPositiveDefiniteError:
                 step = 0.5 * step
                 continue
@@ -271,48 +257,31 @@ def _newton_polish(x, spec, Y, X, s, data, options, callback, max_steps: int = 1
                 and np.linalg.norm(g_try) < np.linalg.norm(g)
                 and ll_try >= ll - options.rel_obj_tol * abs(ll)
             ):
-                x, ll, g = x_try, ll_try, g_try
-                steps += 1
-                accepted = True
-                if callback is not None:
-                    callback(x)
                 break
             step = 0.5 * step
-        if not accepted or np.linalg.norm(g) < options.grad_tol:
+        else:
             break
-        step_full = np.linalg.solve(info, g)
-    return x, ll, g, steps
+        x, ll, g, hess = x + step, ll_try, g_try, hess_try
+        steps += 1
+        if callback is not None:
+            callback(x)
+    return x, ll, g, hess, steps
 
 
 def observed_information(model: MimicModel, data, _warn_threshold: float = 1e-3) -> np.ndarray:
-    """Negative Hessian of the log-likelihood at ``model``.
+    """Negative exact Hessian of the log-likelihood at ``model``, in the
+    packed parameters.
 
-    Columns are central finite differences of the analytic gradient with a
-    per-parameter step of 1e-4 * (1 + |x_k|); the result is symmetrized.
     Warns when the gradient norm suggests the model is not at a stationary
     point.
     """
-    Y, X, s = _extract_arrays(model, data)
-    x = pack(model)
-    _, g = _ll_and_grad(x, model, Y, X, s)
+    _, g, hess = _loglik(pack(model), model, data_moments(model, data), order=2)
     if np.linalg.norm(g) >= _warn_threshold:
         warnings.warn(
             f"observed_information evaluated away from a stationary point "
             f"(gradient norm {np.linalg.norm(g):.3g})"
         )
-    k = x.shape[0]
-    hess = np.empty((k, k))
-    for j in range(k):
-        h = 1e-4 * (1.0 + abs(x[j]))
-        xp = x.copy()
-        xp[j] += h
-        xm = x.copy()
-        xm[j] -= h
-        _, gp = _ll_and_grad(xp, model, Y, X, s)
-        _, gm = _ll_and_grad(xm, model, Y, X, s)
-        hess[:, j] = (gp - gm) / (2.0 * h)
-    info = -0.5 * (hess + hess.T)
-    return info
+    return -hess
 
 
 def _invert_information(info: np.ndarray) -> np.ndarray:

@@ -24,7 +24,6 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .exceptions import NotPositiveDefiniteError, SchemaVersionError
 
@@ -261,8 +260,7 @@ def param_names(model: MimicModel):
 
 
 def n_free_params(model: MimicModel) -> int:
-    p = model.n_indicators
-    return (p - 1) + p + model.n_covariates + 1 + int(model.free_mask.sum()) + p + 1
+    return _offsets(model)[-1] + 1
 
 
 def pack(model: MimicModel) -> np.ndarray:
@@ -283,44 +281,48 @@ def pack(model: MimicModel) -> np.ndarray:
 def unpack(spec: MimicModel, x: np.ndarray) -> MimicModel:
     """Rebuild a model from a packed free-parameter vector, keeping the
     structure (names, free_mask, coding) of ``spec``."""
-    p, q = spec.n_indicators, spec.n_covariates
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (n_free_params(spec),):
         raise ValueError(f"expected {n_free_params(spec)} free parameters, got {x.shape}")
-    parts = _split_packed(spec, x)
-    lam = np.concatenate([[1.0], parts["lam_free"]])
-    delta = np.zeros(p)
-    delta[spec.free_mask] = parts["delta_free"]
+    lam, nu, beta, gamma, delta, theta, psi = _param_arrays(spec, x)
     return spec.with_values(
         loadings=lam,
-        intercepts=parts["nu"],
-        struct_coefs=parts["beta"],
-        sens_coef=float(parts["gamma"]),
+        intercepts=nu,
+        struct_coefs=beta,
+        sens_coef=gamma,
         dif_offsets=delta,
-        resid_vars=np.exp(parts["log_theta"]),
-        latent_var=float(np.exp(parts["log_psi"])),
+        resid_vars=theta,
+        latent_var=psi,
     )
 
 
-def _split_packed(spec: MimicModel, x: np.ndarray) -> dict:
+def _offsets(spec: MimicModel):
+    """Start of each parameter block after the free loadings, in packing
+    order: nu, beta, gamma, delta, log theta, log psi."""
     p, q = spec.n_indicators, spec.n_covariates
-    k = int(spec.free_mask.sum())
-    pos = 0
-    out = {}
-    out["lam_free"] = x[pos : pos + p - 1]
-    pos += p - 1
-    out["nu"] = x[pos : pos + p]
-    pos += p
-    out["beta"] = x[pos : pos + q]
-    pos += q
-    out["gamma"] = x[pos]
-    pos += 1
-    out["delta_free"] = x[pos : pos + k]
-    pos += k
-    out["log_theta"] = x[pos : pos + p]
-    pos += p
-    out["log_psi"] = x[pos]
-    return out
+    nu = p - 1
+    beta = nu + p
+    gamma = beta + q
+    delta = gamma + 1
+    log_theta = delta + int(spec.free_mask.sum())
+    return nu, beta, gamma, delta, log_theta, log_theta + p
+
+
+def _param_arrays(spec: MimicModel, x: np.ndarray):
+    """(lambda, nu, beta, gamma, delta, theta, psi) of a packed vector."""
+    o_nu, o_beta, o_gamma, o_delta, o_theta, o_psi = _offsets(spec)
+    lam = np.concatenate([[1.0], x[:o_nu]])
+    delta = np.zeros(spec.n_indicators)
+    delta[spec.free_mask] = x[o_delta:o_theta]
+    return (
+        lam,
+        x[o_nu:o_beta],
+        x[o_beta:o_gamma],
+        float(x[o_gamma]),
+        delta,
+        np.exp(x[o_theta:o_psi]),
+        float(np.exp(x[o_psi])),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -405,83 +407,61 @@ def implied_moments(model: MimicModel, covariates, sensitive) -> ImpliedMoments:
 
 
 # ---------------------------------------------------------------------------
-# Log-likelihood and analytic gradient
+# Sample moments
+#
+# Given (x, s), the indicators are Gaussian with a mean linear in [1, x, s]
+# and a covariance shared by every row, so the log-likelihood depends on the
+# data only through n, the column means and the centred Gram matrix of
+# w = [x, s, y] (the covariance-structure reduction; Joreskog 1973, Bollen
+# 1989 ch. 4 and 8).
 # ---------------------------------------------------------------------------
 
-
-def _loglik_terms(lam, nu, beta, gamma, delta, theta, psi, Y, X, s):
-    """Shared pieces for the likelihood and its gradient.
-
-    Returns (loglik, R, U, w, Sinv, m) where R are residuals, U = R Sigma^-1,
-    w = U lam and m is the structural mean per row.
-    """
-    n, p = Y.shape
-    m = X @ beta + gamma * s
-    R = Y - nu[None, :] - m[:, None] * lam[None, :] - s[:, None] * delta[None, :]
-    sigma = _cond_cov(lam, psi, theta)
-    try:
-        c, low = cho_factor(sigma, lower=True)
-    except np.linalg.LinAlgError:
-        raise NotPositiveDefiniteError(
-            "implied indicator covariance is singular"
-        ) from None
-    logdet = 2.0 * np.sum(np.log(np.diag(c)))
-    Sinv = cho_solve((c, low), np.eye(p))
-    U = R @ Sinv
-    quad = float(np.einsum("ij,ij->", R, U))
-    ll = -0.5 * (n * (p * LOG_2PI + logdet) + quad)
-    return ll, R, U, U @ lam, Sinv, m
+# Rows per block of the Gram accumulation.  Blocks are summed in a fixed
+# order, so the result does not depend on how BLAS splits one product.
+GRAM_CHUNK_ROWS = 4096
 
 
-def _ll_value(x, spec, Y, X, s):
-    parts = _split_packed(spec, x)
-    lam = np.concatenate([[1.0], parts["lam_free"]])
-    delta = np.zeros(spec.n_indicators)
-    delta[spec.free_mask] = parts["delta_free"]
-    theta = np.exp(parts["log_theta"])
-    psi = float(np.exp(parts["log_psi"]))
-    ll, *_ = _loglik_terms(
-        lam, parts["nu"], parts["beta"], float(parts["gamma"]), delta, theta, psi, Y, X, s
+@dataclass(frozen=True)
+class SampleMoments:
+    """Sufficient statistics of ``[x_1..x_q, s, y_1..y_p]``: the row count,
+    the column means and ``gram = sum_i (w_i - mean)(w_i - mean)'``."""
+
+    n: int
+    mean: np.ndarray
+    gram: np.ndarray
+
+
+def sample_moments(columns) -> SampleMoments:
+    """Means and centred Gram matrix of equal-length 1-D columns, built one
+    block of rows at a time without stacking the columns into one array."""
+    n = len(columns[0])
+    d = len(columns)
+    mean = np.array([np.mean(c) for c in columns])
+    gram = np.zeros((d, d))
+    block = np.empty((min(n, GRAM_CHUNK_ROWS), d))
+    for a in range(0, n, GRAM_CHUNK_ROWS):
+        b = min(a + GRAM_CHUNK_ROWS, n)
+        rows = block[: b - a]
+        for j, col in enumerate(columns):
+            np.subtract(col[a:b], mean[j], out=rows[:, j])
+        gram += rows.T @ rows
+    if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(gram))):
+        raise ValueError("data contains missing or non-finite values")
+    return SampleMoments(n=n, mean=mean, gram=gram)
+
+
+def data_moments(model: MimicModel, data) -> SampleMoments:
+    """Sample moments of the model's covariates, group codes and
+    indicators in ``data``."""
+    return sample_moments(
+        data.role_columns(model.covariate_names, "covariate")
+        + [data.sensitive_codes()]
+        + data.role_columns(model.indicator_names, "indicator")
     )
-    return ll
-
-
-def _ll_and_grad(x, spec, Y, X, s):
-    """Log-likelihood and gradient with respect to the packed parameters."""
-    n, p = Y.shape
-    parts = _split_packed(spec, x)
-    lam = np.concatenate([[1.0], parts["lam_free"]])
-    delta = np.zeros(p)
-    delta[spec.free_mask] = parts["delta_free"]
-    theta = np.exp(parts["log_theta"])
-    psi = float(np.exp(parts["log_psi"]))
-    ll, R, U, w, Sinv, m = _loglik_terms(
-        lam, parts["nu"], parts["beta"], float(parts["gamma"]), delta, theta, psi, Y, X, s
-    )
-    sinv_lam = Sinv @ lam
-    # Loadings enter both the mean (lam * m) and the covariance (psi lam lam').
-    g_lam = U.T @ (m + psi * w) - n * psi * sinv_lam
-    g_nu = U.sum(axis=0)
-    g_beta = X.T @ w
-    g_gamma = float(s @ w)
-    g_delta = U.T @ s
-    g_theta = 0.5 * (U * U).sum(axis=0) - 0.5 * n * np.diag(Sinv)
-    g_psi = 0.5 * float(w @ w) - 0.5 * n * float(lam @ sinv_lam)
-    grad = np.concatenate(
-        [
-            g_lam[1:],
-            g_nu,
-            g_beta,
-            [g_gamma],
-            g_delta[spec.free_mask],
-            g_theta * theta,  # chain rule to the log scale
-            [g_psi * psi],
-        ]
-    )
-    return ll, grad
 
 
 def _extract_arrays(model: MimicModel, data):
+    """Row-wise (Y, X, s) arrays of the model's columns in ``data``."""
     Y = data.indicator_matrix(model.indicator_names)
     X = data.covariate_matrix(model.covariate_names)
     s = data.sensitive_codes()
@@ -490,29 +470,142 @@ def _extract_arrays(model: MimicModel, data):
     return Y, X, s
 
 
+# ---------------------------------------------------------------------------
+# Log-likelihood, gradient and Hessian from the sample moments
+#
+# The conditional mean is [1, z_i] @ Bt with z_i = [x_i, s_i] and
+# Bt = [nu'; beta lambda'; (gamma lambda + delta)'], a (q+2) x p matrix, and
+# the covariance is Sigma = psi lambda lambda' + diag(theta).  With
+# P = Sigma^-1 and W the residual cross-product matrix,
+#
+#   ll = -(n p log 2 pi + n log|Sigma| + tr(P W)) / 2,
+#   dll/dBt = F P,  F = sum_i [1, z_i]' r_i',
+#   dll/dSigma = M / 2,  M = Q - n P,  Q = P W P,
+#
+# and the second differential, with S = sum_i [1, z_i]' [1, z_i], is
+#
+#   -tr(P dBt' S dBt) - 2 tr(F P dSigma P dBt')
+#   + n/2 tr(P dSigma P dSigma) - tr(P dSigma Q dSigma).
+#
+# The gradient applies the chain rule to the packed parameters directly.
+# The Hessian maps the second differential through the Jacobians of Bt and
+# Sigma and adds the curvature of the map itself: loading times beta or
+# gamma in Bt, loading times loading or log psi in Sigma, and the
+# log-variances.
+# ---------------------------------------------------------------------------
+
+
+def _jacobians(spec, lam, beta, gamma, theta, psi):
+    """Derivatives of Bt and of Sigma with respect to every packed
+    parameter, as (k, q+2, p) and (k, p, p) stacks."""
+    p, q = spec.n_indicators, spec.n_covariates
+    k = n_free_params(spec)
+    o_nu, o_beta, o_gamma, o_delta, o_theta, o_psi = _offsets(spec)
+    ip, iq, il = np.arange(p), np.arange(q), np.arange(p - 1)
+    jb = np.zeros((k, q + 2, p))
+    jb[il, 1 : q + 1, il + 1] = beta
+    jb[il, q + 1, il + 1] = gamma
+    jb[o_nu + ip, 0, ip] = 1.0
+    jb[o_beta + iq, 1 + iq, :] = lam
+    jb[o_gamma, q + 1, :] = lam
+    jb[o_delta + np.arange(o_theta - o_delta), q + 1, spec.free_mask] = 1.0
+    js = np.zeros((k, p, p))
+    js[il, il + 1, :] = psi * lam
+    js[il, :, il + 1] += psi * lam
+    js[o_theta + ip, ip, ip] = theta
+    js[o_psi] = psi * np.outer(lam, lam)
+    return jb.reshape(k, -1), js.reshape(k, -1)
+
+
+def _loglik(x, spec: MimicModel, mom: SampleMoments, order: int = 0):
+    """Log-likelihood at the packed vector ``x``; with ``order`` 1 also its
+    gradient, with ``order`` 2 also the gradient and the exact Hessian."""
+    p, q = spec.n_indicators, spec.n_covariates
+    lam, nu, beta, gamma, delta, theta, psi = _param_arrays(spec, x)
+    n = mom.n
+    zbar, ybar = mom.mean[: q + 1], mom.mean[q + 1 :]
+    czz, czy, cyy = mom.gram[: q + 1, : q + 1], mom.gram[: q + 1, q + 1 :], mom.gram[q + 1 :, q + 1 :]
+
+    c = np.append(beta, gamma)  # latent-mean coefficients of z = [x, s]
+    B = c[:, None] * lam  # Bt without its intercept row
+    B[q] += delta
+    rbar = ybar - nu - zbar @ B
+    E = czy - czz @ B  # sum_i (z_i - zbar) r_i'
+    W = n * rbar[:, None] * rbar + cyy - czy.T @ B - B.T @ E
+
+    sigma = psi * lam[:, None] * lam
+    sigma.flat[:: p + 1] += theta
+    try:
+        chol = np.linalg.cholesky(sigma)
+    except np.linalg.LinAlgError:
+        raise NotPositiveDefiniteError("implied indicator covariance is singular") from None
+    chol_inv = np.linalg.inv(chol)
+    P = chol_inv.T @ chol_inv
+    logdet = 2.0 * float(np.sum(np.log(chol.diagonal())))
+    ll = -0.5 * (n * (p * LOG_2PI + logdet) + float(np.sum(P * W)))
+    if order == 0:
+        return ll
+
+    F = np.empty((q + 2, p))
+    F[0] = n * rbar
+    F[1:] = n * zbar[:, None] * rbar + E
+    G = F @ P
+    Q = P @ W @ P
+    M = 0.5 * (Q + Q.T) - n * P
+    ml = M @ lam
+    g_lam = G[1:].T @ c + psi * ml
+    grad = np.concatenate(
+        [
+            g_lam[1:],
+            G[0],
+            G[1 : q + 1] @ lam,
+            [G[q + 1] @ lam],
+            G[q + 1, spec.free_mask],
+            0.5 * theta * M.diagonal(),
+            [0.5 * psi * float(lam @ ml)],
+        ]
+    )
+    if order == 1:
+        return ll, grad
+
+    szz = np.empty((q + 2, q + 2))  # sum_i [1, z_i]' [1, z_i]
+    szz[0, 0] = n
+    szz[0, 1:] = szz[1:, 0] = n * zbar
+    szz[1:, 1:] = czz + n * zbar[:, None] * zbar
+    jb, js = _jacobians(spec, lam, beta, gamma, theta, psi)
+    cross = jb @ np.kron(G, P) @ js.T
+    hess = (
+        js @ (0.5 * n * np.kron(P, P) - np.kron(P, Q)) @ js.T
+        - jb @ np.kron(szz, P) @ jb.T
+        - cross
+        - cross.T
+    )
+    _, o_beta, o_gamma, _, o_theta, o_psi = _offsets(spec)
+    il, iq, ip = np.arange(p - 1), np.arange(q), np.arange(p)
+    hess[np.ix_(il, il)] += psi * M[1:, 1:]
+    hess[o_theta + ip, o_theta + ip] += 0.5 * theta * M.diagonal()
+    hess[o_psi, o_psi] += 0.5 * psi * float(lam @ ml)
+    off = np.zeros_like(hess)  # loading x (beta, gamma, log psi) curvature
+    off[np.ix_(il, o_beta + iq)] = G[1 : q + 1, 1:].T
+    off[il, o_gamma] = G[q + 1, 1:]
+    off[il, o_psi] = psi * ml[1:]
+    return ll, grad, 0.5 * (hess + hess.T) + off + off.T
+
+
+def _ll_value(x, spec, Y, X, s):
+    """Log-likelihood at a packed vector, from row-wise arrays."""
+    return _loglik(x, spec, sample_moments([*X.T, s, *Y.T]))
+
+
 def log_likelihood(model: MimicModel, data) -> float:
     """Conditional Gaussian log-likelihood of the indicators, summed over
     rows; covariates and the sensitive attribute are treated as fixed."""
-    Y, X, s = _extract_arrays(model, data)
-    ll, *_ = _loglik_terms(
-        model.loadings,
-        model.intercepts,
-        model.struct_coefs,
-        model.sens_coef,
-        model.dif_offsets,
-        model.resid_vars,
-        model.latent_var,
-        Y,
-        X,
-        s,
-    )
-    return ll
+    return _loglik(pack(model), model, data_moments(model, data))
 
 
 def log_likelihood_grad(model: MimicModel, data) -> np.ndarray:
     """Gradient of :func:`log_likelihood` with respect to the packed free
     parameters (variances on the log scale); see :func:`param_names` for
     the coordinate order."""
-    Y, X, s = _extract_arrays(model, data)
-    _, grad = _ll_and_grad(pack(model), model, Y, X, s)
+    _, grad = _loglik(pack(model), model, data_moments(model, data), order=1)
     return grad

@@ -215,12 +215,3 @@ class TestScoreAuditDif:
              "--roles", str(sim_dir / "roles.json"), "--out-dir", str(tmp_path / "o")]
         )
         assert code == 1
-
-    def test_threads_env_echoed(self, sim_dir, tmp_path, monkeypatch):
-        monkeypatch.setenv("FAIRMIMIC_THREADS", "4")
-        code = main(
-            ["simulate", "--spec", str(sim_dir / "simspec.json"), "--out-dir", str(tmp_path)]
-        )
-        assert code == 0
-        config = json.loads((tmp_path / "run_config.json").read_text())
-        assert config["threads"] == 4

@@ -1,4 +1,4 @@
-"""Model parameterization, implied moments, likelihood and gradient."""
+"""Model parameterization, implied moments, likelihood, gradient and Hessian."""
 
 import math
 
@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import fairmimic as fm
-from fairmimic.model import _extract_arrays, _ll_value
+from fairmimic.model import GRAM_CHUNK_ROWS, _extract_arrays, _ll_value, _loglik, data_moments
 
 from conftest import CODING, make_generator, simulate_from
 
@@ -146,18 +146,14 @@ class TestLogLikelihood:
     def test_matches_direct_formula_oracle(self, generator):
         data, _ = simulate_from(generator, n=50, seed=5)
         ll = fm.log_likelihood(generator, data)
+        assert ll == pytest.approx(_row_wise_loglik(generator, data), rel=1e-10)
 
-        # brute force: explicit inverse and determinant per row
-        Y, X, s = _extract_arrays(generator, data)
-        mom = fm.implied_moments(generator, X, s)
-        inv = np.linalg.inv(mom.cond_cov)
-        _, logdet = np.linalg.slogdet(mom.cond_cov)
-        p = Y.shape[1]
-        total = 0.0
-        for i in range(Y.shape[0]):
-            r = Y[i] - mom.cond_mean[i]
-            total += -0.5 * (p * math.log(2 * math.pi) + logdet + r @ inv @ r)
-        assert ll == pytest.approx(total, rel=1e-10)
+    def test_matches_direct_formula_oracle_across_gram_chunks(self):
+        gen = make_generator(dif=(0.0, 0.3, 0.0, -0.2))
+        n = 2 * GRAM_CHUNK_ROWS + 123
+        data, _ = simulate_from(gen, n=n, seed=15)
+        ll = fm.log_likelihood(gen, data)
+        assert ll == pytest.approx(_row_wise_loglik(gen, data), rel=1e-10)
 
     def test_additivity_over_rows(self, generator):
         data, _ = simulate_from(generator, n=40, seed=6)
@@ -226,6 +222,60 @@ class TestGradient:
             mom = fm.implied_moments(model, np.zeros((1, 0)), np.zeros(1))
             expected = psi * np.outer(lam, lam) + np.diag(theta)
             np.testing.assert_array_equal(mom.cond_cov, expected)
+
+
+class TestHessian:
+    @pytest.mark.parametrize(
+        "dif", [(0.0, 0.0, 0.0, 0.0), (0.0, 0.3, 0.0, -0.2)], ids=["fixed_delta", "free_delta"]
+    )
+    def test_matches_central_differences_of_gradient(self, dif):
+        gen = make_generator(dif=dif)
+        data, _ = simulate_from(gen, n=300, seed=12)
+        mom = data_moments(gen, data)
+        rng = np.random.default_rng(13)
+        x0 = fm.pack(gen)
+        for _ in range(10):
+            x = x0 + rng.normal(scale=0.1, size=x0.shape)
+            _, _, hess = _loglik(x, gen, mom, order=2)
+            fd = np.empty_like(hess)
+            for k in range(len(x)):
+                h = 1e-5 * (1.0 + abs(x[k]))
+                step = np.zeros_like(x)
+                step[k] = h
+                _, gp = _loglik(x + step, gen, mom, order=1)
+                _, gm = _loglik(x - step, gen, mom, order=1)
+                fd[:, k] = (gp - gm) / (2.0 * h)
+            np.testing.assert_allclose(hess, fd, rtol=1e-5, atol=1e-7 * np.abs(fd).max())
+
+    def test_value_and_gradient_agree_across_orders(self, generator):
+        data, _ = simulate_from(generator, n=200, seed=14)
+        mom = data_moments(generator, data)
+        x = fm.pack(generator)
+        ll0 = _loglik(x, generator, mom)
+        ll1, g1 = _loglik(x, generator, mom, order=1)
+        ll2, g2, hess = _loglik(x, generator, mom, order=2)
+        assert ll0 == ll1 == ll2
+        np.testing.assert_array_equal(g1, g2)
+        np.testing.assert_array_equal(hess, hess.T)
+
+    def test_observed_information_is_negative_hessian(self, fitted_example):
+        res, data = fitted_example
+        _, _, hess = _loglik(fm.pack(res.model), res.model, data_moments(res.model, data), order=2)
+        np.testing.assert_array_equal(fm.observed_information(res.model, data), -hess)
+
+
+def _row_wise_loglik(model, data):
+    """Brute force: explicit inverse and determinant, one row at a time."""
+    Y, X, s = _extract_arrays(model, data)
+    mom = fm.implied_moments(model, X, s)
+    inv = np.linalg.inv(mom.cond_cov)
+    _, logdet = np.linalg.slogdet(mom.cond_cov)
+    p = Y.shape[1]
+    total = 0.0
+    for i in range(Y.shape[0]):
+        r = Y[i] - mom.cond_mean[i]
+        total += -0.5 * (p * math.log(2 * math.pi) + logdet + r @ inv @ r)
+    return total
 
 
 def _fd_gradient(x, spec, Y, X, s, h=1e-5):
