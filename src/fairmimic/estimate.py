@@ -160,6 +160,11 @@ def fit(spec: MimicModel, data, options: OptimOptions | None = None, callback=No
     if np.any(var == 0.0):
         j = int(np.argmin(var))
         raise ValueError(f"indicator {spec.indicator_names[j]!r} is constant")
+    if mom.gram[spec.n_covariates, spec.n_covariates] == 0.0:
+        raise ValueError(
+            f"sensitive column {data.sensitive_name!r} holds one group only; "
+            "its effect gamma is not identified"
+        )
 
     x0 = pack(spec) if options.init == "model" else _start_values(spec, mom)
 

@@ -1,18 +1,26 @@
 """LASSO feature selection with cross-validation, plus Spearman correlation.
 
-The solver is plain cyclic coordinate descent with soft-thresholding on the
+The solver is cyclic coordinate descent with soft-thresholding on the
 objective (1/2n)||y - b0 - F w||^2 + penalty * ||w||_1; the intercept is
-handled by centering and is never penalized.
+handled by centering and is never penalized.  It uses the covariance updates
+of Friedman, Hastie & Tibshirani (2010, JSS 33(1)): the objective depends on
+the data only through the centred moments G = Fc'Fc/n, c = Fc'yc/n and
+yy = yc'yc/n, so they are computed once per penalty path and every
+coordinate step costs O(q) instead of O(n).  The descent carries
+g = c - G w, which is Fc'r/n for the centred residual r, and after each
+change of w[j] updates it with the row G[j].
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.stats import rankdata
 
 from .exceptions import ConvergenceError
+from .model import sample_moments
 
 MAX_SWEEPS = 10_000
 COEF_TOL = 1e-7
@@ -26,17 +34,70 @@ def _soft_threshold(z: float, threshold: float) -> float:
     return 0.0
 
 
+class _Moments(NamedTuple):
+    f_mean: np.ndarray  # (q,) column means of F
+    y_mean: float
+    G: np.ndarray  # (q, q) Fc'Fc / n
+    c: np.ndarray  # (q,) Fc'yc / n
+    yy: float  # yc'yc / n
+
+
+def _moments(F, y) -> _Moments:
+    """Column means and centred second moments of (F, y), divided by n."""
+    q = F.shape[1]
+    mom = sample_moments(list(F.T) + [y])
+    scaled = mom.gram / mom.n
+    return _Moments(
+        f_mean=mom.mean[:q],
+        y_mean=float(mom.mean[q]),
+        G=scaled[:q, :q],
+        c=scaled[:q, q],
+        yy=float(scaled[q, q]),
+    )
+
+
+def _descend(G, c, yy, penalty, w, trace=None):
+    """Cyclic coordinate descent on the Gram form, updating ``w`` in place.
+
+    A column with zero centred variance is never updated.  Stops when the
+    largest coefficient change in a sweep is below ``COEF_TOL``; if ``trace``
+    is a list, the objective after each sweep is appended to it.
+    """
+    norms = np.diag(G).tolist()
+    g = c - G @ w
+    for _ in range(MAX_SWEEPS):
+        max_change = 0.0
+        for j, norm in enumerate(norms):
+            if norm == 0.0:
+                continue
+            old = float(w[j])
+            new = _soft_threshold(float(g[j]) + norm * old, penalty) / norm
+            if new != old:
+                g -= (new - old) * G[j]
+                w[j] = new
+                max_change = max(max_change, abs(new - old))
+        if trace is not None:
+            # 0.5 ||r||^2 / n = 0.5 (yy - 2 w'c + w'G w) = 0.5 (yy - w'(c + g))
+            trace.append(0.5 * (yy - float(w @ (c + g))) + penalty * float(np.abs(w).sum()))
+        if max_change < COEF_TOL:
+            return w
+    raise ConvergenceError(
+        f"coordinate descent did not converge in {MAX_SWEEPS} sweeps"
+    )
+
+
 def penalty_max(features, target) -> float:
     """Smallest penalty at which every coefficient is exactly zero."""
     F = np.asarray(features, dtype=np.float64)
     y = np.asarray(target, dtype=np.float64)
-    yc = y - y.mean()
-    Fc = F - F.mean(axis=0)
-    return float(np.max(np.abs(Fc.T @ yc)) / F.shape[0])
+    return float(np.max(np.abs(_moments(F, y).c)))
 
 
 def lasso_fit(features, target, penalty_weight: float, w0=None, trace=None):
-    """Cyclic coordinate descent for the LASSO.
+    """Cyclic coordinate descent for the LASSO with covariance updates.
+
+    Computes the centred moments of (features, target) once and descends on
+    them (see the module docstring), so each coordinate step costs O(q).
 
     Parameters
     ----------
@@ -63,36 +124,10 @@ def lasso_fit(features, target, penalty_weight: float, w0=None, trace=None):
         raise ValueError("features must be n x q and target length n")
     if penalty_weight < 0:
         raise ValueError("penalty_weight must be nonnegative")
-    n, q = F.shape
-    f_mean = F.mean(axis=0)
-    y_mean = y.mean()
-    Fc = F - f_mean
-    yc = y - y_mean
-    norms = (Fc * Fc).mean(axis=0)  # (1/n) ||F_j||^2 of the centered columns
-
-    w = np.zeros(q) if w0 is None else np.asarray(w0, dtype=np.float64).copy()
-    r = yc - Fc @ w
-    for _ in range(MAX_SWEEPS):
-        max_change = 0.0
-        for j in range(q):
-            if norms[j] == 0.0:
-                continue
-            old = w[j]
-            z = (Fc[:, j] @ r) / n + norms[j] * old
-            new = _soft_threshold(z, penalty_weight) / norms[j]
-            if new != old:
-                r -= (new - old) * Fc[:, j]
-                w[j] = new
-                max_change = max(max_change, abs(new - old))
-        if trace is not None:
-            obj = 0.5 * float(r @ r) / n + penalty_weight * float(np.abs(w).sum())
-            trace.append(obj)
-        if max_change < COEF_TOL:
-            intercept = float(y_mean - f_mean @ w)
-            return w, intercept
-    raise ConvergenceError(
-        f"coordinate descent did not converge in {MAX_SWEEPS} sweeps"
-    )
+    mom = _moments(F, y)
+    w = np.zeros(F.shape[1]) if w0 is None else np.array(w0, dtype=np.float64)
+    _descend(mom.G, mom.c, mom.yy, penalty_weight, w, trace)
+    return w, float(mom.y_mean - mom.f_mean @ w)
 
 
 def default_penalty_grid(features, target, n_points: int = 100, ratio: float = 1e-3):
@@ -152,15 +187,14 @@ class LassoPath:
 
 
 def _fit_path(F, y, grid):
-    q = F.shape[1]
-    coefs = np.empty((len(grid), q))
-    intercepts = np.empty(len(grid))
-    w = np.zeros(q)
-    for i, pen in enumerate(grid):  # descending grid, warm starts
-        w, b0 = lasso_fit(F, y, pen, w0=w)
-        coefs[i] = w
-        intercepts[i] = b0
-    return coefs, intercepts
+    """Coefficients and intercepts over a descending grid, warm-starting each
+    penalty from the previous solution; the moments are computed once."""
+    mom = _moments(F, y)
+    coefs = np.empty((len(grid), F.shape[1]))
+    w = np.zeros(F.shape[1])
+    for i, pen in enumerate(grid):
+        coefs[i] = _descend(mom.G, mom.c, mom.yy, pen, w)
+    return coefs, mom.y_mean - coefs @ mom.f_mean
 
 
 def cv_select(

@@ -69,6 +69,12 @@ class TestFit:
         with pytest.raises(ValueError, match="constant"):
             fm.fit(base_template(generator), degenerate)
 
+    def test_one_group_split_rejected(self, generator):
+        data, _ = simulate_from(generator, n=400, seed=26)
+        one_group = data.subset(np.flatnonzero(data.sensitive_codes() == 1.0))
+        with pytest.raises(ValueError, match=repr(data.sensitive_name)):
+            fm.fit(base_template(generator), one_group)
+
     def test_non_convergence_reported_not_raised(self, generator):
         data, _ = simulate_from(generator, n=600, seed=27)
         with pytest.warns(UserWarning):  # SEs are unreliable away from the optimum

@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fairmimic as fm
+from fairmimic import select
+from fairmimic.exceptions import ConvergenceError
 
 
 def random_instance(n, q, seed, noise=1.0):
@@ -15,6 +17,59 @@ def random_instance(n, q, seed, noise=1.0):
     w_true[: min(3, q)] = (1.5, -2.0, 0.5)[: min(3, q)]
     y = 0.7 + F @ w_true + noise * rng.normal(size=n)
     return F, y, w_true
+
+
+def shifted_instance(n, q, seed):
+    """Columns with means up to +-100 and scales from 0.1 to 50."""
+    rng = np.random.default_rng(seed)
+    F = rng.normal(size=(n, q)) * rng.uniform(0.1, 50.0, q) + rng.uniform(-100.0, 100.0, q)
+    w_true = np.zeros(q)
+    w_true[:3] = (0.8, -0.05, 0.3)
+    y = 40.0 + F @ w_true + 2.0 * rng.normal(size=n)
+    return F, y
+
+
+def residual_lasso(F, y, pen, w0=None):
+    """Oracle: coordinate descent on the row-wise residual, O(n) per step.
+
+    Returns the intercept and the coefficients after every sweep.
+    """
+    n, q = F.shape
+    Fc = F - F.mean(axis=0)
+    norms = (Fc * Fc).mean(axis=0)
+    w = np.zeros(q) if w0 is None else np.array(w0, dtype=np.float64)
+    r = y - y.mean() - Fc @ w
+    sweeps = []
+    for _ in range(select.MAX_SWEEPS):
+        max_change = 0.0
+        for j in range(q):
+            if norms[j] == 0.0:
+                continue
+            old = w[j]
+            z = Fc[:, j] @ r / n + norms[j] * old
+            new = np.sign(z) * max(abs(z) - pen, 0.0) / norms[j]
+            if new != old:
+                r -= (new - old) * Fc[:, j]
+                w[j] = new
+                max_change = max(max_change, abs(new - old))
+        sweeps.append(w.copy())
+        if max_change < select.COEF_TOL:
+            return y.mean() - F.mean(axis=0) @ w, sweeps
+    raise AssertionError("oracle did not converge")
+
+
+def objective(F, y, pen, w):
+    b0 = y.mean() - F.mean(axis=0) @ w
+    r = y - b0 - F @ w
+    return 0.5 * (r @ r) / len(y) + pen * np.abs(w).sum()
+
+
+def kkt_violation(F, y, pen, w, b0):
+    grad = F.T @ (y - b0 - F @ w) / len(y)
+    on = w != 0.0
+    return np.concatenate(
+        [np.abs(grad[on] - pen * np.sign(w[on])), np.maximum(np.abs(grad[~on]) - pen, 0.0)]
+    ).max()
 
 
 class TestLassoFit:
@@ -69,11 +124,79 @@ class TestLassoFit:
             w_cold, _ = fm.lasso_fit(F, y, pen)
             np.testing.assert_allclose(w, w_cold, atol=1e-6)
 
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(5, 60),
+        q=st.integers(1, 8),
+        frac=st.floats(1e-3, 1.0),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_kkt_conditions_hold_on_random_designs(self, seed, n, q, frac):
+        rng = np.random.default_rng(seed)
+        F = rng.normal(size=(n, q)) * rng.uniform(0.2, 5.0, q)
+        y = F @ rng.normal(size=q) + rng.normal(size=n)
+        pen = frac * fm.penalty_max(F, y)
+        w, b0 = fm.lasso_fit(F, y, pen)
+        assert kkt_violation(F, y, pen, w, b0) <= 1e-5
+
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
             fm.lasso_fit(np.zeros((3, 2)), np.zeros(4), 0.1)
         with pytest.raises(ValueError):
             fm.lasso_fit(np.zeros((3, 2)), np.zeros(3), -0.1)
+        with pytest.raises(ValueError, match="non-finite"):
+            fm.lasso_fit(np.array([[1.0], [np.nan], [2.0]]), np.zeros(3), 0.1)
+
+
+class TestGramFormOracle:
+    """The Gram-form solver against the row-wise residual descent it replaced."""
+
+    @pytest.mark.parametrize("n,q,seed", [(100, 10, 90), (400, 5, 91), (2000, 12, 92)])
+    def test_lasso_fit_matches_residual_oracle(self, n, q, seed):
+        F, y = shifted_instance(n, q, seed)
+        pmax = fm.penalty_max(F, y)
+        for frac in (0.9, 0.3, 0.05, 0.002):
+            w, b0 = fm.lasso_fit(F, y, frac * pmax)
+            b0_ref, sweeps = residual_lasso(F, y, frac * pmax)
+            np.testing.assert_allclose(w, sweeps[-1], rtol=0, atol=1e-9)
+            assert b0 == pytest.approx(b0_ref, rel=0, abs=1e-9)
+
+    def test_cv_select_path_matches_residual_oracle(self):
+        F, y = shifted_instance(300, 8, seed=93)
+        path = fm.cv_select(F, y, k_folds=5, seed=4)
+        w = np.zeros(8)
+        for i, pen in enumerate(path.penalties):
+            b0, sweeps = residual_lasso(F, y, pen, w0=w)
+            w = sweeps[-1]
+            np.testing.assert_allclose(path.coefs[i], w, rtol=0, atol=1e-9)
+            assert path.intercepts[i] == pytest.approx(b0, rel=0, abs=1e-9)
+
+    def test_trace_is_the_objective_of_each_sweep(self):
+        F, y = shifted_instance(250, 6, seed=94)
+        pen = 0.02 * fm.penalty_max(F, y)
+        trace = []
+        w, _ = fm.lasso_fit(F, y, pen, trace=trace)
+        _, sweeps = residual_lasso(F, y, pen)
+        assert len(trace) == len(sweeps) > 2
+        expected = [objective(F, y, pen, ws) for ws in sweeps]
+        np.testing.assert_allclose(trace, expected, rtol=1e-12, atol=0)
+        assert trace[-1] == pytest.approx(objective(F, y, pen, w), rel=1e-12, abs=0)
+
+    def test_constant_column_stays_zero_along_the_path(self):
+        F, y = shifted_instance(200, 6, seed=95)
+        F[:, 2] = 5.0  # centred exactly to zero variance: skipped
+        F[:, 4] = 3.7  # its mean is not exactly 3.7: a variance of ~1e-31 remains
+        path = fm.cv_select(F, y, k_folds=5, seed=0)
+        assert np.all(path.coefs[:, [2, 4]] == 0.0)
+        assert np.any(path.coefs != 0.0)
+
+    def test_sweep_limit_raises(self, monkeypatch):
+        F, y = shifted_instance(100, 5, seed=96)
+        monkeypatch.setattr(select, "MAX_SWEEPS", 1)
+        with pytest.raises(ConvergenceError):
+            fm.lasso_fit(F, y, 0.01 * fm.penalty_max(F, y))
+        with pytest.raises(ConvergenceError):
+            fm.cv_select(F, y, k_folds=5)
 
 
 class TestCvSelect:
