@@ -5,6 +5,7 @@ counterfactual-invariance check."""
 from __future__ import annotations
 
 import csv
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -13,9 +14,27 @@ from .model import MimicModel
 from .score import fair_score, naive_score
 
 
-def _group_labels(sensitive):
+def _group_codes(sensitive):
+    """Sorted distinct group labels as ``str`` and each row's index into them.
+
+    One pass in C maps every row through a dict to the first row holding an
+    equal value; ``str`` is then applied once per distinct value, to that
+    row's element as the array holds it.  Values that compare equal (0.0 and
+    -0.0, 1 and True) share one group.
+    """
     arr = np.asarray(sensitive)
-    return np.array([str(v) for v in arr], dtype=object)
+    n = len(arr)
+    first = {}
+    first_row = np.fromiter(
+        map(first.setdefault, arr.tolist(), itertools.count()), dtype=np.intp, count=n
+    )
+    rows = list(first.values())
+    labels = [str(arr[i]) for i in rows]
+    levels = sorted(set(labels))
+    index = {label: i for i, label in enumerate(levels)}
+    code = np.empty(n, dtype=np.intp)
+    code[rows] = [index[label] for label in labels]
+    return levels, code[first_row]
 
 
 @dataclass(frozen=True)
@@ -41,18 +60,21 @@ def statistical_parity(decisions, sensitive, levels=None) -> ParityReport:
         raise ValueError("decisions must be nonempty")
     if not np.isin(d, (0, 1)).all():
         raise ValueError("decisions must be binary 0/1")
-    groups = _group_labels(sensitive)
-    if groups.shape[0] != d.shape[0]:
+    names, codes = _group_codes(sensitive)
+    if codes.shape[0] != d.shape[0]:
         raise ValueError("decisions and sensitive must have equal length")
-    levels = sorted(set(groups)) if levels is None else [str(v) for v in levels]
+    levels = names if levels is None else [str(v) for v in levels]
+    index = {g: i for i, g in enumerate(names)}
+    n_rows = np.bincount(codes, minlength=len(names)).tolist()
+    n_selected = np.bincount(codes, weights=d, minlength=len(names)).tolist()
     rates, counts = {}, {}
     for g in levels:
-        mask = groups == g
-        n_g = int(mask.sum())
+        i = index.get(g)
+        n_g = 0 if i is None else n_rows[i]
         if n_g == 0:
             raise ValueError(f"group {g!r} has zero rows")
         counts[g] = n_g
-        rates[g] = float(d[mask].mean())
+        rates[g] = n_selected[i] / n_g
     vals = list(rates.values())
     return ParityReport(
         rate_by_group=rates,
@@ -87,6 +109,8 @@ class ConditionalParityCurve:
     n_bins: int
     mean_abs_gap: float
 
+    CSV_HEADER = ("percentile_low", "percentile_high", "group", "mean_proxy", "count")
+
     def to_rows(self):
         return [
             (b.percentile_low, b.percentile_high, b.group, b.mean, b.count)
@@ -111,20 +135,25 @@ class ConditionalParityCurve:
             ],
         }
 
+    def csv_rows(self, score_type=None) -> list:
+        """``to_rows()`` as records of the tidy CSV, in the order of
+        ``CSV_HEADER``: the mean as its ``repr``, empty for an empty cell,
+        and ``score_type`` in front when one is given."""
+        lead = [] if score_type is None else [score_type]
+        return [
+            lead + [lo, hi, group, "" if mean is None else repr(float(mean)), count]
+            for lo, hi, group, mean, count in self.to_rows()
+        ]
+
     def write_csv(self, path, score_type=None) -> None:
         """Tidy CSV (bin bounds, group, mean, count) for external plotting."""
+        header = list(self.CSV_HEADER)
+        if score_type is not None:
+            header = ["score_type"] + header
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
-            header = ["percentile_low", "percentile_high", "group", "mean_proxy", "count"]
-            if score_type is not None:
-                header = ["score_type"] + header
             writer.writerow(header)
-            for row in self.to_rows():
-                out = list(row)
-                out[3] = "" if out[3] is None else repr(float(out[3]))
-                if score_type is not None:
-                    out = [score_type] + out
-                writer.writerow(out)
+            writer.writerows(self.csv_rows(score_type))
 
 
 def conditional_parity_curve(scores, sensitive, proxy_values, n_bins: int = 10) -> ConditionalParityCurve:
@@ -132,38 +161,40 @@ def conditional_parity_curve(scores, sensitive, proxy_values, n_bins: int = 10) 
     mean proxy value across groups within each bin.
 
     Percentile rank is the fraction of scores at or below a row's score, so
-    the bins partition (0, 100].  Empty group-bins are reported with count 0
-    and a null mean; bins where any group is empty contribute no gap.
+    the bins partition (0, 100] and a row with c scores at or below its own
+    falls in bin ceil(c * n_bins / n) - 1; tied scores share a bin.  The bins
+    are cut at order statistics: with the scores sorted, row i is in bin b or
+    above exactly when its score is at least the sorted score at index
+    (b * n) // n_bins, for b = 1 .. n_bins - 1.  Counts and proxy sums per
+    (bin, group) cell come from one ``np.bincount`` each.  Empty group-bins
+    are reported with count 0 and a null mean; bins where any group is empty
+    contribute no gap.
     """
     scores = np.asarray(scores, dtype=np.float64)
     proxy = np.asarray(proxy_values, dtype=np.float64)
-    groups = _group_labels(sensitive)
+    levels, codes = _group_codes(sensitive)
     n = scores.shape[0]
     if n == 0:
         raise ValueError("scores must be nonempty")
-    if proxy.shape[0] != n or groups.shape[0] != n:
+    if proxy.shape[0] != n or codes.shape[0] != n:
         raise ValueError("scores, sensitive and proxy_values must have equal length")
     if n_bins < 2:
         raise ValueError("n_bins must be at least 2")
 
-    # count of scores <= own score; ties share the upper count
-    order = np.sort(scores)
-    counts_leq = np.searchsorted(order, scores, side="right")
-    bin_idx = (counts_leq * n_bins + n - 1) // n - 1  # ceil(count * k / n) - 1
+    n_groups = len(levels)
+    cuts = np.sort(scores)[np.arange(1, n_bins) * n // n_bins]
+    cell = np.searchsorted(cuts, scores, side="right") * n_groups + codes
+    shape = (n_bins, n_groups)
+    counts = np.bincount(cell, minlength=n_bins * n_groups).reshape(shape).tolist()
+    sums = np.bincount(cell, weights=proxy, minlength=n_bins * n_groups).reshape(shape).tolist()
 
-    levels = sorted(set(groups))
     edges = [(100.0 * b / n_bins, 100.0 * (b + 1) / n_bins) for b in range(n_bins)]
     bins = []
     gaps = []
     weights = []
     for b in range(n_bins):
-        in_bin = bin_idx == b
-        means = {}
-        for g in levels:
-            sel = in_bin & (groups == g)
-            cnt = int(sel.sum())
-            mean = float(proxy[sel].mean()) if cnt else None
-            means[g] = (mean, cnt)
+        means = [s / c if c else None for s, c in zip(sums[b], counts[b])]
+        for g, mean, cnt in zip(levels, means, counts[b]):
             bins.append(
                 CurveBin(
                     percentile_low=edges[b][0],
@@ -173,16 +204,15 @@ def conditional_parity_curve(scores, sensitive, proxy_values, n_bins: int = 10) 
                     count=cnt,
                 )
             )
-        if any(m is None for m, _ in means.values()):
+        if None in means:
             gaps.append(None)
             continue
-        vals = [m for m, _ in means.values()]
-        if len(levels) == 2:
-            gap = vals[1] - vals[0]
+        if n_groups == 2:
+            gap = means[1] - means[0]
         else:
-            gap = max(vals) - min(vals)
+            gap = max(means) - min(means)
         gaps.append(float(gap))
-        weights.append((b, sum(c for _, c in means.values())))
+        weights.append((b, sum(counts[b])))
 
     if weights:
         total = sum(w for _, w in weights)
@@ -224,21 +254,22 @@ def predictive_parity(decisions, outcome_binary, sensitive) -> PpvReport:
     is no intrinsic positive class)."""
     d = np.asarray(decisions)
     y = np.asarray(outcome_binary)
-    groups = _group_labels(sensitive)
-    if not (d.shape == y.shape == groups.shape):
+    levels, codes = _group_codes(sensitive)
+    if not (d.shape == y.shape == codes.shape):
         raise ValueError("decisions, outcome and sensitive must have equal length")
     if not np.isin(d, (0, 1)).all() or not np.isin(y, (0, 1)).all():
         raise ValueError("decisions and outcome must be binary 0/1")
+    n_selected = np.bincount(codes, weights=d, minlength=len(levels)).tolist()
+    n_hits = np.bincount(codes, weights=d * y, minlength=len(levels)).tolist()
     ppv, npos = {}, {}
     undefined = []
-    for g in sorted(set(groups)):
-        sel = (groups == g) & (d == 1)
-        npos[g] = int(sel.sum())
+    for g, sel, hits in zip(levels, n_selected, n_hits):
+        npos[g] = int(sel)
         if npos[g] == 0:
             ppv[g] = None
             undefined.append(g)
         else:
-            ppv[g] = float(y[sel].mean())
+            ppv[g] = hits / sel
     defined = [v for v in ppv.values() if v is not None]
     gap = float(max(defined) - min(defined)) if len(defined) >= 2 else None
     return PpvReport(

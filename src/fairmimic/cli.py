@@ -216,14 +216,9 @@ def cmd_audit(args) -> int:
     _dump_json(report, out / "audit_report.json")
     with open(out / "parity_curve.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(
-            ["score_type", "percentile_low", "percentile_high", "group", "mean_proxy", "count"]
-        )
+        writer.writerow(["score_type", *audit_mod.ConditionalParityCurve.CSV_HEADER])
         for name, curve in curves.items():
-            for lo, hi, group, mean, count in curve.to_rows():
-                writer.writerow(
-                    [name, lo, hi, group, "" if mean is None else repr(float(mean)), count]
-                )
+            writer.writerows(curve.csv_rows(name))
     _echo_config(args, out)
     return EXIT_OK
 

@@ -24,6 +24,8 @@ from .model import sample_moments
 
 MAX_SWEEPS = 10_000
 COEF_TOL = 1e-7
+GRID_POINTS = 100
+GRID_RATIO = 1e-3
 
 
 def _soft_threshold(z: float, threshold: float) -> float:
@@ -43,10 +45,22 @@ class _Moments(NamedTuple):
 
 
 def _moments(F, y) -> _Moments:
-    """Column means and centred second moments of (F, y), divided by n."""
+    """Column means and centred second moments of (F, y), divided by n.
+
+    A constant column gets exactly zero moments: ``np.mean`` of a constant is
+    often inexact, which would leave it a tiny centred variance and let the
+    descent give it a coefficient at a penalty near 0.
+    """
     q = F.shape[1]
     mom = sample_moments(list(F.T) + [y])
     scaled = mom.gram / mom.n
+    # A constant column's mean is off by about log2(n) * eps relative, so its
+    # centred variance is far below (1e-8 * mean)^2; only such columns are
+    # tested for exact constancy.
+    small = np.flatnonzero(np.diag(scaled)[:q] <= (1e-8 * mom.mean[:q]) ** 2)
+    constant = small[F[:, small].max(axis=0) == F[:, small].min(axis=0)]
+    scaled[constant, :] = 0.0
+    scaled[:, constant] = 0.0
     return _Moments(
         f_mean=mom.mean[:q],
         y_mean=float(mom.mean[q]),
@@ -90,7 +104,11 @@ def penalty_max(features, target) -> float:
     """Smallest penalty at which every coefficient is exactly zero."""
     F = np.asarray(features, dtype=np.float64)
     y = np.asarray(target, dtype=np.float64)
-    return float(np.max(np.abs(_moments(F, y).c)))
+    return _penalty_max(_moments(F, y))
+
+
+def _penalty_max(mom: _Moments) -> float:
+    return float(np.max(np.abs(mom.c)))
 
 
 def lasso_fit(features, target, penalty_weight: float, w0=None, trace=None):
@@ -130,9 +148,12 @@ def lasso_fit(features, target, penalty_weight: float, w0=None, trace=None):
     return w, float(mom.y_mean - mom.f_mean @ w)
 
 
-def default_penalty_grid(features, target, n_points: int = 100, ratio: float = 1e-3):
+def default_penalty_grid(features, target, n_points: int = GRID_POINTS, ratio: float = GRID_RATIO):
     """Log-spaced descending grid from penalty_max down to ratio * penalty_max."""
-    pmax = penalty_max(features, target)
+    return _penalty_grid(penalty_max(features, target), n_points, ratio)
+
+
+def _penalty_grid(pmax: float, n_points: int, ratio: float):
     if pmax == 0.0:
         raise ValueError("target is uncorrelated with every feature; empty grid")
     return np.geomspace(pmax, ratio * pmax, n_points)
@@ -186,12 +207,12 @@ class LassoPath:
         return {"roles": {name: "covariate" for name in self.active_names()}}
 
 
-def _fit_path(F, y, grid):
-    """Coefficients and intercepts over a descending grid, warm-starting each
-    penalty from the previous solution; the moments are computed once."""
-    mom = _moments(F, y)
-    coefs = np.empty((len(grid), F.shape[1]))
-    w = np.zeros(F.shape[1])
+def _fit_path(mom: _Moments, grid):
+    """Coefficients and intercepts over a descending grid from one set of
+    moments, warm-starting each penalty from the previous solution."""
+    q = mom.c.shape[0]
+    coefs = np.empty((len(grid), q))
+    w = np.zeros(q)
     for i, pen in enumerate(grid):
         coefs[i] = _descend(mom.G, mom.c, mom.yy, pen, w)
     return coefs, mom.y_mean - coefs @ mom.f_mean
@@ -222,8 +243,9 @@ def cv_select(
         raise ValueError(f"{k_folds} folds over {n} rows leaves folds smaller than 1 row")
     if rule not in ("min", "1se"):
         raise ValueError("rule must be 'min' or '1se'")
+    full = _moments(F, y)
     if penalty_grid is None:
-        grid = default_penalty_grid(F, y)
+        grid = _penalty_grid(_penalty_max(full), GRID_POINTS, GRID_RATIO)
     else:
         grid = np.asarray(penalty_grid, dtype=np.float64)
         if np.any(np.diff(grid) > 0):
@@ -236,7 +258,7 @@ def cv_select(
     for f, val_idx in enumerate(folds):
         mask = np.ones(n, dtype=bool)
         mask[val_idx] = False
-        coefs, intercepts = _fit_path(F[mask], y[mask], grid)
+        coefs, intercepts = _fit_path(_moments(F[mask], y[mask]), grid)
         preds = F[val_idx] @ coefs.T + intercepts[None, :]
         fold_mse[f] = ((preds - y[val_idx, None]) ** 2).mean(axis=0)
 
@@ -250,7 +272,7 @@ def cv_select(
     else:
         chosen = best
 
-    coefs, intercepts = _fit_path(F, y, grid)
+    coefs, intercepts = _fit_path(full, grid)
     active = tuple(int(j) for j in np.flatnonzero(coefs[chosen]))
     return LassoPath(
         penalties=grid,

@@ -1,5 +1,7 @@
 """Parity reports, conditional parity curves, PPV, counterfactual check."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -137,6 +139,113 @@ class TestConditionalParityCurve:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "percentile_low,percentile_high,group,mean_proxy,count"
         assert len(lines) == 1 + 2 * 2  # bins x groups
+
+
+def str_labels(sensitive):
+    return np.array([str(v) for v in np.asarray(sensitive)], dtype=object)
+
+
+def mask_loop_curve(scores, sensitive, proxy, n_bins):
+    """Reference curve: per-row ``str`` labels, per-row percentile counts and
+    one boolean mask per (bin, group).  Returns the groups and, per cell,
+    (group, count, mean, mean |proxy|)."""
+    scores = np.asarray(scores, dtype=np.float64)
+    proxy = np.asarray(proxy, dtype=np.float64)
+    groups = str_labels(sensitive)
+    n = scores.shape[0]
+    counts_leq = np.searchsorted(np.sort(scores), scores, side="right")
+    bin_idx = (counts_leq * n_bins + n - 1) // n - 1  # ceil(count * k / n) - 1
+    levels = sorted(set(groups))
+    cells = []
+    for b in range(n_bins):
+        for g in levels:
+            sel = (bin_idx == b) & (groups == g)
+            cnt = int(sel.sum())
+            if cnt:
+                cells.append((g, cnt, float(proxy[sel].mean()), float(np.abs(proxy[sel]).mean())))
+            else:
+                cells.append((g, 0, None, None))
+    return tuple(levels), cells
+
+
+def str_loop_parity(decisions, sensitive):
+    d = np.asarray(decisions)
+    groups = str_labels(sensitive)
+    rates, counts = {}, {}
+    for g in sorted(set(groups)):
+        mask = groups == g
+        counts[g] = int(mask.sum())
+        rates[g] = float(d[mask].mean())
+    vals = list(rates.values())
+    gap = float(max(vals) - min(vals))
+    return {"rate_by_group": rates, "parity_gap": gap, "n_by_group": counts}
+
+
+def str_loop_ppv(decisions, outcome, sensitive):
+    d = np.asarray(decisions)
+    y = np.asarray(outcome)
+    groups = str_labels(sensitive)
+    ppv, npos, undefined = {}, {}, []
+    for g in sorted(set(groups)):
+        sel = (groups == g) & (d == 1)
+        npos[g] = int(sel.sum())
+        ppv[g] = float(y[sel].mean()) if npos[g] else None
+        if not npos[g]:
+            undefined.append(g)
+    defined = [v for v in ppv.values() if v is not None]
+    gap = float(max(defined) - min(defined)) if len(defined) >= 2 else None
+    return {
+        "ppv_by_group": ppv,
+        "parity_gap": gap,
+        "n_positive_by_group": npos,
+        "undefined_groups": undefined,
+    }
+
+
+LABEL_POOLS = {
+    "str": ["b", "a", "c"],
+    "int": [10, -1, 3],
+    "float": [0.1, -2.0, 1e16],
+}
+
+
+@st.composite
+def audit_cases(draw):
+    n = draw(st.integers(1, 300))
+    pool = LABEL_POOLS[draw(st.sampled_from(sorted(LABEL_POOLS)))][: draw(st.integers(1, 3))]
+    labels = np.array(draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # few distinct scores give heavy ties, n distinct ones almost none
+    scores = rng.integers(0, draw(st.integers(1, n)), size=n) * rng.normal()
+    proxy = rng.normal(size=n) * 10.0 + draw(st.sampled_from([0.0, 5.0]))
+    decisions = rng.integers(0, 2, size=n)
+    outcome = rng.integers(0, 2, size=n)
+    return scores, labels, proxy, decisions, outcome, draw(st.integers(2, 15))
+
+
+class TestAgainstMaskLoopOracle:
+    @given(audit_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_curve_matches_oracle(self, case):
+        scores, labels, proxy, _, _, n_bins = case
+        curve = fm.conditional_parity_curve(scores, labels, proxy, n_bins=n_bins)
+        groups, cells = mask_loop_curve(scores, labels, proxy, n_bins)
+        assert curve.groups == groups
+        assert [(b.group, b.count) for b in curve.bins] == [(g, c) for g, c, _, _ in cells]
+        for b, (_, _, mean, mean_abs) in zip(curve.bins, cells):
+            if mean is None:
+                assert b.mean is None
+            else:
+                assert abs(b.mean - mean) <= 1e-12 * mean_abs
+
+    @given(audit_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_parity_reports_match_oracle(self, case):
+        _, labels, _, decisions, outcome, _ = case
+        rep = fm.statistical_parity(decisions, labels).to_dict()
+        assert json.dumps(rep) == json.dumps(str_loop_parity(decisions, labels))
+        rep = fm.predictive_parity(decisions, outcome, labels).to_dict()
+        assert json.dumps(rep) == json.dumps(str_loop_ppv(decisions, outcome, labels))
 
 
 class TestPredictiveParity:

@@ -1,5 +1,7 @@
 """Subcommand behavior: files, exit codes, determinism."""
 
+import csv
+import io
 import json
 
 import pytest
@@ -173,6 +175,27 @@ class TestScoreAuditDif:
         lines = (audit_dir / "parity_curve.csv").read_text().strip().splitlines()
         assert lines[0].startswith("score_type,")
         assert len(lines) == 1 + 2 * 10 * 2  # score types x bins x groups
+
+        # the same curves, formatted here from to_rows(): floats as repr, an
+        # empty cell's mean as an empty field
+        data = fm.load_csv(sim_dir / "data.csv", json.loads((sim_dir / "roles.json").read_text()))
+        with open(score_dir / "scores.csv", newline="", encoding="utf-8") as fh:
+            score_rows = list(csv.DictReader(fh))
+        expected = io.StringIO()
+        writer = csv.writer(expected)
+        writer.writerow(
+            ["score_type", "percentile_low", "percentile_high", "group", "mean_proxy", "count"]
+        )
+        for name in ("fair", "naive"):
+            curve = fm.conditional_parity_curve(
+                [float(r[f"{name}_score"]) for r in score_rows],
+                data.sensitive_labels(),
+                data.column("y2"),
+                n_bins=10,
+            )
+            for lo, hi, group, mean, count in curve.to_rows():
+                writer.writerow([name, lo, hi, group, "" if mean is None else repr(mean), count])
+        assert (audit_dir / "parity_curve.csv").read_bytes().decode() == expected.getvalue()
 
     def test_dif_table_schema(self, sim_dir, tmp_path):
         code = main(

@@ -190,6 +190,27 @@ class TestGramFormOracle:
         assert np.all(path.coefs[:, [2, 4]] == 0.0)
         assert np.any(path.coefs != 0.0)
 
+    def test_constant_column_exactly_zero_at_penalty_zero(self):
+        # np.mean of a column of 3.7 is inexact; without the exact constant
+        # test the column keeps a centred variance of ~1e-31 and, with no
+        # soft threshold, a coefficient fitted to rounding noise
+        rng = np.random.default_rng(0)
+        F = rng.normal(size=(200, 4))
+        F[:, 3] = 3.7
+        y = F[:, 0] + 0.5 * rng.normal(size=200)
+        w, _ = fm.lasso_fit(F, y, 0.0)
+        assert w[3] == 0.0
+        assert w[0] == pytest.approx(1.0, abs=0.2)
+
+    def test_full_data_moments_computed_once(self, monkeypatch):
+        F, y, _ = random_instance(100, 5, seed=97)
+        rows = []
+        moments = select._moments
+        monkeypatch.setattr(select, "_moments", lambda F, y: rows.append(len(y)) or moments(F, y))
+        fm.cv_select(F, y, k_folds=5)
+        assert rows.count(100) == 1
+        assert len(rows) == 1 + 5
+
     def test_sweep_limit_raises(self, monkeypatch):
         F, y = shifted_instance(100, 5, seed=96)
         monkeypatch.setattr(select, "MAX_SWEEPS", 1)
