@@ -4,12 +4,12 @@ counterfactual-invariance check."""
 
 from __future__ import annotations
 
-import csv
 import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
+from .data import write_table
 from .model import MimicModel
 from .score import fair_score, naive_score
 
@@ -147,13 +147,8 @@ class ConditionalParityCurve:
 
     def write_csv(self, path, score_type=None) -> None:
         """Tidy CSV (bin bounds, group, mean, count) for external plotting."""
-        header = list(self.CSV_HEADER)
-        if score_type is not None:
-            header = ["score_type"] + header
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            writer.writerows(self.csv_rows(score_type))
+        header = self.CSV_HEADER if score_type is None else ("score_type", *self.CSV_HEADER)
+        write_table(path, header, list(zip(*self.csv_rows(score_type))))
 
 
 def conditional_parity_curve(scores, sensitive, proxy_values, n_bins: int = 10) -> ConditionalParityCurve:

@@ -8,7 +8,6 @@ codes: 0 success, 1 input or validation error, 2 numerical non-convergence.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from pathlib import Path
@@ -77,11 +76,7 @@ def cmd_simulate(args) -> int:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     data_mod.write_csv(dataset, out / "data.csv")
-    with open(out / "latent.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["row_id", "latent"])
-        for rid, eta in zip(dataset.row_ids(), latent):
-            writer.writerow([rid, repr(float(eta))])
+    data_mod.write_table(out / "latent.csv", ("row_id", "latent"), (dataset.row_ids(), latent))
     _dump_json(data_mod.role_config_of(dataset), out / "roles.json")
     _echo_config(args, out)
     return EXIT_OK
@@ -152,16 +147,19 @@ def cmd_score(args) -> int:
     return EXIT_OK
 
 
+_SCORE_DTYPES = {"row_id": object, "fair_score": np.float64, "naive_score": np.float64, "decision": np.int64}
+
+
 def _read_scores(path) -> dict:
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        rows = list(reader)
-    return {
-        "row_id": [r["row_id"] for r in rows],
-        "fair_score": np.array([float(r["fair_score"]) for r in rows]),
-        "naive_score": np.array([float(r["naive_score"]) for r in rows]),
-        "decision": np.array([int(r["decision"]) for r in rows]),
-    }
+    def dtypes_of(header):
+        missing = [c for c in _SCORE_DTYPES if c not in header]
+        if missing:
+            raise FairMimicError(f"{path}: scores file has no column {missing[0]!r}")
+        return [_SCORE_DTYPES.get(c, object) for c in header]
+
+    header, columns = data_mod.read_table(path, dtypes_of)
+    values = dict(zip(header, columns))
+    return {c: values[c] for c in _SCORE_DTYPES}
 
 
 def cmd_audit(args) -> int:
@@ -171,7 +169,7 @@ def cmd_audit(args) -> int:
         raise FairMimicError(
             f"scores file has {len(scores['row_id'])} rows, data has {dataset.n}"
         )
-    if dataset.id_name is not None and list(dataset.row_ids()) != scores["row_id"]:
+    if dataset.id_name is not None and dataset.row_ids() != tuple(scores["row_id"]):
         raise FairMimicError("row_id column of scores does not match the data ids")
 
     proxy_name = args.proxy or dataset.indicator_names[0]
@@ -214,11 +212,12 @@ def cmd_audit(args) -> int:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     _dump_json(report, out / "audit_report.json")
-    with open(out / "parity_curve.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["score_type", *audit_mod.ConditionalParityCurve.CSV_HEADER])
-        for name, curve in curves.items():
-            writer.writerows(curve.csv_rows(name))
+    rows = [row for name, curve in curves.items() for row in curve.csv_rows(name)]
+    data_mod.write_table(
+        out / "parity_curve.csv",
+        ("score_type", *audit_mod.ConditionalParityCurve.CSV_HEADER),
+        list(zip(*rows)),
+    )
     _echo_config(args, out)
     return EXIT_OK
 

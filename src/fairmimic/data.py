@@ -179,32 +179,82 @@ def _validate_dataset(ds: Dataset):
 # CSV in/out
 # ---------------------------------------------------------------------------
 
+CSV_BLOCK_ROWS = 4096
+"""Rows formatted and written at a time by :func:`write_table`."""
 
-def load_csv(path, role_config: dict) -> Dataset:
-    """Read a headered CSV into a validated :class:`Dataset`.
+SCAN_CHUNK_BYTES = 1 << 16
+"""Bytes per chunk when a file is checked for what only the csv module reads right."""
 
-    ``role_config`` is a mapping with a required ``"roles"`` entry
-    (column name -> role) and optional ``"sensitive_coding"`` and
-    ``"log_scale"`` entries.  Every column in the file must be assigned a
-    role.  Rows with missing cells are rejected: the error names the first
-    offending row and column and reports how many rows are affected.
+_CSV_SPECIAL = (",", '"', "\r", "\n")
+
+
+def read_table(path, dtypes_of):
+    """Read a headered CSV into one array per column; returns
+    ``(header, columns)``.
+
+    ``dtypes_of(header)`` gives each column's dtype (``np.float64``,
+    ``np.int64`` or ``object`` for text) and may raise to reject the header.
+    A leading UTF-8 byte-order mark is dropped.  The rows are tokenized and
+    parsed in C by one ``np.loadtxt`` pass, whose quoting and line-end rules
+    are the csv module's and whose number parse is correctly rounded.  A file
+    it would read differently or rejects (a blank line, a ragged row, an
+    empty or unparsable cell) is read row by row with the csv module
+    instead, which loads it or names the first bad row or cell.
     """
-    roles = dict(role_config["roles"])
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataValidationError(f"{path}: empty file, header row required") from None
-        rows = list(reader)
+    fast = not _tokenized_differently(path)
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        header = next(csv.reader(iter(fh.readline, "")), None)
+        if header is None:
+            raise DataValidationError(f"{path}: empty file, header row required")
+        dtypes = [np.dtype(t) for t in dtypes_of(header)]
+        body = fh.tell()
+        if fast and fh.read(1):
+            fh.seek(body)
+            columns = _loadtxt_columns(fh, dtypes)
+            if columns is not None:
+                return header, columns
+        fh.seek(body)
+        rows = list(csv.reader(fh))
+    return header, _row_columns(path, header, rows, dtypes)
 
-    unknown = set(roles) - set(header)
-    if unknown:
-        raise DataValidationError(f"role_config names unknown columns: {sorted(unknown)}")
-    unassigned = set(header) - set(roles)
-    if unassigned:
-        raise DataValidationError(f"columns without a role: {sorted(unassigned)}")
 
+def _tokenized_differently(path) -> bool:
+    """Whether the file holds bytes that numpy's C tokenizer reads otherwise
+    than the csv module: a blank line, that is two line breaks in a row
+    other than CR LF (loadtxt skips it, csv.reader returns an empty row), or
+    an ASCII separator 0x1c-0x1f (numpy's number parsers skip it as
+    whitespace, float() and int() reject it).  Inside a quoted field both
+    are legitimate; such a file just takes the csv-module path."""
+    prev = np.zeros(1, dtype=np.uint8)
+    with open(path, "rb") as fh:
+        while chunk := fh.read(SCAN_CHUNK_BYTES):
+            b = np.concatenate([prev, np.frombuffer(chunk, dtype=np.uint8)])
+            lf, cr = b == 10, b == 13
+            if ((lf[:-1] & (lf[1:] | cr[1:])) | (cr[:-1] & cr[1:])).any():
+                return True
+            if ((b >= 0x1C) & (b <= 0x1F)).any():
+                return True
+            prev = b[-1:]
+    return False
+
+
+def _loadtxt_columns(fh, dtypes):
+    """The rows after the header as columns, or None where the csv module
+    must decide: loadtxt rejects the file, or a text cell is empty."""
+    dtype = np.dtype([(f"f{j}", t) for j, t in enumerate(dtypes)])
+    try:
+        table = np.loadtxt(fh, dtype=dtype, delimiter=",", quotechar='"', comments=None, ndmin=1)
+    except (ValueError, OverflowError):
+        return None
+    columns = [np.ascontiguousarray(table[name]) for name in dtype.names]
+    if any(col.dtype == object and (col == "").any() for col in columns):
+        return None
+    return columns
+
+
+def _row_columns(path, header, rows, dtypes) -> list:
+    """Columns from csv-module rows; raises on a ragged row, an empty cell
+    or a cell its column's dtype cannot parse."""
     n = len(rows)
     bad = [i for i, row in enumerate(rows) if len(row) != len(header) or "" in row]
     if bad:
@@ -219,19 +269,98 @@ def load_csv(path, role_config: dict) -> Dataset:
             f"{path}: {detail}; {len(bad)} of {n} rows have missing values"
         )
 
-    values = {}
-    for j, name in enumerate(header):
+    columns = []
+    for j, (name, dtype) in enumerate(zip(header, dtypes)):
         raw = [row[j] for row in rows]
-        if roles[name] in _NUMERIC_ROLES:
-            try:
-                values[name] = np.array([float(v) for v in raw], dtype=np.float64)
-            except ValueError:
-                offender = next(v for v in raw if not _is_float(v))
-                raise DataValidationError(
-                    f"{path}: column {name!r} has non-numeric cell {offender!r}"
-                ) from None
-        else:
-            values[name] = np.array(raw, dtype=object)
+        if dtype == object:
+            columns.append(np.array(raw, dtype=object))
+            continue
+        parse = float if dtype.kind == "f" else int
+        try:
+            columns.append(np.array([parse(v) for v in raw], dtype=dtype))
+        except ValueError:
+            offender = next(v for v in raw if not _parses(parse, v))
+            raise DataValidationError(
+                f"{path}: column {name!r} has non-numeric cell {offender!r}"
+            ) from None
+    return columns
+
+
+def _parses(parse, v: str) -> bool:
+    try:
+        parse(v)
+        return True
+    except ValueError:
+        return False
+
+
+def write_table(path, header, columns) -> None:
+    """Write columns under a header row, byte for byte as ``csv.writer``
+    does: CRLF line ends, and a field quoted (inner quotes doubled) only when
+    it holds a comma, a quote, CR or LF.
+
+    A float64 array is written as the shortest round-trip ``repr`` of each
+    value, so :func:`read_table` gives back the same bits; any other column
+    as the ``str`` of each value.  Rows are formatted and written
+    ``CSV_BLOCK_ROWS`` at a time, so the text held in memory does not grow
+    with the number of rows.
+    """
+    n = len(columns[0])
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(_csv_lines([_csv_fields([name]) for name in header]))
+        for start in range(0, n, CSV_BLOCK_ROWS):
+            stop = start + CSV_BLOCK_ROWS
+            fh.write(_csv_lines([_csv_fields(col[start:stop]) for col in columns]))
+
+
+def _csv_fields(col) -> list:
+    if isinstance(col, np.ndarray):
+        if col.dtype == np.float64:
+            return list(map(float.__repr__, col.tolist()))
+        if col.dtype.kind in "biuOU":
+            col = col.tolist()  # Python scalars print as their numpy ones do
+    fields = list(map(str, col))
+    text = "".join(fields)
+    if any(c in text for c in _CSV_SPECIAL):
+        fields = [_quoted(f) for f in fields]
+    return fields
+
+
+def _quoted(field: str) -> str:
+    if any(c in field for c in _CSV_SPECIAL):
+        return '"' + field.replace('"', '""') + '"'
+    return field
+
+
+def _csv_lines(columns) -> str:
+    if len(columns) == 1:
+        # a lone empty field is quoted, or the row would read as blank
+        columns = [['""' if f == "" else f for f in columns[0]]]
+    return "\r\n".join(map(",".join, zip(*columns))) + "\r\n"
+
+
+def load_csv(path, role_config: dict) -> Dataset:
+    """Read a headered CSV into a validated :class:`Dataset`.
+
+    ``role_config`` is a mapping with a required ``"roles"`` entry
+    (column name -> role) and optional ``"sensitive_coding"`` and
+    ``"log_scale"`` entries.  Every column in the file must be assigned a
+    role.  Rows with missing cells are rejected: the error names the first
+    offending row and column and reports how many rows are affected.
+    """
+    roles = dict(role_config["roles"])
+
+    def dtypes_of(header):
+        unknown = set(roles) - set(header)
+        if unknown:
+            raise DataValidationError(f"role_config names unknown columns: {sorted(unknown)}")
+        unassigned = set(header) - set(roles)
+        if unassigned:
+            raise DataValidationError(f"columns without a role: {sorted(unassigned)}")
+        return [np.float64 if roles[c] in _NUMERIC_ROLES else object for c in header]
+
+    header, columns = read_table(path, dtypes_of)
+    values = dict(zip(header, columns))
 
     sens_cols = [c for c in header if roles[c] == "sensitive"]
     if len(sens_cols) != 1:
@@ -255,29 +384,10 @@ def load_csv(path, role_config: dict) -> Dataset:
     )
 
 
-def _is_float(v: str) -> bool:
-    try:
-        float(v)
-        return True
-    except ValueError:
-        return False
-
-
 def write_csv(data: Dataset, path) -> None:
     """Write the dataset as RFC-4180 CSV; floats use shortest round-trip
     formatting so that load_csv reproduces them bit-exactly."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(data.column_order)
-        cols = []
-        for c in data.column_order:
-            v = data.values[c]
-            if v.dtype == np.float64:
-                cols.append([repr(float(x)) for x in v])
-            else:
-                cols.append([str(x) for x in v])
-        for row in zip(*cols):
-            writer.writerow(row)
+    write_table(path, data.column_order, [data.values[c] for c in data.column_order])
 
 
 def role_config_of(data: Dataset) -> dict:
@@ -499,8 +609,10 @@ def simulate(spec: SimSpec):
     if spec.cross_loadings is not None:
         Y = Y + X @ spec.cross_loadings.T
 
-    code_to_label = {v: k for k, v in model.sensitive_coding.items()}
-    labels = np.array([code_to_label[int(v)] for v in s], dtype=object)
+    level_of_code = np.empty(2, dtype=object)
+    for label, code in model.sensitive_coding.items():
+        level_of_code[code] = label
+    labels = level_of_code[s.astype(np.intp)]
 
     column_order = (
         (spec.id_column, spec.sensitive_column)
@@ -511,7 +623,7 @@ def simulate(spec: SimSpec):
     roles.update({c: "covariate" for c in model.covariate_names})
     roles.update({c: "indicator" for c in model.indicator_names})
     values = {
-        spec.id_column: np.array([str(i) for i in range(n)], dtype=object),
+        spec.id_column: np.array(list(map(str, range(n))), dtype=object),
         spec.sensitive_column: labels,
     }
     for j, c in enumerate(model.covariate_names):

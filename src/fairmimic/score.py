@@ -9,13 +9,13 @@ serves as the comparison baseline in audits.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
+from .data import write_table
 from .exceptions import NotPositiveDefiniteError
 from .model import MimicModel, _check_regressors, _cond_cov, _extract_arrays
 
@@ -110,11 +110,11 @@ class ScoreSet:
     decided_on: str = "fair"
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["row_id", "fair_score", "naive_score", "decision"])
-            for rid, f, nv, d in zip(self.row_ids, self.fair, self.naive, self.decision):
-                writer.writerow([rid, repr(float(f)), repr(float(nv)), int(d)])
+        write_table(
+            path,
+            ("row_id", "fair_score", "naive_score", "decision"),
+            (self.row_ids, self.fair, self.naive, self.decision),
+        )
 
     def summary_dict(self) -> dict:
         return {
