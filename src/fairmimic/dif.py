@@ -10,7 +10,7 @@ single-factor model with every offset free alongside gamma is not.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -147,12 +147,7 @@ def dif_scan(
     options = options or OptimOptions()
 
     base_fit = fit(base_spec, data, options)
-    warm = OptimOptions(
-        max_iter=options.max_iter,
-        grad_tol=options.grad_tol,
-        rel_obj_tol=options.rel_obj_tol,
-        init="model",
-    )
+    warm = replace(options, init="model")
 
     rows = []
     for name in indicators_to_test:

@@ -6,7 +6,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 from scipy.stats import chi2
 
 from .exceptions import NotPositiveDefiniteError, SingularInformationError
@@ -21,19 +20,18 @@ WALD_Z = 1.96  # two-sided 95%
 
 @dataclass(frozen=True)
 class OptimOptions:
-    """Quasi-Newton optimizer settings.
+    """Trust-region Newton optimizer settings.
 
-    The optimizer stops on ``grad_tol`` (gradient 2-norm) or when the
-    objective stagnates; ``rel_obj_tol`` is the relative objective change
-    treated as stagnation noise.  ``init="auto"`` computes deterministic,
-    scale-aware starting values from the data; ``init="model"`` starts from
-    the parameter values of the spec model (used e.g. to refit from a
-    previous optimum).
+    The optimizer stops when the gradient 2-norm falls below ``grad_tol``,
+    after ``max_iter`` accepted Newton iterates, or when no step within the
+    trust radius improves the log-likelihood.  ``init="auto"`` computes
+    deterministic, scale-aware starting values from the data;
+    ``init="model"`` starts from the parameter values of the spec model
+    (used e.g. to refit from a previous optimum).
     """
 
     max_iter: int = 500
     grad_tol: float = 1e-6
-    rel_obj_tol: float = 1e-10
     init: str = "auto"
 
     def __post_init__(self):
@@ -130,8 +128,16 @@ def _start_values(spec: MimicModel, mom) -> np.ndarray:
 
 
 def fit(spec: MimicModel, data, options: OptimOptions | None = None, callback=None) -> FitResult:
-    """Maximize the model log-likelihood by BFGS with the analytic gradient,
-    then polish with Newton steps on the exact Hessian.
+    """Maximize the model log-likelihood by trust-region Newton steps on the
+    exact Hessian.
+
+    Each step maximizes the exact quadratic model within a trust radius
+    (:func:`_trust_step`): shifted where the Hessian is indefinite, as it
+    often is at the starting values, and plain Newton near the optimum.  A
+    step is accepted only if it raises the log-likelihood, or, because the
+    summed log-likelihood runs out of float resolution before the gradient
+    does, lowers it by at most ``1e-12 * |ll|`` while the gradient norm
+    falls.  The radius follows the ratio of actual to predicted gain.
 
     The data enter once, through their sample moments.  Deterministic given
     (spec, data, options): starting values are fixed functions of the data,
@@ -148,7 +154,7 @@ def fit(spec: MimicModel, data, options: OptimOptions | None = None, callback=No
     options : OptimOptions, optional
     callback : callable, optional
         Invoked with the packed parameter vector after every accepted
-        optimizer iterate.
+        iterate; ``n_iter`` of the result counts these calls.
     """
     options = options or OptimOptions()
     mom = data_moments(spec, data)
@@ -166,43 +172,34 @@ def fit(spec: MimicModel, data, options: OptimOptions | None = None, callback=No
             "its effect gamma is not identified"
         )
 
-    x0 = pack(spec) if options.init == "model" else _start_values(spec, mom)
-
-    def objective(x):
+    x = pack(spec) if options.init == "model" else _start_values(spec, mom)
+    ll, grad, hess = _loglik(x, spec, mom, order=2)
+    radius, n_iter = 1.0, 0
+    while n_iter < options.max_iter and np.linalg.norm(grad) >= options.grad_tol:
+        step, predicted = _trust_step(grad, -hess, radius)
         try:
             with np.errstate(over="raise", invalid="raise"):
-                ll, grad = _loglik(x, spec, mom, order=1)
+                ll_try, grad_try, hess_try = _loglik(x + step, spec, mom, order=2)
         except (FloatingPointError, NotPositiveDefiniteError):
-            return np.inf, np.zeros_like(x)
-        if not np.isfinite(ll):
-            return np.inf, np.zeros_like(x)
-        return -ll, -grad
-
-    with warnings.catch_warnings():
-        # BFGS warns about line-search precision loss near flat optima; the
-        # post-hoc gradient-norm check below is the convergence authority.
-        warnings.simplefilter("ignore", RuntimeWarning)
-        res = minimize(
-            objective,
-            x0,
-            jac=True,
-            method="BFGS",
-            callback=callback,
-            options={"gtol": options.grad_tol, "maxiter": options.max_iter},
-        )
-
-    # The summed log-likelihood is large in absolute value, so the line
-    # search runs out of float resolution with the gradient still around
-    # n * eps.  Newton steps on the exact Hessian (the gradient stays
-    # accurate far below that) push the gradient norm to the requested
-    # tolerance.  Skipped when the iteration budget is already exhausted.
-    if res.nit < options.max_iter:
-        x_hat, ll_hat, grad_hat, hess, n_polish = _newton_polish(res.x, spec, mom, options, callback)
-    else:
-        x_hat = res.x
-        ll_hat, grad_hat, hess = _loglik(x_hat, spec, mom, order=2)
-        n_polish = 0
-    grad_norm = float(np.linalg.norm(grad_hat))
+            ll_try = -np.inf  # a trial point outside the model is a rejected step
+        length = float(np.linalg.norm(step))
+        if ll_try > ll or (
+            ll_try >= ll - 1e-12 * abs(ll) and np.linalg.norm(grad_try) < np.linalg.norm(grad)
+        ):
+            ratio = (ll_try - ll) / predicted
+            x, ll, grad, hess = x + step, ll_try, grad_try, hess_try
+            n_iter += 1
+            if callback is not None:
+                callback(x)
+        else:
+            ratio = -np.inf
+        if ratio < 0.25:
+            radius = 0.25 * length
+        elif ratio > 0.75 and length > 0.99 * radius:
+            radius *= 2.0
+        if not radius > np.finfo(float).eps * (1.0 + np.linalg.norm(x)):
+            break  # no step the floats can represent improves
+    grad_norm = float(np.linalg.norm(grad))
     converged = grad_norm < CONVERGED_GRAD_NORM
 
     try:
@@ -219,12 +216,12 @@ def fit(spec: MimicModel, data, options: OptimOptions | None = None, callback=No
         std_errors = np.full(k, np.nan)
 
     return FitResult(
-        model=unpack(spec, x_hat),
-        loglik=float(ll_hat),
+        model=unpack(spec, x),
+        loglik=float(ll),
         std_errors=std_errors,
         vcov=vcov,
         param_names=param_names(spec),
-        n_iter=int(res.nit) + n_polish,
+        n_iter=n_iter,
         converged=converged,
         grad_norm=grad_norm,
         n_obs=n,
@@ -232,45 +229,44 @@ def fit(spec: MimicModel, data, options: OptimOptions | None = None, callback=No
     )
 
 
-def _newton_polish(x, spec, mom, options, callback, max_steps: int = 15):
-    """Drive the gradient norm below options.grad_tol with damped Newton
-    steps on the exact Hessian.
+def _trust_step(grad, info, radius):
+    """Step ``s`` maximizing ``grad @ s - s @ info @ s / 2`` subject to
+    ``|s| <= radius``, and the gain that quadratic model predicts.
 
-    A step is accepted only if it shrinks the gradient norm and does not
-    decrease the log-likelihood by more than rel_obj_tol in relative terms
-    (objective changes below that are float-resolution noise here), so
-    accepted iterates remain monotone in the likelihood up to that slack.
-    Stops on the gradient tolerance or when no damped step helps, the
-    latter being the objective-stagnation stop.  Returns the point with its
-    log-likelihood, gradient and Hessian, and the number of steps taken.
+    The solution is ``s = (info + lam I)^-1 grad`` with the smallest shift
+    ``lam >= 0`` that makes ``info + lam I`` positive semidefinite and the
+    step fit the radius (Moré & Sorensen 1983); ``lam = 0`` is the Newton
+    step.  On the eigenbasis of ``info`` the step length is explicit in
+    ``lam``, and Newton's method on ``1 / |s(lam)| = 1 / radius``, started
+    below the root, increases monotonically to it because that function is
+    concave.  When the gradient has no component along the most negative
+    curvature (the hard case), the step at the smallest shift is extended
+    along that direction to the radius.
     """
-    ll, g, hess = _loglik(x, spec, mom, order=2)
-    steps = 0
-    while steps < max_steps and np.linalg.norm(g) >= options.grad_tol:
-        try:
-            step = np.linalg.solve(hess, -g)
-        except np.linalg.LinAlgError:
+    w, v = np.linalg.eigh(info)
+    a = v.T @ grad
+    # A lower bound on the shift: below -w[0] the matrix is indefinite, and
+    # below |a_i| / radius - w_i component i alone exceeds the radius.  It is
+    # 0 when the Newton step fits.
+    lam = max(0.0, -w[0], float(np.max(np.abs(a) / radius - w)))
+    floor = len(w) * np.finfo(float).eps * np.abs(w).max()  # eigenvalue resolution
+    for _ in range(50):
+        # A component whose shifted curvature is below the resolution
+        # carries no gradient the floats can resolve; it is left out.
+        d = w + lam
+        live = d > floor
+        coef = np.divide(a, d, out=np.zeros_like(a), where=live)
+        length = np.linalg.norm(coef)
+        if length <= radius * (1.0 + 1e-6):
             break
-        for _ in range(8):  # halve until the step helps
-            try:
-                ll_try, g_try, hess_try = _loglik(x + step, spec, mom, order=2)
-            except NotPositiveDefiniteError:
-                step = 0.5 * step
-                continue
-            if (
-                np.isfinite(ll_try)
-                and np.linalg.norm(g_try) < np.linalg.norm(g)
-                and ll_try >= ll - options.rel_obj_tol * abs(ll)
-            ):
-                break
-            step = 0.5 * step
-        else:
-            break
-        x, ll, g, hess = x + step, ll_try, g_try, hess_try
-        steps += 1
-        if callback is not None:
-            callback(x)
-    return x, ll, g, hess, steps
+        curve = coef @ np.divide(coef, d, out=np.zeros_like(a), where=live)
+        lam += (length * length / curve) * (length - radius) / radius
+    if length > radius:  # the root lies within float resolution of lam
+        coef *= radius / length
+    elif length < radius and lam > 0.0 and not live[0]:  # hard case
+        coef[0] = np.sqrt(radius * radius - length * length)
+    predicted = float(a @ coef - 0.5 * (w * coef) @ coef)
+    return v @ coef, predicted
 
 
 def observed_information(model: MimicModel, data, _warn_threshold: float = 1e-3) -> np.ndarray:

@@ -95,6 +95,24 @@ class TestDifScan:
             for row in rep.rows:
                 assert row.lr_statistic >= 0.0
 
+    @given(st.integers(0, 2**31 - 1), st.integers(200, 2000))
+    @settings(max_examples=30, deadline=None)
+    def test_rows_match_independent_fits(self, seed, n):
+        # Each row's LR statistic is twice the log-likelihood gained by a
+        # warm refit from the base optimum with that one offset freed.
+        gen = make_generator()
+        data, _ = simulate_from(gen, n=n, seed=seed)
+        base = base_template(gen)
+        report = fm.dif_scan(base, data)
+        base_fit = fm.fit(base, data)
+        assert report.base_loglik == base_fit.loglik
+        for j, row in enumerate(report.rows):
+            assert row.error is None and row.converged
+            spec_j = base_fit.model.with_values(free_mask=np.arange(4) == j)
+            fit_j = fm.fit(spec_j, data, fm.OptimOptions(init="model"))
+            assert row.lr_statistic >= 0.0
+            assert abs(row.lr_statistic - 2.0 * (fit_j.loglik - base_fit.loglik)) <= 1e-8
+
     def test_sign_flips_with_swapped_coding(self):
         gen = make_generator(dif=(0.0, 0.3, 0.0, 0.0))
         data, _ = simulate_from(gen, n=3000, seed=61)

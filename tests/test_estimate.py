@@ -1,11 +1,14 @@
 """Fitting, observed information, and likelihood-ratio tests."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy.stats import chi2
 
 import fairmimic as fm
-from fairmimic.estimate import CONVERGED_GRAD_NORM
+from fairmimic.estimate import CONVERGED_GRAD_NORM, _start_values
+from fairmimic.model import _loglik, data_moments
 
 from conftest import base_template, make_generator, simulate_from
 
@@ -42,6 +45,43 @@ class TestFit:
         lls = np.asarray(lls)
         slack = 1e-9 * np.abs(lls[:-1])
         assert np.all(np.diff(lls) >= -slack)
+
+    @pytest.mark.parametrize(
+        "n, seed, dif", [(400, 41, 0.0), (400, 42, 0.2), (5000, 43, 0.0), (5000, 44, 0.2)]
+    )
+    def test_converges_from_indefinite_start(self, n, seed, dif):
+        # The Hessian at the starting values is indefinite on the suite
+        # generator, so a plain Newton step there need not go uphill; the
+        # shifted trust-region step still reaches the optimum.
+        gen = make_generator(dif=(0.0, 0.0, dif, 0.0))
+        data, _ = simulate_from(gen, n=n, seed=seed)
+        spec = base_template(gen)
+        mom = data_moments(spec, data)
+        _, _, hess = _loglik(_start_values(spec, mom), spec, mom, order=2)
+        assert np.linalg.eigvalsh(-hess).min() < 0.0
+        res = fm.fit(spec, data, fm.OptimOptions(grad_tol=1e-8))
+        assert res.converged and res.grad_norm < 1e-8
+
+    def test_callback_fires_once_per_iterate(self, generator):
+        data, _ = simulate_from(generator, n=800, seed=45)
+        cold = []
+        res = fm.fit(base_template(generator), data, callback=cold.append)
+        assert len(cold) == res.n_iter > 0
+        warm = []
+        spec = res.model.with_values(free_mask=np.array([False, True, False, False]))
+        refit = fm.fit(spec, data, fm.OptimOptions(init="model"), callback=warm.append)
+        assert len(warm) == refit.n_iter > 0
+
+    @pytest.mark.parametrize("max_iter", [1, 2, 3])
+    def test_max_iter_bounds_iterates(self, generator, max_iter):
+        data, _ = simulate_from(generator, n=800, seed=46)
+        calls = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # SEs away from the optimum
+            res = fm.fit(
+                base_template(generator), data, fm.OptimOptions(max_iter=max_iter), callback=calls.append
+            )
+        assert len(calls) == res.n_iter <= max_iter
 
     def test_indicator_reordering_invariance(self, generator):
         data, _ = simulate_from(generator, n=1500, seed=24)
