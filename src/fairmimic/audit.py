@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import write_table
-from .model import MimicModel
+from .model import MimicModel, _covariate_matrix
 from .score import fair_score, naive_score
 
 
@@ -285,12 +285,13 @@ def counterfactual_check(model: MimicModel, covariates, reference_level=None, sc
     """
     if score not in ("fair", "naive"):
         raise ValueError("score must be 'fair' or 'naive'")
+    X = _covariate_matrix(model, covariates)
     per_level = []
     for level in sorted(model.sensitive_coding):
         if score == "fair":
-            per_level.append(fair_score(model, covariates, reference_level))
+            per_level.append(fair_score(model, X, reference_level))
         else:
-            forced = np.full(np.shape(covariates)[0], model.level_code(level))
-            per_level.append(naive_score(model, covariates, forced))
+            forced = np.full(X.shape[0], model.level_code(level))
+            per_level.append(naive_score(model, X, forced))
     stacked = np.stack(per_level)
     return float(np.max(stacked.max(axis=0) - stacked.min(axis=0)))

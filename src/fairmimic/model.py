@@ -20,8 +20,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -159,20 +160,9 @@ class MimicModel:
         return replace(self, **changes)
 
     def to_dict(self) -> dict:
-        return {
-            "schema_version": MODEL_SCHEMA_VERSION,
-            "loadings": self.loadings.tolist(),
-            "intercepts": self.intercepts.tolist(),
-            "struct_coefs": self.struct_coefs.tolist(),
-            "sens_coef": self.sens_coef,
-            "dif_offsets": self.dif_offsets.tolist(),
-            "resid_vars": self.resid_vars.tolist(),
-            "latent_var": self.latent_var,
-            "free_mask": [bool(b) for b in self.free_mask],
-            "indicator_names": list(self.indicator_names),
-            "covariate_names": list(self.covariate_names),
-            "sensitive_coding": dict(self.sensitive_coding),
-        }
+        plain = {np.ndarray: np.ndarray.tolist, tuple: list, dict: dict, float: float}
+        d = {f.name: getattr(self, f.name) for f in fields(self)}
+        return {"schema_version": MODEL_SCHEMA_VERSION, **{k: plain[type(v)](v) for k, v in d.items()}}
 
     @classmethod
     def from_dict(cls, d: dict) -> "MimicModel":
@@ -182,19 +172,7 @@ class MimicModel:
                 f"model schema_version {version!r} is not supported "
                 f"(expected {MODEL_SCHEMA_VERSION})"
             )
-        return cls(
-            loadings=d["loadings"],
-            intercepts=d["intercepts"],
-            struct_coefs=d["struct_coefs"],
-            sens_coef=d["sens_coef"],
-            dif_offsets=d["dif_offsets"],
-            resid_vars=d["resid_vars"],
-            latent_var=d["latent_var"],
-            free_mask=d["free_mask"],
-            indicator_names=d["indicator_names"],
-            covariate_names=d["covariate_names"],
-            sensitive_coding=d["sensitive_coding"],
-        )
+        return cls(**{f.name: d[f.name] for f in fields(cls)})
 
 
 def template(
@@ -241,88 +219,84 @@ def load_model(path) -> MimicModel:
 
 # ---------------------------------------------------------------------------
 # Free-parameter vector
-#
-# Packing order: lambda[1:], nu, beta, gamma, delta[free], log theta, log psi.
 # ---------------------------------------------------------------------------
+
+
+class _Block(NamedTuple):
+    """One block of the packed free-parameter vector."""
+
+    field: str  # the MimicModel field it holds
+    index: object  # the field's packed entries; None for a scalar field
+    names: tuple  # names of the field's entries, for the parameter names
+    log: bool  # packed as the log of the field
+    at: np.ndarray  # positions in the packed vector
+
+
+def _layout(spec: MimicModel):
+    """The packed vector of ``spec``'s free parameters: its blocks by name,
+    in packing order, and its length."""
+    ind, every = spec.indicator_names, np.arange(spec.n_indicators)
+    rows = (  # name, field, packed entries, names of the field's entries, log scale
+        ("lambda", "loadings", every[1:], ind, False),
+        ("nu", "intercepts", every, ind, False),
+        ("beta", "struct_coefs", np.arange(spec.n_covariates), spec.covariate_names, False),
+        ("gamma", "sens_coef", None, (), False),
+        ("delta", "dif_offsets", every[spec.free_mask], ind, False),
+        ("log_theta", "resid_vars", every, ind, True),
+        ("log_psi", "latent_var", None, (), True),
+    )
+    layout, k = {}, 0
+    for name, field, index, names, log in rows:
+        size = 1 if index is None else len(index)
+        layout[name] = _Block(field, index, names, log, np.arange(k, k + size))
+        k += size
+    return layout, k
 
 
 def param_names(model: MimicModel):
     """Names of the free parameters in packing order."""
-    ind = model.indicator_names
-    names = [f"lambda[{n}]" for n in ind[1:]]
-    names += [f"nu[{n}]" for n in ind]
-    names += [f"beta[{c}]" for c in model.covariate_names]
-    names.append("gamma")
-    names += [f"delta[{n}]" for n, free in zip(ind, model.free_mask) if free]
-    names += [f"log_theta[{n}]" for n in ind]
-    names.append("log_psi")
+    names = []
+    for name, b in _layout(model)[0].items():
+        names += [name] if b.index is None else [f"{name}[{b.names[i]}]" for i in b.index]
     return tuple(names)
 
 
 def n_free_params(model: MimicModel) -> int:
-    return _offsets(model)[-1] + 1
+    return _layout(model)[1]
 
 
 def pack(model: MimicModel) -> np.ndarray:
     """Flatten the free parameters into a single vector."""
-    return np.concatenate(
-        [
-            model.loadings[1:],
-            model.intercepts,
-            model.struct_coefs,
-            [model.sens_coef],
-            model.dif_offsets[model.free_mask],
-            np.log(model.resid_vars),
-            [np.log(model.latent_var)],
-        ]
-    )
+    parts = []
+    for b in _layout(model)[0].values():
+        v = getattr(model, b.field)
+        v = [v] if b.index is None else v[b.index]
+        parts.append(np.log(v) if b.log else v)
+    return np.concatenate(parts)
 
 
 def unpack(spec: MimicModel, x: np.ndarray) -> MimicModel:
     """Rebuild a model from a packed free-parameter vector, keeping the
     structure (names, free_mask, coding) of ``spec``."""
     x = np.asarray(x, dtype=np.float64)
-    if x.shape != (n_free_params(spec),):
-        raise ValueError(f"expected {n_free_params(spec)} free parameters, got {x.shape}")
-    lam, nu, beta, gamma, delta, theta, psi = _param_arrays(spec, x)
-    return spec.with_values(
-        loadings=lam,
-        intercepts=nu,
-        struct_coefs=beta,
-        sens_coef=gamma,
-        dif_offsets=delta,
-        resid_vars=theta,
-        latent_var=psi,
-    )
+    layout, k = _layout(spec)
+    if x.shape != (k,):
+        raise ValueError(f"expected {k} free parameters, got {x.shape}")
+    return spec.with_values(**_field_values(spec, layout, x))
 
 
-def _offsets(spec: MimicModel):
-    """Start of each parameter block after the free loadings, in packing
-    order: nu, beta, gamma, delta, log theta, log psi."""
-    p, q = spec.n_indicators, spec.n_covariates
-    nu = p - 1
-    beta = nu + p
-    gamma = beta + q
-    delta = gamma + 1
-    log_theta = delta + int(spec.free_mask.sum())
-    return nu, beta, gamma, delta, log_theta, log_theta + p
-
-
-def _param_arrays(spec: MimicModel, x: np.ndarray):
-    """(lambda, nu, beta, gamma, delta, theta, psi) of a packed vector."""
-    o_nu, o_beta, o_gamma, o_delta, o_theta, o_psi = _offsets(spec)
-    lam = np.concatenate([[1.0], x[:o_nu]])
-    delta = np.zeros(spec.n_indicators)
-    delta[spec.free_mask] = x[o_delta:o_theta]
-    return (
-        lam,
-        x[o_nu:o_beta],
-        x[o_beta:o_gamma],
-        float(x[o_gamma]),
-        delta,
-        np.exp(x[o_theta:o_psi]),
-        float(np.exp(x[o_psi])),
-    )
+def _field_values(spec: MimicModel, layout, x: np.ndarray) -> dict:
+    """The fields the packed vector ``x`` holds, by name; entries it does
+    not hold (the pinned first loading, constrained offsets) are ``spec``'s."""
+    values = {}
+    for b in layout.values():
+        v = np.exp(x[b.at]) if b.log else x[b.at]
+        if b.index is None:
+            values[b.field] = float(v[0])
+        else:
+            values[b.field] = getattr(spec, b.field).copy()
+            values[b.field][b.index] = v
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +316,9 @@ class ImpliedMoments:
     cond_cov: np.ndarray
 
 
-def _check_regressors(model, covariates, sensitive):
+def _covariate_matrix(model, covariates):
+    """``covariates`` as an n x q matrix; a 1-D input is one row, or one
+    column when the model has a single covariate."""
     X = np.asarray(covariates, dtype=np.float64)
     if X.ndim == 1:
         X = X.reshape(-1, 1) if model.n_covariates == 1 else X.reshape(1, -1)
@@ -350,6 +326,11 @@ def _check_regressors(model, covariates, sensitive):
         raise ValueError(
             f"covariates must be n x {model.n_covariates}, got shape {X.shape}"
         )
+    return X
+
+
+def _check_regressors(model, covariates, sensitive):
+    X = _covariate_matrix(model, covariates)
     s = np.asarray(sensitive, dtype=np.float64).reshape(-1)
     if s.shape[0] != X.shape[0]:
         raise ValueError(
@@ -358,15 +339,30 @@ def _check_regressors(model, covariates, sensitive):
     return X, s
 
 
-def _cond_cov(lam, psi, theta):
-    sigma = psi * np.outer(lam, lam)
-    sigma[np.diag_indices_from(sigma)] += theta
-    return sigma
+def _mean_cov(values):
+    """Conditional mean coefficients, covariance and its Cholesky factor.
 
-
-def _cond_mean(nu, lam, beta, gamma, delta, X, s):
-    m = X @ beta + gamma * s
-    return nu[None, :] + m[:, None] * lam[None, :] + s[:, None] * delta[None, :]
+    ``values`` maps the MimicModel fields to their values.  Returns the
+    (q+2) x p matrix ``Bt = [nu'; beta lambda'; (gamma lambda + delta)']``,
+    so that the mean of a row is ``[1, x, s] @ Bt``, the covariance
+    ``Sigma = psi lambda lambda' + diag(theta)`` and its lower Cholesky
+    factor.
+    """
+    lam, beta = values["loadings"], values["struct_coefs"]
+    p, q = lam.shape[0], beta.shape[0]
+    Bt = np.empty((q + 2, p))
+    Bt[0] = values["intercepts"]
+    Bt[1 : q + 1] = beta[:, None] * lam
+    Bt[q + 1] = values["sens_coef"] * lam + values["dif_offsets"]
+    sigma = values["latent_var"] * np.outer(lam, lam)
+    sigma.flat[:: p + 1] += values["resid_vars"]
+    try:
+        chol = np.linalg.cholesky(sigma)
+    except np.linalg.LinAlgError:
+        raise NotPositiveDefiniteError(
+            "implied indicator covariance is not positive definite"
+        ) from None
+    return Bt, sigma, chol
 
 
 def implied_moments(model: MimicModel, covariates, sensitive) -> ImpliedMoments:
@@ -387,22 +383,8 @@ def implied_moments(model: MimicModel, covariates, sensitive) -> ImpliedMoments:
         signals invalid variance parameters.
     """
     X, s = _check_regressors(model, covariates, sensitive)
-    sigma = _cond_cov(model.loadings, model.latent_var, model.resid_vars)
-    try:
-        np.linalg.cholesky(sigma)
-    except np.linalg.LinAlgError:
-        raise NotPositiveDefiniteError(
-            "implied indicator covariance is not positive definite"
-        ) from None
-    mu = _cond_mean(
-        model.intercepts,
-        model.loadings,
-        model.struct_coefs,
-        model.sens_coef,
-        model.dif_offsets,
-        X,
-        s,
-    )
+    Bt, sigma, _ = _mean_cov(vars(model))
+    mu = Bt[0] + np.column_stack([X, s]) @ Bt[1:]
     return ImpliedMoments(cond_mean=mu, cond_cov=sigma)
 
 
@@ -487,33 +469,33 @@ def _extract_arrays(model: MimicModel, data):
 #   -tr(P dBt' S dBt) - 2 tr(F P dSigma P dBt')
 #   + n/2 tr(P dSigma P dSigma) - tr(P dSigma Q dSigma).
 #
-# The gradient applies the chain rule to the packed parameters directly.
-# The Hessian maps the second differential through the Jacobians of Bt and
-# Sigma and adds the curvature of the map itself: loading times beta or
-# gamma in Bt, loading times loading or log psi in Sigma, and the
-# log-variances.
+# The gradient and the Hessian map these through the Jacobians of Bt and
+# Sigma with respect to the packed parameters.  The Hessian adds the
+# curvature of that map: loading times beta or gamma in Bt, loading times
+# loading or log psi in Sigma, and on each log-scale block the curvature of
+# exp, which equals the block's gradient.
 # ---------------------------------------------------------------------------
 
 
-def _jacobians(spec, lam, beta, gamma, theta, psi):
+def _jacobians(layout, k, values):
     """Derivatives of Bt and of Sigma with respect to every packed
-    parameter, as (k, q+2, p) and (k, p, p) stacks."""
-    p, q = spec.n_indicators, spec.n_covariates
-    k = n_free_params(spec)
-    o_nu, o_beta, o_gamma, o_delta, o_theta, o_psi = _offsets(spec)
-    ip, iq, il = np.arange(p), np.arange(q), np.arange(p - 1)
+    parameter, as (k, (q+2) p) and (k, p p) matrices."""
+    lam, beta, gamma = values["loadings"], values["struct_coefs"], values["sens_coef"]
+    theta, psi = values["resid_vars"], values["latent_var"]
+    p, q = lam.shape[0], beta.shape[0]
+    lo, th = layout["lambda"], layout["log_theta"]
     jb = np.zeros((k, q + 2, p))
-    jb[il, 1 : q + 1, il + 1] = beta
-    jb[il, q + 1, il + 1] = gamma
-    jb[o_nu + ip, 0, ip] = 1.0
-    jb[o_beta + iq, 1 + iq, :] = lam
-    jb[o_gamma, q + 1, :] = lam
-    jb[o_delta + np.arange(o_theta - o_delta), q + 1, spec.free_mask] = 1.0
+    jb[lo.at, 1 : q + 1, lo.index] = beta
+    jb[lo.at, q + 1, lo.index] = gamma
+    jb[layout["nu"].at, 0, layout["nu"].index] = 1.0
+    jb[layout["beta"].at, 1 + layout["beta"].index, :] = lam
+    jb[layout["gamma"].at, q + 1, :] = lam
+    jb[layout["delta"].at, q + 1, layout["delta"].index] = 1.0
     js = np.zeros((k, p, p))
-    js[il, il + 1, :] = psi * lam
-    js[il, :, il + 1] += psi * lam
-    js[o_theta + ip, ip, ip] = theta
-    js[o_psi] = psi * np.outer(lam, lam)
+    js[lo.at, lo.index, :] = psi * lam
+    js[lo.at, :, lo.index] += psi * lam
+    js[th.at, th.index, th.index] = theta
+    js[layout["log_psi"].at] = psi * np.outer(lam, lam)
     return jb.reshape(k, -1), js.reshape(k, -1)
 
 
@@ -521,24 +503,18 @@ def _loglik(x, spec: MimicModel, mom: SampleMoments, order: int = 0):
     """Log-likelihood at the packed vector ``x``; with ``order`` 1 also its
     gradient, with ``order`` 2 also the gradient and the exact Hessian."""
     p, q = spec.n_indicators, spec.n_covariates
-    lam, nu, beta, gamma, delta, theta, psi = _param_arrays(spec, x)
+    layout, k = _layout(spec)
+    values = _field_values(spec, layout, x)
+    Bt, _, chol = _mean_cov(values)
     n = mom.n
     zbar, ybar = mom.mean[: q + 1], mom.mean[q + 1 :]
     czz, czy, cyy = mom.gram[: q + 1, : q + 1], mom.gram[: q + 1, q + 1 :], mom.gram[q + 1 :, q + 1 :]
 
-    c = np.append(beta, gamma)  # latent-mean coefficients of z = [x, s]
-    B = c[:, None] * lam  # Bt without its intercept row
-    B[q] += delta
-    rbar = ybar - nu - zbar @ B
+    B = Bt[1:]
+    rbar = ybar - Bt[0] - zbar @ B
     E = czy - czz @ B  # sum_i (z_i - zbar) r_i'
     W = n * rbar[:, None] * rbar + cyy - czy.T @ B - B.T @ E
 
-    sigma = psi * lam[:, None] * lam
-    sigma.flat[:: p + 1] += theta
-    try:
-        chol = np.linalg.cholesky(sigma)
-    except np.linalg.LinAlgError:
-        raise NotPositiveDefiniteError("implied indicator covariance is singular") from None
     chol_inv = np.linalg.inv(chol)
     P = chol_inv.T @ chol_inv
     logdet = 2.0 * float(np.sum(np.log(chol.diagonal())))
@@ -552,19 +528,8 @@ def _loglik(x, spec: MimicModel, mom: SampleMoments, order: int = 0):
     G = F @ P
     Q = P @ W @ P
     M = 0.5 * (Q + Q.T) - n * P
-    ml = M @ lam
-    g_lam = G[1:].T @ c + psi * ml
-    grad = np.concatenate(
-        [
-            g_lam[1:],
-            G[0],
-            G[1 : q + 1] @ lam,
-            [G[q + 1] @ lam],
-            G[q + 1, spec.free_mask],
-            0.5 * theta * M.diagonal(),
-            [0.5 * psi * float(lam @ ml)],
-        ]
-    )
+    jb, js = _jacobians(layout, k, values)
+    grad = jb @ G.ravel() + 0.5 * (js @ M.ravel())
     if order == 1:
         return ll, grad
 
@@ -572,7 +537,6 @@ def _loglik(x, spec: MimicModel, mom: SampleMoments, order: int = 0):
     szz[0, 0] = n
     szz[0, 1:] = szz[1:, 0] = n * zbar
     szz[1:, 1:] = czz + n * zbar[:, None] * zbar
-    jb, js = _jacobians(spec, lam, beta, gamma, theta, psi)
     cross = jb @ np.kron(G, P) @ js.T
     hess = (
         js @ (0.5 * n * np.kron(P, P) - np.kron(P, Q)) @ js.T
@@ -580,15 +544,16 @@ def _loglik(x, spec: MimicModel, mom: SampleMoments, order: int = 0):
         - cross
         - cross.T
     )
-    _, o_beta, o_gamma, _, o_theta, o_psi = _offsets(spec)
-    il, iq, ip = np.arange(p - 1), np.arange(q), np.arange(p)
-    hess[np.ix_(il, il)] += psi * M[1:, 1:]
-    hess[o_theta + ip, o_theta + ip] += 0.5 * theta * M.diagonal()
-    hess[o_psi, o_psi] += 0.5 * psi * float(lam @ ml)
+    lam, psi = values["loadings"], values["latent_var"]
+    lo = layout["lambda"]
+    hess[np.ix_(lo.at, lo.at)] += psi * M[np.ix_(lo.index, lo.index)]
+    for b in layout.values():
+        if b.log:
+            hess[b.at, b.at] += grad[b.at]
     off = np.zeros_like(hess)  # loading x (beta, gamma, log psi) curvature
-    off[np.ix_(il, o_beta + iq)] = G[1 : q + 1, 1:].T
-    off[il, o_gamma] = G[q + 1, 1:]
-    off[il, o_psi] = psi * ml[1:]
+    off[np.ix_(lo.at, layout["beta"].at)] = G[1 : q + 1, lo.index].T
+    off[lo.at, layout["gamma"].at] = G[q + 1, lo.index]
+    off[lo.at, layout["log_psi"].at] = psi * (M @ lam)[lo.index]
     return ll, grad, 0.5 * (hess + hess.T) + off + off.T
 
 

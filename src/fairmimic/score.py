@@ -13,11 +13,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_solve
 
 from .data import write_table
-from .exceptions import NotPositiveDefiniteError
-from .model import MimicModel, _check_regressors, _cond_cov, _extract_arrays
+from .model import MimicModel, _check_regressors, _covariate_matrix, _extract_arrays, _mean_cov
 
 
 def fair_score(model: MimicModel, covariates, reference_level=None) -> np.ndarray:
@@ -30,7 +29,7 @@ def fair_score(model: MimicModel, covariates, reference_level=None) -> np.ndarra
     if reference_level is None:
         reference_level = model.reference_level
     code = model.level_code(reference_level)
-    X, _ = _check_regressors(model, covariates, np.zeros(np.shape(covariates)[0]))
+    X = _covariate_matrix(model, covariates)
     return X @ model.struct_coefs + model.sens_coef * code
 
 
@@ -46,7 +45,9 @@ def as_codes(model: MimicModel, sensitive) -> np.ndarray:
     arr = np.asarray(sensitive)
     if arr.dtype.kind in "fiub":
         return arr.astype(np.float64)
-    return np.array([model.level_code(v) for v in arr], dtype=np.float64)
+    levels, row_level = np.unique(arr.astype(str), return_inverse=True)
+    codes = np.array([model.level_code(v) for v in levels.tolist()], dtype=np.float64)
+    return codes[row_level.reshape(-1)]
 
 
 def nearest_rank_percentile(values, percentile: float) -> float:
@@ -80,19 +81,10 @@ def factor_score(model: MimicModel, data) -> np.ndarray:
     """Posterior mean of the latent variable given indicators, covariates
     and group (regression factor scores); diagnostic use only."""
     Y, X, s = _extract_arrays(model, data)
-    lam, psi = model.loadings, model.latent_var
-    sigma = _cond_cov(lam, psi, model.resid_vars)
-    try:
-        c, low = cho_factor(sigma, lower=True)
-    except np.linalg.LinAlgError:
-        raise NotPositiveDefiniteError("posterior covariance is singular") from None
+    Bt, _, chol = _mean_cov(vars(model))
     m = X @ model.struct_coefs + model.sens_coef * s
-    mu = (
-        model.intercepts[None, :]
-        + m[:, None] * lam[None, :]
-        + s[:, None] * model.dif_offsets[None, :]
-    )
-    weights = psi * cho_solve((c, low), lam)
+    mu = Bt[0] + np.column_stack([X, s]) @ Bt[1:]
+    weights = model.latent_var * cho_solve((chol, True), model.loadings)
     return m + (Y - mu) @ weights
 
 

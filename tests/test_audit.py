@@ -298,6 +298,13 @@ class TestCounterfactualCheck:
         X = np.random.default_rng(56).normal(size=(40, 3))
         assert fm.counterfactual_check(gen, X, score="naive") == pytest.approx(3.0, abs=1e-12)
 
+    def test_single_covariate_row(self):
+        # a 1-D input is one row of q covariates, not q rows
+        gen = make_generator(gamma=3.0)
+        row = np.array([0.5, -1.0, 2.0])
+        assert fm.counterfactual_check(gen, row, score="naive") == pytest.approx(3.0, abs=1e-12)
+        assert fm.counterfactual_check(gen, row, score="fair") == 0.0
+
     def test_naive_discrepancy_matches_fitted_gamma(self, fitted_example):
         # algebraic oracle: |gamma_hat| times the coding span (1 by contract)
         res, data = fitted_example

@@ -95,11 +95,15 @@ def tables(draw, cell_text=texts):
 
 
 class TestAgainstCsvModule:
+    """Each example writes a fresh file: overwriting one file per example
+    costs tens of milliseconds per truncation on some filesystems."""
+
     @given(tables(cell_text=st.text(alphabet=st.sampled_from(TEXT_CHARS), max_size=6)))
     @settings(max_examples=300, deadline=None)
     def test_writer_bytes(self, tmp_path_factory, table):
         header, _, columns = table
         path = tmp_path_factory.getbasetemp() / "written.csv"
+        path.unlink(missing_ok=True)
         data_mod.write_table(path, header, columns)
         assert path.read_bytes() == csv_module_bytes(header, columns)
 
@@ -108,6 +112,7 @@ class TestAgainstCsvModule:
     def test_reader_values(self, tmp_path_factory, table, lineterminator):
         header, numeric, columns = table
         path = tmp_path_factory.getbasetemp() / "read.csv"
+        path.unlink(missing_ok=True)
         path.write_bytes(csv_module_bytes(header, columns, lineterminator))
         dtypes = [np.float64 if f else object for f in numeric]
         got_header, got = data_mod.read_table(path, lambda h: dtypes)
@@ -137,6 +142,7 @@ class TestAgainstCsvModule:
             sensitive_coding={levels[0]: 0, levels[1]: 1},
         )
         path = tmp_path_factory.getbasetemp() / "dataset.csv"
+        path.unlink(missing_ok=True)
         fm.write_csv(ds, path)
         assert path.read_bytes() == csv_module_bytes(ds.column_order, list(values.values()))
 

@@ -1,12 +1,15 @@
 """Model parameterization, implied moments, likelihood, gradient and Hessian."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fairmimic as fm
-from fairmimic.model import GRAM_CHUNK_ROWS, _extract_arrays, _ll_value, _loglik, data_moments
+from fairmimic.model import GRAM_CHUNK_ROWS, _extract_arrays, _ll_value, _loglik, data_moments, n_free_params
 
 from conftest import CODING, make_generator, simulate_from
 
@@ -224,6 +227,74 @@ class TestGradient:
             np.testing.assert_array_equal(mom.cond_cov, expected)
 
 
+class TestSingularCovariance:
+    # lambda = (1, 1), psi = 1 and theta = 1e-20 give a covariance that is
+    # rank 1 in floating point
+    MODEL = tiny_model(loadings=[1.0, 1.0], resid_vars=[1e-20, 1e-20], latent_var=1.0)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda m, d: fm.implied_moments(m, np.zeros((1, 1)), np.zeros(1)),
+            fm.log_likelihood,
+            fm.log_likelihood_grad,
+            fm.factor_score,
+        ],
+        ids=["implied_moments", "log_likelihood", "log_likelihood_grad", "factor_score"],
+    )
+    def test_raises_one_error(self, call):
+        data = _dataset_from_rows(self.MODEL, np.array([[0.0, 0.1], [0.3, 0.2]]), np.zeros((2, 1)), ["a", "b"])
+        with pytest.raises(fm.NotPositiveDefiniteError, match="covariance is not positive definite"):
+            call(self.MODEL, data)
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_layout_round_trip_and_derivatives(draw):
+    """Over p, q and free masks: the packed layout round-trips, the gradient
+    matches central differences of the value and the Hessian central
+    differences of the gradient."""
+    p, q = draw.draw(st.integers(2, 6)), draw.draw(st.integers(0, 4))
+    mask = np.array(draw.draw(st.lists(st.booleans(), min_size=p, max_size=p)))
+    rng = np.random.default_rng(draw.draw(st.integers(0, 2**32 - 1)))
+    model = fm.MimicModel(
+        loadings=np.concatenate([[1.0], rng.uniform(0.5, 1.5, size=p - 1)]),
+        intercepts=rng.normal(size=p),
+        struct_coefs=rng.normal(size=q),
+        sens_coef=rng.normal(),
+        dif_offsets=np.where(mask, rng.normal(scale=0.3, size=p), 0.0),
+        resid_vars=rng.uniform(0.3, 1.5, size=p),
+        latent_var=rng.uniform(0.3, 1.5),
+        free_mask=mask,
+        indicator_names=tuple(f"y{j}" for j in range(p)),
+        covariate_names=tuple(f"x{c}" for c in range(q)),
+        sensitive_coding=CODING,
+    )
+    x = fm.pack(model)
+    assert len(fm.param_names(model)) == n_free_params(model) == len(x)
+    back = fm.unpack(model, x)
+    for f in dataclasses.fields(model):
+        want, got = getattr(model, f.name), getattr(back, f.name)
+        if f.name in ("resid_vars", "latent_var"):  # exp(log v) may differ from v in the last bit
+            np.testing.assert_allclose(got, want, rtol=1e-15)
+        else:
+            np.testing.assert_array_equal(got, want)
+
+    data, _ = simulate_from(model, n=60, seed=int(rng.integers(2**31)))
+    mom = data_moments(model, data)
+    _, grad, hess = _loglik(x, model, mom, order=2)
+    fd_grad, fd_hess = np.empty_like(grad), np.empty_like(hess)
+    for k in range(len(x)):
+        step = np.zeros_like(x)
+        step[k] = h = 1e-5 * (1.0 + abs(x[k]))
+        fd_grad[k] = (_loglik(x + step, model, mom) - _loglik(x - step, model, mom)) / (2.0 * h)
+        _, gp = _loglik(x + step, model, mom, order=1)
+        _, gm = _loglik(x - step, model, mom, order=1)
+        fd_hess[:, k] = (gp - gm) / (2.0 * h)
+    np.testing.assert_allclose(grad, fd_grad, rtol=1e-5, atol=1e-6 * max(1.0, np.abs(fd_grad).max()))
+    np.testing.assert_allclose(hess, fd_hess, rtol=1e-5, atol=1e-7 * np.abs(fd_hess).max())
+
+
 class TestHessian:
     @pytest.mark.parametrize(
         "dif", [(0.0, 0.0, 0.0, 0.0), (0.0, 0.3, 0.0, -0.2)], ids=["fixed_delta", "free_delta"]
@@ -265,15 +336,20 @@ class TestHessian:
 
 
 def _row_wise_loglik(model, data):
-    """Brute force: explicit inverse and determinant, one row at a time."""
+    """Brute force from the scalar model equations: explicit inverse and
+    determinant, one row at a time."""
     Y, X, s = _extract_arrays(model, data)
-    mom = fm.implied_moments(model, X, s)
-    inv = np.linalg.inv(mom.cond_cov)
-    _, logdet = np.linalg.slogdet(mom.cond_cov)
-    p = Y.shape[1]
+    lam, p = model.loadings, model.n_indicators
+    cov = np.empty((p, p))
+    for j in range(p):
+        for k in range(p):
+            cov[j, k] = lam[j] * model.latent_var * lam[k] + (model.resid_vars[j] if j == k else 0.0)
+    inv = np.linalg.inv(cov)
+    _, logdet = np.linalg.slogdet(cov)
     total = 0.0
     for i in range(Y.shape[0]):
-        r = Y[i] - mom.cond_mean[i]
+        eta = model.struct_coefs @ X[i] + model.sens_coef * s[i]
+        r = Y[i] - (model.intercepts + lam * eta + model.dif_offsets * s[i])
         total += -0.5 * (p * math.log(2 * math.pi) + logdet + r @ inv @ r)
     return total
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fairmimic as fm
+from fairmimic.score import as_codes
 
 from conftest import CODING, make_generator, simulate_from
 
@@ -48,6 +49,13 @@ class TestFairScore:
         X = np.zeros((3, 2))
         np.testing.assert_allclose(fm.fair_score(m, X, "b") - fm.fair_score(m, X, "a"), 3.0)
 
+    def test_single_covariate_row(self):
+        # a 1-D input is one row of q covariates, as naive_score reads it
+        m = score_model(beta=(0.5, -0.25), gamma=1.5)
+        row = np.array([1.0, 2.0])
+        np.testing.assert_array_equal(fm.fair_score(m, row, "b"), [1.5])
+        np.testing.assert_array_equal(fm.fair_score(m, row, "b"), fm.naive_score(m, row, ["b"]))
+
     def test_unknown_reference_level(self):
         with pytest.raises(ValueError, match="unknown sensitive level"):
             fm.fair_score(score_model(), np.zeros((1, 2)), "zzz")
@@ -89,6 +97,18 @@ class TestNaiveScore:
         m = score_model()
         X = np.zeros((2, 2))
         np.testing.assert_allclose(fm.naive_score(m, X, np.array(["a", "b"], dtype=object)), [0.0, 3.0])
+
+
+    def test_label_codes_match_per_label_lookup(self):
+        m = score_model()
+        labels = np.random.default_rng(6).choice(["a", "b"], size=500)
+        for arr in (labels, labels.astype(object)):
+            expected = np.array([m.level_code(v) for v in arr], dtype=np.float64)
+            codes = as_codes(m, arr)
+            assert codes.dtype == np.float64
+            np.testing.assert_array_equal(codes, expected)
+        with pytest.raises(ValueError, match="unknown sensitive level 'c'"):
+            as_codes(m, np.array(["a", "c", "b"], dtype=object))
 
 
 class TestDecide:
