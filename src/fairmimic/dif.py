@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .estimate import OptimOptions, WALD_Z, fit, lr_test
-from .model import MimicModel
+from .model import MimicModel, data_moments
 
 
 def percent_effect(delta: float, ci=None):
@@ -135,7 +135,8 @@ def dif_scan(
     the base optimum (shared starting point, which keeps the LR statistic
     nonnegative), and the estimate, Wald interval, LR statistic and p-value
     recorded.  A failed per-indicator fit is recorded in its row and the
-    scan continues.
+    scan continues.  The sample moments and the data fingerprint are built
+    once and shared by every fit of the scan.
     """
     if base_spec.free_mask.any():
         raise ValueError("base_spec must have every dif offset constrained to 0")
@@ -146,7 +147,8 @@ def dif_scan(
         raise ValueError(f"unknown indicators: {sorted(unknown)}")
     options = options or OptimOptions()
 
-    base_fit = fit(base_spec, data, options)
+    mom = data_moments(base_spec, data)
+    base_fit = fit(base_spec, mom, options)
     warm = replace(options, init="model")
 
     rows = []
@@ -157,7 +159,7 @@ def dif_scan(
         spec_j = base_fit.model.with_values(free_mask=mask)
         log_flag = name in data.log_scale
         try:
-            fit_j = fit(spec_j, data, warm)
+            fit_j = fit(spec_j, mom, warm)
             delta = float(fit_j.model.dif_offsets[j])
             se = fit_j.se(f"delta[{name}]")
             ci = (delta - WALD_Z * se, delta + WALD_Z * se)

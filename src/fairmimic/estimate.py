@@ -6,10 +6,20 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import chi2
+from scipy.special import chdtrc
 
 from .exceptions import NotPositiveDefiniteError, SingularInformationError
-from .model import MimicModel, _loglik, data_moments, n_free_params, pack, param_names, unpack
+from .model import (
+    MimicModel,
+    SampleMoments,
+    _loglik,
+    _moments_of,
+    data_moments,
+    n_free_params,
+    pack,
+    param_names,
+    unpack,
+)
 
 # A fit is declared converged when the Euclidean gradient norm at the
 # returned point is below this, independent of why the optimizer stopped.
@@ -99,7 +109,7 @@ class LrTestResult:
         if df < 0:
             raise ValueError("df must be nonnegative")
         # df == 0 means the models coincide; the test is vacuous.
-        p = 1.0 if df == 0 else float(chi2.sf(statistic, df))
+        p = 1.0 if df == 0 else float(chdtrc(df, statistic))
         return cls(statistic=statistic, df=df, p_value=p)
 
 
@@ -139,36 +149,48 @@ def fit(spec: MimicModel, data, options: OptimOptions | None = None, callback=No
     does, lowers it by at most ``1e-12 * |ll|`` while the gradient norm
     falls.  The radius follows the ratio of actual to predicted gain.
 
-    The data enter once, through their sample moments.  Deterministic given
-    (spec, data, options): starting values are fixed functions of the data,
-    the optimizer uses no randomness, and the sensitive effect gamma is
-    always estimated freely.  Non-convergence does not raise; it is reported
-    through ``converged=False``.
+    The data enter once, through their sample moments; a caller that fits
+    several specs with the same columns to one dataset can build those once
+    with :func:`~fairmimic.model.data_moments` and pass them as ``data``.
+
+    Deterministic given (spec, data, options): starting values are fixed
+    functions of the data, the optimizer uses no randomness, and the
+    sensitive effect gamma is always estimated freely.  Non-convergence does
+    not raise; it is reported through ``converged=False``.
 
     Parameters
     ----------
     spec : MimicModel
         Structural template; its free_mask decides which dif offsets are
         estimated.
-    data : Dataset
+    data : Dataset or SampleMoments
+        The dataset, or its moments from ``data_moments`` for a spec with
+        the same covariates and indicators as ``spec``.
     options : OptimOptions, optional
     callback : callable, optional
         Invoked with the packed parameter vector after every accepted
         iterate; ``n_iter`` of the result counts these calls.
     """
     options = options or OptimOptions()
-    mom = data_moments(spec, data)
+    mom = data if isinstance(data, SampleMoments) else data_moments(spec, data)
+    q = spec.n_covariates
+    columns = mom.columns or ()
+    if columns[:q] != spec.covariate_names or columns[q + 1 :] != spec.indicator_names:
+        raise ValueError(
+            "sample moments must come from data_moments for the spec's covariates "
+            f"{spec.covariate_names} and indicators {spec.indicator_names}; got columns {mom.columns}"
+        )
     n = mom.n
     k = n_free_params(spec)
     if n < k:
         raise ValueError(f"need at least {k} rows to estimate {k} free parameters, got {n}")
-    var = np.diag(mom.gram)[spec.n_covariates + 1 :]
+    var = np.diag(mom.gram)[q + 1 :]
     if np.any(var == 0.0):
         j = int(np.argmin(var))
         raise ValueError(f"indicator {spec.indicator_names[j]!r} is constant")
-    if mom.gram[spec.n_covariates, spec.n_covariates] == 0.0:
+    if mom.gram[q, q] == 0.0:
         raise ValueError(
-            f"sensitive column {data.sensitive_name!r} holds one group only; "
+            f"sensitive column {columns[q]!r} holds one group only; "
             "its effect gamma is not identified"
         )
 
@@ -225,7 +247,7 @@ def fit(spec: MimicModel, data, options: OptimOptions | None = None, callback=No
         converged=converged,
         grad_norm=grad_norm,
         n_obs=n,
-        data_fingerprint=data.fingerprint(),
+        data_fingerprint=mom.fingerprint,
     )
 
 
@@ -276,7 +298,7 @@ def observed_information(model: MimicModel, data, _warn_threshold: float = 1e-3)
     Warns when the gradient norm suggests the model is not at a stationary
     point.
     """
-    _, g, hess = _loglik(pack(model), model, data_moments(model, data), order=2)
+    _, g, hess = _loglik(pack(model), model, _moments_of(model, data), order=2)
     if np.linalg.norm(g) >= _warn_threshold:
         warnings.warn(
             f"observed_information evaluated away from a stationary point "

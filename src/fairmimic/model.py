@@ -18,10 +18,12 @@ constrained optimization.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
+from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
@@ -31,6 +33,16 @@ from .exceptions import NotPositiveDefiniteError, SchemaVersionError
 MODEL_SCHEMA_VERSION = 1
 
 LOG_2PI = math.log(2.0 * math.pi)
+
+_FLOAT_FIELDS = (
+    "loadings",
+    "intercepts",
+    "struct_coefs",
+    "sens_coef",
+    "dif_offsets",
+    "resid_vars",
+    "latent_var",
+)
 
 
 @dataclass(frozen=True)
@@ -112,6 +124,10 @@ class MimicModel:
             raise ValueError("indicator_names must match the number of loadings")
         if len(self.covariate_names) != q:
             raise ValueError("covariate_names must match struct_coefs")
+        values = [getattr(self, name) for name in _FLOAT_FIELDS]
+        if not np.isfinite(np.hstack(values)).all():
+            name, v = next((n, v) for n, v in zip(_FLOAT_FIELDS, values) if not np.isfinite(v).all())
+            raise ValueError(f"{name} must be finite, got {v!r}")
         if self.loadings[0] != 1.0:
             raise ValueError("loadings[0] must be exactly 1 (identification)")
         if np.any(self.resid_vars <= 0.0):
@@ -234,14 +250,20 @@ class _Block(NamedTuple):
 
 def _layout(spec: MimicModel):
     """The packed vector of ``spec``'s free parameters: its blocks by name,
-    in packing order, and its length."""
-    ind, every = spec.indicator_names, np.arange(spec.n_indicators)
+    in packing order, and its length.  Built once per structure and shared,
+    so the mapping and its index arrays are read-only."""
+    return _layout_of(spec.indicator_names, spec.covariate_names, spec.free_mask.tobytes())
+
+
+@functools.lru_cache(maxsize=128)
+def _layout_of(ind, cov, free_mask):
+    every = np.arange(len(ind))
     rows = (  # name, field, packed entries, names of the field's entries, log scale
         ("lambda", "loadings", every[1:], ind, False),
         ("nu", "intercepts", every, ind, False),
-        ("beta", "struct_coefs", np.arange(spec.n_covariates), spec.covariate_names, False),
+        ("beta", "struct_coefs", np.arange(len(cov)), cov, False),
         ("gamma", "sens_coef", None, (), False),
-        ("delta", "dif_offsets", every[spec.free_mask], ind, False),
+        ("delta", "dif_offsets", every[np.frombuffer(free_mask, dtype=np.bool_)], ind, False),
         ("log_theta", "resid_vars", every, ind, True),
         ("log_psi", "latent_var", None, (), True),
     )
@@ -250,7 +272,11 @@ def _layout(spec: MimicModel):
         size = 1 if index is None else len(index)
         layout[name] = _Block(field, index, names, log, np.arange(k, k + size))
         k += size
-    return layout, k
+    for b in layout.values():
+        for a in (b.index, b.at):
+            if a is not None:
+                a.flags.writeable = False
+    return MappingProxyType(layout), k
 
 
 def param_names(model: MimicModel):
@@ -406,11 +432,18 @@ GRAM_CHUNK_ROWS = 4096
 @dataclass(frozen=True)
 class SampleMoments:
     """Sufficient statistics of ``[x_1..x_q, s, y_1..y_p]``: the row count,
-    the column means and ``gram = sum_i (w_i - mean)(w_i - mean)'``."""
+    the column means and ``gram = sum_i (w_i - mean)(w_i - mean)'``.
+
+    Moments built by :func:`data_moments` also record the names of the
+    columns, in that order, and the fingerprint of the dataset; those from
+    :func:`sample_moments` record neither.
+    """
 
     n: int
     mean: np.ndarray
     gram: np.ndarray
+    columns: tuple | None = None
+    fingerprint: str | None = None
 
 
 def sample_moments(columns) -> SampleMoments:
@@ -432,13 +465,24 @@ def sample_moments(columns) -> SampleMoments:
     return SampleMoments(n=n, mean=mean, gram=gram)
 
 
-def data_moments(model: MimicModel, data) -> SampleMoments:
-    """Sample moments of the model's covariates, group codes and
-    indicators in ``data``."""
+def _moments_of(model: MimicModel, data) -> SampleMoments:
+    """Sample moments of the model's covariates, group codes and indicators
+    in ``data``, without their names or the fingerprint."""
     return sample_moments(
         data.role_columns(model.covariate_names, "covariate")
         + [data.sensitive_codes()]
         + data.role_columns(model.indicator_names, "indicator")
+    )
+
+
+def data_moments(model: MimicModel, data) -> SampleMoments:
+    """Sample moments of the model's covariates, group codes and
+    indicators in ``data``, with their column names and the dataset's
+    fingerprint; :func:`fairmimic.fit` accepts them in place of ``data``."""
+    return replace(
+        _moments_of(model, data),
+        columns=(*model.covariate_names, data.sensitive_name, *model.indicator_names),
+        fingerprint=data.fingerprint(),
     )
 
 
@@ -470,16 +514,23 @@ def _extract_arrays(model: MimicModel, data):
 #   + n/2 tr(P dSigma P dSigma) - tr(P dSigma Q dSigma).
 #
 # The gradient and the Hessian map these through the Jacobians of Bt and
-# Sigma with respect to the packed parameters.  The Hessian adds the
-# curvature of that map: loading times beta or gamma in Bt, loading times
-# loading or log psi in Sigma, and on each log-scale block the curvature of
-# exp, which equals the block's gradient.
+# Sigma with respect to the packed parameters.  Each term of the second
+# differential then becomes a Kronecker sandwich of the flattened Jacobians,
+# and for row-major vec
+#
+#   vec(X)' (A kron B) vec(Y) = sum(X * (A Y B'))
+#
+# (Magnus & Neudecker 2019, ch. 2), so each sandwich is one batched matrix
+# product over the k Jacobian slices and no Kronecker matrix is formed.  The
+# Hessian adds the curvature of that map: loading times beta or gamma in Bt,
+# loading times loading or log psi in Sigma, and on each log-scale block the
+# curvature of exp, which equals the block's gradient.
 # ---------------------------------------------------------------------------
 
 
 def _jacobians(layout, k, values):
     """Derivatives of Bt and of Sigma with respect to every packed
-    parameter, as (k, (q+2) p) and (k, p p) matrices."""
+    parameter, as (k, q+2, p) and (k, p, p) arrays."""
     lam, beta, gamma = values["loadings"], values["struct_coefs"], values["sens_coef"]
     theta, psi = values["resid_vars"], values["latent_var"]
     p, q = lam.shape[0], beta.shape[0]
@@ -496,7 +547,27 @@ def _jacobians(layout, k, values):
     js[lo.at, :, lo.index] += psi * lam
     js[th.at, th.index, th.index] = theta
     js[layout["log_psi"].at] = psi * np.outer(lam, lam)
-    return jb.reshape(k, -1), js.reshape(k, -1)
+    return jb, js
+
+
+def _second_differential(jb, js, n, szz, G, P, Q):
+    """The second differential of the log-likelihood in the packed
+    parameters, before the curvature of the parameter map: with ``jb`` and
+    ``js`` the Jacobians of Bt and Sigma,
+
+        js (P kron (n P / 2 - Q)) js' - jb (szz kron P) jb' - C - C',
+        C = jb (G kron P) js',
+
+    each sandwich evaluated slice by slice without the Kronecker matrix."""
+    k = jb.shape[0]
+    flat_b, flat_s = jb.reshape(k, -1), js.reshape(k, -1)
+    cross = flat_b @ (G @ js @ P).reshape(k, -1).T
+    return (
+        flat_s @ (P @ js @ (0.5 * n * P - Q.T)).reshape(k, -1).T
+        - flat_b @ (szz @ jb @ P).reshape(k, -1).T
+        - cross
+        - cross.T
+    )
 
 
 def _loglik(x, spec: MimicModel, mom: SampleMoments, order: int = 0):
@@ -529,7 +600,7 @@ def _loglik(x, spec: MimicModel, mom: SampleMoments, order: int = 0):
     Q = P @ W @ P
     M = 0.5 * (Q + Q.T) - n * P
     jb, js = _jacobians(layout, k, values)
-    grad = jb @ G.ravel() + 0.5 * (js @ M.ravel())
+    grad = jb.reshape(k, -1) @ G.ravel() + 0.5 * (js.reshape(k, -1) @ M.ravel())
     if order == 1:
         return ll, grad
 
@@ -537,21 +608,15 @@ def _loglik(x, spec: MimicModel, mom: SampleMoments, order: int = 0):
     szz[0, 0] = n
     szz[0, 1:] = szz[1:, 0] = n * zbar
     szz[1:, 1:] = czz + n * zbar[:, None] * zbar
-    cross = jb @ np.kron(G, P) @ js.T
-    hess = (
-        js @ (0.5 * n * np.kron(P, P) - np.kron(P, Q)) @ js.T
-        - jb @ np.kron(szz, P) @ jb.T
-        - cross
-        - cross.T
-    )
+    hess = _second_differential(jb, js, n, szz, G, P, Q)
     lam, psi = values["loadings"], values["latent_var"]
     lo = layout["lambda"]
-    hess[np.ix_(lo.at, lo.at)] += psi * M[np.ix_(lo.index, lo.index)]
+    hess[lo.at[:, None], lo.at] += psi * M[lo.index[:, None], lo.index]
     for b in layout.values():
         if b.log:
             hess[b.at, b.at] += grad[b.at]
     off = np.zeros_like(hess)  # loading x (beta, gamma, log psi) curvature
-    off[np.ix_(lo.at, layout["beta"].at)] = G[1 : q + 1, lo.index].T
+    off[lo.at[:, None], layout["beta"].at] = G[1 : q + 1, lo.index].T
     off[lo.at, layout["gamma"].at] = G[q + 1, lo.index]
     off[lo.at, layout["log_psi"].at] = psi * (M @ lam)[lo.index]
     return ll, grad, 0.5 * (hess + hess.T) + off + off.T
@@ -565,12 +630,12 @@ def _ll_value(x, spec, Y, X, s):
 def log_likelihood(model: MimicModel, data) -> float:
     """Conditional Gaussian log-likelihood of the indicators, summed over
     rows; covariates and the sensitive attribute are treated as fixed."""
-    return _loglik(pack(model), model, data_moments(model, data))
+    return _loglik(pack(model), model, _moments_of(model, data))
 
 
 def log_likelihood_grad(model: MimicModel, data) -> np.ndarray:
     """Gradient of :func:`log_likelihood` with respect to the packed free
     parameters (variances on the log scale); see :func:`param_names` for
     the coordinate order."""
-    _, grad = _loglik(pack(model), model, data_moments(model, data), order=1)
+    _, grad = _loglik(pack(model), model, _moments_of(model, data), order=1)
     return grad

@@ -41,10 +41,15 @@ def naive_score(model: MimicModel, covariates, sensitive) -> np.ndarray:
 
 
 def as_codes(model: MimicModel, sensitive) -> np.ndarray:
-    """Map an array of labels or numeric codes onto {0, 1} codes."""
+    """Map an array of labels or numeric codes onto {0, 1} codes; a numeric
+    code outside {0, 1}, NaN included, raises ValueError."""
     arr = np.asarray(sensitive)
     if arr.dtype.kind in "fiub":
-        return arr.astype(np.float64)
+        codes = arr.astype(np.float64)
+        bad = (codes != 0.0) & (codes != 1.0)
+        if bad.any():
+            raise ValueError(f"sensitive codes must be 0 or 1, got {codes[bad][0]!r}")
+        return codes
     levels, row_level = np.unique(arr.astype(str), return_inverse=True)
     codes = np.array([model.level_code(v) for v in levels.tolist()], dtype=np.float64)
     return codes[row_level.reshape(-1)]

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .exceptions import ConvergenceError
 from .model import sample_moments
@@ -296,8 +295,22 @@ def spearman(a, b) -> float:
         raise ValueError("inputs must be equal-length vectors")
     if a.shape[0] < 2:
         raise ValueError("need at least 2 observations")
-    ra = rankdata(a, method="average")
-    rb = rankdata(b, method="average")
+    ra, rb = _average_ranks(a), _average_ranks(b)
     if np.all(ra == ra[0]) or np.all(rb == rb[0]):
         raise ValueError("spearman undefined for zero-variance input")
     return float(np.corrcoef(ra, rb)[0, 1])
+
+
+def _average_ranks(a: np.ndarray) -> np.ndarray:
+    """Ranks 1..n of ``a``, each tie group given the mean of its ranks; all
+    NaN when ``a`` holds a NaN."""
+    if np.isnan(a).any():
+        return np.full(a.shape, np.nan)
+    order = np.argsort(a, kind="stable")
+    ordered = a[order]
+    first = np.concatenate(([True], ordered[1:] != ordered[:-1]))
+    starts = np.flatnonzero(first)
+    ends = np.append(starts[1:], a.size)  # tie group i holds ranks starts[i]+1 .. ends[i]
+    ranks = np.empty(a.size)
+    ranks[order] = ((starts + ends + 1) / 2.0)[np.cumsum(first) - 1]
+    return ranks

@@ -3,6 +3,10 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -238,3 +242,17 @@ class TestScoreAuditDif:
              "--roles", str(sim_dir / "roles.json"), "--out-dir", str(tmp_path / "o")]
         )
         assert code == 1
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # scipy.stats would be most of the import time that every command pays.
+    src = str(Path(fm.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, fairmimic.cli; print('scipy.stats' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        env=env,
+        check=True,
+    )
+    assert proc.stdout.strip() == "False"

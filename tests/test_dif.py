@@ -1,5 +1,6 @@
 """One-at-a-time DIF scan and percent-scale interpretation."""
 
+import collections
 import math
 
 import numpy as np
@@ -176,6 +177,26 @@ class TestDifScan:
         assert by_name["y2"].delta is None
         for name in ("y1", "y3", "y4"):
             assert by_name[name].error is None
+
+    def test_moments_and_fingerprint_built_once_per_scan(self, generator, monkeypatch):
+        data, _ = simulate_from(generator, n=500, seed=66)
+        calls = collections.Counter()
+
+        def count(owner, name):
+            real = getattr(owner, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counted)
+
+        count(fm.Dataset, "fingerprint")
+        count(fm.Dataset, "sensitive_codes")
+        count(dif_mod, "fit")
+        report = fm.dif_scan(base_template(generator), data)
+        assert all(r.error is None for r in report.rows)
+        assert calls == {"fingerprint": 1, "sensitive_codes": 1, "fit": 5}
 
     def test_text_table_mirrors_report(self, generator):
         data, _ = simulate_from(generator, n=600, seed=66)

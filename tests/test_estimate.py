@@ -8,9 +8,9 @@ from scipy.stats import chi2
 
 import fairmimic as fm
 from fairmimic.estimate import CONVERGED_GRAD_NORM, _start_values
-from fairmimic.model import _loglik, data_moments
+from fairmimic.model import _loglik, data_moments, sample_moments
 
-from conftest import base_template, make_generator, simulate_from
+from conftest import CODING, base_template, make_generator, simulate_from
 
 
 class TestFit:
@@ -136,6 +136,28 @@ class TestFit:
         eigmin = np.linalg.eigvalsh(res.vcov).min()
         assert eigmin > -1e-10
         np.testing.assert_allclose(res.std_errors, np.sqrt(np.diag(res.vcov)), rtol=1e-12)
+
+
+class TestFitFromMoments:
+    def test_matches_fit_from_dataset(self, generator):
+        data, _ = simulate_from(generator, n=800, seed=47)
+        spec = base_template(generator, free_dif=("y2",))
+        from_data = fm.fit(spec, data)
+        from_moments = fm.fit(spec, data_moments(spec, data))
+        assert from_moments.to_dict() == from_data.to_dict()
+        assert from_moments.data_fingerprint == data.fingerprint()
+
+    def test_refuses_moments_not_built_for_the_spec(self, generator):
+        data, _ = simulate_from(generator, n=400, seed=48)
+        spec = base_template(generator)
+        bare = sample_moments(
+            [*data.covariate_matrix().T, data.sensitive_codes(), *data.indicator_matrix().T]
+        )
+        reordered = fm.template(("y2", "y1", "y3", "y4"), generator.covariate_names, CODING)
+        fewer = fm.template(generator.indicator_names, ("x1", "x2"), CODING)
+        for mom in (bare, data_moments(reordered, data), data_moments(fewer, data)):
+            with pytest.raises(ValueError, match="data_moments"):
+                fm.fit(spec, mom)
 
 
 class TestObservedInformation:

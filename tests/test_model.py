@@ -1,7 +1,9 @@
 """Model parameterization, implied moments, likelihood, gradient and Hessian."""
 
 import dataclasses
+import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fairmimic as fm
-from fairmimic.model import GRAM_CHUNK_ROWS, _extract_arrays, _ll_value, _loglik, data_moments, n_free_params
+from fairmimic import model as model_mod
+from fairmimic.model import GRAM_CHUNK_ROWS, _extract_arrays, _layout, _ll_value, _loglik, data_moments, n_free_params
 
 from conftest import CODING, make_generator, simulate_from
 
@@ -117,6 +120,25 @@ class TestValidation:
         with pytest.raises(ValueError):
             tiny_model(intercepts=[0.0])
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("loadings", [1.0, math.nan]),
+            ("intercepts", [math.nan, 0.0]),
+            ("struct_coefs", [-math.inf]),
+            ("sens_coef", math.inf),
+            ("dif_offsets", [0.0, math.nan]),
+            ("resid_vars", [0.5, math.inf]),
+            ("latent_var", math.nan),
+        ],
+    )
+    def test_non_finite_parameters_rejected(self, field, value):
+        overrides = {field: value}
+        if field == "dif_offsets":
+            overrides["free_mask"] = [False, True]
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            tiny_model(**overrides)
+
 
 class TestSerialization:
     def test_round_trip(self, tmp_path):
@@ -129,6 +151,15 @@ class TestSerialization:
         np.testing.assert_array_equal(back.free_mask, gen.free_mask)
         assert back.sensitive_coding == gen.sensitive_coding
         assert back.indicator_names == gen.indicator_names
+
+    def test_non_finite_value_in_file_rejected(self, tmp_path):
+        path = tmp_path / "model.json"
+        fm.save_model(make_generator(), path)
+        d = json.loads(path.read_text())
+        d["intercepts"][1] = math.nan
+        path.write_text(json.dumps(d))  # written as the bare token NaN, which json accepts
+        with pytest.raises(ValueError, match="intercepts must be finite"):
+            fm.load_model(path)
 
     def test_schema_version_checked(self):
         d = make_generator().to_dict()
@@ -272,6 +303,9 @@ def test_layout_round_trip_and_derivatives(draw):
     )
     x = fm.pack(model)
     assert len(fm.param_names(model)) == n_free_params(model) == len(x)
+    layout, _ = _layout(model)
+    assert _layout(model.with_values(sens_coef=1.0))[0] is layout  # one table per structure
+    assert not any(a.flags.writeable for b in layout.values() for a in (b.index, b.at) if a is not None)
     back = fm.unpack(model, x)
     for f in dataclasses.fields(model):
         want, got = getattr(model, f.name), getattr(back, f.name)
@@ -293,6 +327,23 @@ def test_layout_round_trip_and_derivatives(draw):
         fd_hess[:, k] = (gp - gm) / (2.0 * h)
     np.testing.assert_allclose(grad, fd_grad, rtol=1e-5, atol=1e-6 * max(1.0, np.abs(fd_grad).max()))
     np.testing.assert_allclose(hess, fd_hess, rtol=1e-5, atol=1e-7 * np.abs(fd_hess).max())
+    with mock.patch.object(model_mod, "_second_differential", _kron_second_differential):
+        _, _, kron_hess = _loglik(x, model, mom, order=2)
+    np.testing.assert_allclose(hess, kron_hess, rtol=0, atol=1e-12 * np.abs(kron_hess).max())
+
+
+def _kron_second_differential(jb, js, n, szz, G, P, Q):
+    """Oracle for ``model._second_differential`` that forms every Kronecker
+    matrix and sandwiches it between the flattened Jacobians."""
+    k = jb.shape[0]
+    jb, js = jb.reshape(k, -1), js.reshape(k, -1)
+    cross = jb @ np.kron(G, P) @ js.T
+    return (
+        js @ (0.5 * n * np.kron(P, P) - np.kron(P, Q)) @ js.T
+        - jb @ np.kron(szz, P) @ jb.T
+        - cross
+        - cross.T
+    )
 
 
 class TestHessian:

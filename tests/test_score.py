@@ -1,5 +1,7 @@
 """Fair/naive scoring, percentile decisions, and factor scores."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -109,6 +111,14 @@ class TestNaiveScore:
             np.testing.assert_array_equal(codes, expected)
         with pytest.raises(ValueError, match="unknown sensitive level 'c'"):
             as_codes(m, np.array(["a", "c", "b"], dtype=object))
+
+
+    def test_numeric_codes_outside_zero_one_rejected(self):
+        m = score_model()
+        np.testing.assert_array_equal(as_codes(m, np.array([True, False])), [1.0, 0.0])
+        for bad in (2.0, math.nan):
+            with pytest.raises(ValueError, match="must be 0 or 1"):
+                fm.naive_score(m, np.zeros((3, 2)), np.array([0.0, 1.0, bad]))
 
 
 class TestDecide:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import rankdata
 
 import fairmimic as fm
 from fairmimic import select
@@ -320,6 +321,12 @@ class TestSpearman:
         a = rng.normal(size=9)
         b = rng.normal(size=9)
         assert fm.spearman(a, b) == pytest.approx(fm.spearman(b, a), abs=1e-15)
+
+    @given(st.lists(st.sampled_from([-np.inf, -1.5, -0.0, 0.0, 0.5, 2.0, np.inf, np.nan]), min_size=1, max_size=40))
+    @settings(max_examples=200, deadline=None)
+    def test_average_ranks_match_scipy(self, values):
+        a = np.array(values)
+        np.testing.assert_array_equal(select._average_ranks(a), rankdata(a, method="average"))
 
     def test_zero_variance_rejected(self):
         with pytest.raises(ValueError, match="zero-variance"):
