@@ -4,37 +4,13 @@ counterfactual-invariance check."""
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import write_table
+from .data import group_codes, write_table
 from .model import MimicModel, _covariate_matrix
 from .score import fair_score, naive_score
-
-
-def _group_codes(sensitive):
-    """Sorted distinct group labels as ``str`` and each row's index into them.
-
-    One pass in C maps every row through a dict to the first row holding an
-    equal value; ``str`` is then applied once per distinct value, to that
-    row's element as the array holds it.  Values that compare equal (0.0 and
-    -0.0, 1 and True) share one group.
-    """
-    arr = np.asarray(sensitive)
-    n = len(arr)
-    first = {}
-    first_row = np.fromiter(
-        map(first.setdefault, arr.tolist(), itertools.count()), dtype=np.intp, count=n
-    )
-    rows = list(first.values())
-    labels = [str(arr[i]) for i in rows]
-    levels = sorted(set(labels))
-    index = {label: i for i, label in enumerate(levels)}
-    code = np.empty(n, dtype=np.intp)
-    code[rows] = [index[label] for label in labels]
-    return levels, code[first_row]
 
 
 @dataclass(frozen=True)
@@ -60,7 +36,7 @@ def statistical_parity(decisions, sensitive, levels=None) -> ParityReport:
         raise ValueError("decisions must be nonempty")
     if not np.isin(d, (0, 1)).all():
         raise ValueError("decisions must be binary 0/1")
-    names, codes = _group_codes(sensitive)
+    names, codes = group_codes(sensitive)
     if codes.shape[0] != d.shape[0]:
         raise ValueError("decisions and sensitive must have equal length")
     levels = names if levels is None else [str(v) for v in levels]
@@ -167,7 +143,7 @@ def conditional_parity_curve(scores, sensitive, proxy_values, n_bins: int = 10) 
     """
     scores = np.asarray(scores, dtype=np.float64)
     proxy = np.asarray(proxy_values, dtype=np.float64)
-    levels, codes = _group_codes(sensitive)
+    levels, codes = group_codes(sensitive)
     n = scores.shape[0]
     if n == 0:
         raise ValueError("scores must be nonempty")
@@ -249,7 +225,7 @@ def predictive_parity(decisions, outcome_binary, sensitive) -> PpvReport:
     is no intrinsic positive class)."""
     d = np.asarray(decisions)
     y = np.asarray(outcome_binary)
-    levels, codes = _group_codes(sensitive)
+    levels, codes = group_codes(sensitive)
     if not (d.shape == y.shape == codes.shape):
         raise ValueError("decisions, outcome and sensitive must have equal length")
     if not np.isin(d, (0, 1)).all() or not np.isin(y, (0, 1)).all():

@@ -76,7 +76,7 @@ def cmd_simulate(args) -> int:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     data_mod.write_csv(dataset, out / "data.csv")
-    data_mod.write_table(out / "latent.csv", ("row_id", "latent"), (dataset.row_ids(), latent))
+    data_mod.write_table(out / "latent.csv", ("row_id", "latent"), (dataset.column(dataset.id_name), latent))
     _dump_json(data_mod.role_config_of(dataset), out / "roles.json")
     _echo_config(args, out)
     return EXIT_OK
@@ -169,7 +169,8 @@ def cmd_audit(args) -> int:
         raise FairMimicError(
             f"scores file has {len(scores['row_id'])} rows, data has {dataset.n}"
         )
-    if dataset.id_name is not None and dataset.row_ids() != tuple(scores["row_id"]):
+    id_name = dataset.id_name
+    if id_name is not None and not np.array_equal(dataset.column(id_name), scores["row_id"]):
         raise FairMimicError("row_id column of scores does not match the data ids")
 
     proxy_name = args.proxy or dataset.indicator_names[0]
@@ -256,15 +257,10 @@ def cmd_select(args) -> int:
     )
 
     active = set(path.active_names())
-    roles = {c: dataset.roles[c] for c in dataset.column_order}
+    selected_roles = data_mod.role_config_of(dataset)
     for c in names:
         if c not in active:
-            roles[c] = "ignore"
-    selected_roles = {
-        "roles": roles,
-        "sensitive_coding": dict(dataset.sensitive_coding),
-        "log_scale": sorted(dataset.log_scale),
-    }
+            selected_roles["roles"][c] = "ignore"
 
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.special import ndtri
@@ -32,6 +33,10 @@ class Dataset:
     ``values`` maps column name to a numpy array: float64 for indicator and
     covariate columns, ``str`` arrays for sensitive/id/ignore columns.
     ``sensitive_coding`` maps the two sensitive labels to {0, 1}.
+
+    The sensitive column is coded once, at construction, by
+    :func:`group_codes`.  The dataset keeps a read-only copy of the labels,
+    so the stored codes cannot go stale; the caller's array stays writeable.
     """
 
     column_order: tuple
@@ -39,11 +44,26 @@ class Dataset:
     values: dict
     sensitive_coding: dict
     log_scale: frozenset = frozenset()
+    _codes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "column_order", tuple(self.column_order))
         object.__setattr__(self, "log_scale", frozenset(self.log_scale))
+        object.__setattr__(
+            self, "sensitive_coding", {str(k): v for k, v in self.sensitive_coding.items()}
+        )
         _validate_dataset(self)
+        name = self.sensitive_name
+        labels = np.array(self.values[name])
+        labels.flags.writeable = False
+        levels, index = group_codes(labels)
+        missing = [v for v in levels if v not in self.sensitive_coding]
+        if missing:
+            raise DataValidationError(f"sensitive labels without a code: {missing}")
+        codes = np.array([self.sensitive_coding[v] for v in levels], dtype=np.float64)[index]
+        codes.flags.writeable = False
+        object.__setattr__(self, "values", {**self.values, name: labels})
+        object.__setattr__(self, "_codes", codes)
 
     @property
     def n(self) -> int:
@@ -89,37 +109,20 @@ class Dataset:
         return [self.values[c] for c in names]
 
     def sensitive_labels(self) -> np.ndarray:
+        """The sensitive column, read-only."""
         return self.values[self.sensitive_name]
 
     def sensitive_codes(self) -> np.ndarray:
-        code = {label: float(c) for label, c in self.sensitive_coding.items()}
-        labels = self.sensitive_labels()
-        return np.fromiter(map(code.__getitem__, labels), dtype=np.float64, count=len(labels))
-
-    def row_ids(self) -> tuple:
-        if self.id_name is not None:
-            return tuple(self.values[self.id_name])
-        return tuple(str(i) for i in range(self.n))
+        """Each row's sensitive code as float64, read-only."""
+        return self._codes
 
     def subset(self, indices) -> "Dataset":
         indices = np.asarray(indices, dtype=np.intp)
-        return Dataset(
-            column_order=self.column_order,
-            roles=dict(self.roles),
-            values={c: v[indices].copy() for c, v in self.values.items()},
-            sensitive_coding=dict(self.sensitive_coding),
-            log_scale=self.log_scale,
-        )
+        return replace(self, values={c: v[indices] for c, v in self.values.items()})
 
     def replace_columns(self, new_values: dict, log_scale=None) -> "Dataset":
-        values = {c: (new_values[c] if c in new_values else v) for c, v in self.values.items()}
-        return Dataset(
-            column_order=self.column_order,
-            roles=dict(self.roles),
-            values=values,
-            sensitive_coding=dict(self.sensitive_coding),
-            log_scale=self.log_scale if log_scale is None else log_scale,
-        )
+        values = {c: new_values.get(c, v) for c, v in self.values.items()}
+        return replace(self, values=values, log_scale=self.log_scale if log_scale is None else log_scale)
 
     def fingerprint(self) -> str:
         """SHA-256 over a canonical text serialization of the table and its
@@ -157,13 +160,6 @@ def _validate_dataset(ds: Dataset):
         raise DataValidationError(
             "a measurement model needs at least 2 indicator columns"
         )
-    labels = set(ds.values[sens[0]])
-    if labels != set(ds.sensitive_coding):
-        missing = labels - set(ds.sensitive_coding)
-        if missing:
-            raise DataValidationError(
-                f"sensitive labels without a code: {sorted(missing)}"
-            )
     if sorted(ds.sensitive_coding.values()) != [0, 1]:
         raise DataValidationError("sensitive_coding must map two levels to {0, 1}")
     for c in ds.column_order:
@@ -173,6 +169,31 @@ def _validate_dataset(ds: Dataset):
                 raise DataValidationError(f"column {c!r} must be float64")
             if not np.all(np.isfinite(col)):
                 raise DataValidationError(f"column {c!r} has non-finite values")
+
+
+def group_codes(labels):
+    """Sorted distinct labels as ``str`` and each row's index into them.
+
+    One pass in C maps every row through a dict to the first row holding an
+    equal value; ``str`` is then applied once per distinct value, to that
+    row's element as the array holds it.  Values that compare equal (0.0 and
+    -0.0, 1 and True) share one group.  This is the package's one coder of
+    group labels: :class:`Dataset`, ``score.as_codes`` and the audit
+    functions all go through it.
+    """
+    arr = np.asarray(labels)
+    n = len(arr)
+    first = {}
+    first_row = np.fromiter(
+        map(first.setdefault, arr.tolist(), itertools.count()), dtype=np.intp, count=n
+    )
+    rows = list(first.values())
+    names = [str(arr[i]) for i in rows]
+    levels = sorted(set(names))
+    index = {name: i for i, name in enumerate(levels)}
+    code = np.empty(n, dtype=np.intp)
+    code[rows] = [index[name] for name in names]
+    return levels, code[first_row]
 
 
 # ---------------------------------------------------------------------------

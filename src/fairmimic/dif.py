@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .estimate import OptimOptions, WALD_Z, fit, lr_test
+from .estimate import OptimOptions, fit, lr_test
 from .model import MimicModel, data_moments
 
 
@@ -31,13 +31,13 @@ def percent_effect(delta: float, ci=None):
 @dataclass(frozen=True)
 class DifRow:
     indicator: str
-    delta: float | None
-    ci_low: float | None
-    ci_high: float | None
-    lr_statistic: float | None
-    p_value: float | None
-    percent: tuple | None  # (percent, pct_ci_low, pct_ci_high) for log-scale indicators
-    log_scale: bool
+    delta: float | None = None
+    ci_low: float | None = None
+    ci_high: float | None = None
+    lr_statistic: float | None = None
+    p_value: float | None = None
+    percent: tuple | None = None  # (percent, pct_ci_low, pct_ci_high) for log-scale indicators
+    log_scale: bool = False
     converged: bool = True
     error: str | None = None
 
@@ -161,8 +161,7 @@ def dif_scan(
         try:
             fit_j = fit(spec_j, mom, warm)
             delta = float(fit_j.model.dif_offsets[j])
-            se = fit_j.se(f"delta[{name}]")
-            ci = (delta - WALD_Z * se, delta + WALD_Z * se)
+            ci = fit_j.wald_ci(f"delta[{name}]")
             test = lr_test(fit_j, base_fit)
             pct = None
             if log_flag:
@@ -182,23 +181,11 @@ def dif_scan(
                 )
             )
         except Exception as exc:  # record and continue with the other indicators
-            rows.append(
-                DifRow(
-                    indicator=name,
-                    delta=None,
-                    ci_low=None,
-                    ci_high=None,
-                    lr_statistic=None,
-                    p_value=None,
-                    percent=None,
-                    log_scale=log_flag,
-                    converged=False,
-                    error=f"{type(exc).__name__}: {exc}",
-                )
-            )
+            error = f"{type(exc).__name__}: {exc}"
+            rows.append(DifRow(indicator=name, log_scale=log_flag, converged=False, error=error))
     return DifReport(
         rows=tuple(rows),
         base_loglik=base_fit.loglik,
-        coding=dict(base_spec.sensitive_coding),
+        coding=dict(mom.coding),
         n_obs=base_fit.n_obs,
     )

@@ -165,7 +165,8 @@ def fit(spec: MimicModel, data, options: OptimOptions | None = None, callback=No
         estimated.
     data : Dataset or SampleMoments
         The dataset, or its moments from ``data_moments`` for a spec with
-        the same covariates and indicators as ``spec``.
+        the same covariates and indicators as ``spec``.  Its sensitive
+        coding must equal the spec's.
     options : OptimOptions, optional
     callback : callable, optional
         Invoked with the packed parameter vector after every accepted
@@ -179,6 +180,11 @@ def fit(spec: MimicModel, data, options: OptimOptions | None = None, callback=No
         raise ValueError(
             "sample moments must come from data_moments for the spec's covariates "
             f"{spec.covariate_names} and indicators {spec.indicator_names}; got columns {mom.columns}"
+        )
+    if mom.coding != spec.sensitive_coding:
+        raise ValueError(
+            f"the spec codes the sensitive levels as {spec.sensitive_coding}, "
+            f"the data as {mom.coding}"
         )
     n = mom.n
     k = n_free_params(spec)

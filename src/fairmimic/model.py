@@ -435,8 +435,8 @@ class SampleMoments:
     the column means and ``gram = sum_i (w_i - mean)(w_i - mean)'``.
 
     Moments built by :func:`data_moments` also record the names of the
-    columns, in that order, and the fingerprint of the dataset; those from
-    :func:`sample_moments` record neither.
+    columns, in that order, the fingerprint of the dataset and its
+    sensitive coding; those from :func:`sample_moments` record none of them.
     """
 
     n: int
@@ -444,6 +444,7 @@ class SampleMoments:
     gram: np.ndarray
     columns: tuple | None = None
     fingerprint: str | None = None
+    coding: dict | None = None
 
 
 def sample_moments(columns) -> SampleMoments:
@@ -477,12 +478,14 @@ def _moments_of(model: MimicModel, data) -> SampleMoments:
 
 def data_moments(model: MimicModel, data) -> SampleMoments:
     """Sample moments of the model's covariates, group codes and
-    indicators in ``data``, with their column names and the dataset's
-    fingerprint; :func:`fairmimic.fit` accepts them in place of ``data``."""
+    indicators in ``data``, with their column names, the dataset's
+    fingerprint and its sensitive coding; :func:`fairmimic.fit` accepts them
+    in place of ``data``."""
     return replace(
         _moments_of(model, data),
         columns=(*model.covariate_names, data.sensitive_name, *model.indicator_names),
         fingerprint=data.fingerprint(),
+        coding=dict(data.sensitive_coding),
     )
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_solve
 
-from .data import write_table
+from .data import group_codes, write_table
 from .model import MimicModel, _check_regressors, _covariate_matrix, _extract_arrays, _mean_cov
 
 
@@ -50,9 +50,8 @@ def as_codes(model: MimicModel, sensitive) -> np.ndarray:
         if bad.any():
             raise ValueError(f"sensitive codes must be 0 or 1, got {codes[bad][0]!r}")
         return codes
-    levels, row_level = np.unique(arr.astype(str), return_inverse=True)
-    codes = np.array([model.level_code(v) for v in levels.tolist()], dtype=np.float64)
-    return codes[row_level.reshape(-1)]
+    levels, index = group_codes(arr)
+    return np.array([model.level_code(v) for v in levels], dtype=np.float64)[index]
 
 
 def nearest_rank_percentile(values, percentile: float) -> float:
@@ -95,9 +94,13 @@ def factor_score(model: MimicModel, data) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ScoreSet:
-    """Per-row fair and naive scores plus threshold decisions."""
+    """Per-row fair and naive scores plus threshold decisions.
 
-    row_ids: tuple
+    ``row_ids`` is the data's id column, or None for data without one, whose
+    rows are numbered 0 .. n-1 in the CSV file.
+    """
+
+    row_ids: np.ndarray | None
     fair: np.ndarray
     naive: np.ndarray
     decision: np.ndarray
@@ -107,10 +110,11 @@ class ScoreSet:
     decided_on: str = "fair"
 
     def to_csv(self, path) -> None:
+        ids = range(len(self.fair)) if self.row_ids is None else self.row_ids
         write_table(
             path,
             ("row_id", "fair_score", "naive_score", "decision"),
-            (self.row_ids, self.fair, self.naive, self.decision),
+            (ids, self.fair, self.naive, self.decision),
         )
 
     def summary_dict(self) -> dict:
@@ -119,7 +123,7 @@ class ScoreSet:
             "threshold_percentile": self.threshold_percentile,
             "reference_level": self.reference_level,
             "decided_on": self.decided_on,
-            "n": len(self.row_ids),
+            "n": len(self.fair),
             "n_selected": int(self.decision.sum()),
         }
 
@@ -148,7 +152,7 @@ def score_dataset(
     chosen = fair if decided_on == "fair" else naive
     decisions, threshold = decide(chosen, percentile, reference_scores)
     return ScoreSet(
-        row_ids=data.row_ids(),
+        row_ids=None if data.id_name is None else data.column(data.id_name),
         fair=fair,
         naive=naive,
         decision=decisions,

@@ -295,6 +295,8 @@ def spearman(a, b) -> float:
         raise ValueError("inputs must be equal-length vectors")
     if a.shape[0] < 2:
         raise ValueError("need at least 2 observations")
+    if np.isnan(a).any() or np.isnan(b).any():
+        raise ValueError("spearman undefined for input holding NaN")
     ra, rb = _average_ranks(a), _average_ranks(b)
     if np.all(ra == ra[0]) or np.all(rb == rb[0]):
         raise ValueError("spearman undefined for zero-variance input")

@@ -201,6 +201,20 @@ class TestScoreAuditDif:
                 writer.writerow([name, lo, hi, group, "" if mean is None else repr(mean), count])
         assert (audit_dir / "parity_curve.csv").read_bytes().decode() == expected.getvalue()
 
+    def test_audit_rejects_scores_of_other_rows(self, sim_dir, fit_dir, tmp_path, capsys):
+        main(
+            ["score", "--model", str(fit_dir / "model.json"), "--data", str(sim_dir / "data.csv"),
+             "--roles", str(sim_dir / "roles.json"), "--out-dir", str(tmp_path)]
+        )
+        header, first, second, *rest = (tmp_path / "scores.csv").read_bytes().split(b"\r\n")
+        (tmp_path / "swapped.csv").write_bytes(b"\r\n".join([header, second, first, *rest]))
+        code = main(
+            ["audit", "--scores", str(tmp_path / "swapped.csv"), "--data", str(sim_dir / "data.csv"),
+             "--roles", str(sim_dir / "roles.json"), "--out-dir", str(tmp_path / "audit")]
+        )
+        assert code == 1
+        assert "does not match the data ids" in capsys.readouterr().err
+
     def test_dif_table_schema(self, sim_dir, tmp_path):
         code = main(
             ["dif", "--data", str(sim_dir / "data.csv"), "--roles", str(sim_dir / "roles.json"),

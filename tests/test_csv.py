@@ -190,7 +190,7 @@ class TestWriterBlocks:
         data, latent = fm.simulate(spec)
         columns = [data.values[c] for c in data.column_order]
         assert (tmp_path / "data.csv").read_bytes() == csv_module_bytes(data.column_order, columns)
-        expected = csv_module_bytes(("row_id", "latent"), (data.row_ids(), latent))
+        expected = csv_module_bytes(("row_id", "latent"), (data.column("id"), latent))
         assert (tmp_path / "latent.csv").read_bytes() == expected
 
 
@@ -280,7 +280,7 @@ class TestMalformedFiles:
         path.write_bytes((header + "r1,a,0.25,1.5,2.0\r\n" + ROW2).encode())
         ds = fm.load_csv(path, ROLES)
         assert ds.column_order == ("id", "grp", "x1", "y1", "y2")
-        assert ds.row_ids() == ("r1", "r2")
+        assert tuple(ds.column("id")) == ("r1", "r2")
         assert ds.column("y2").tolist() == [2.0, 0.125]
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import fairmimic as fm
+from fairmimic import data as data_mod
 from fairmimic.data import role_config_of
 
 from conftest import make_generator, simulate_from
@@ -35,7 +36,7 @@ class TestLoadCsv:
         assert ds.covariate_names == ("x1",)
         assert ds.sensitive_name == "grp"
         np.testing.assert_array_equal(ds.sensitive_codes(), [0.0, 1.0, 0.0])
-        assert ds.row_ids() == ("r1", "r2", "r3")
+        assert tuple(ds.column("id")) == ("r1", "r2", "r3")
 
     def test_missing_cell_names_row_and_column(self, tmp_path):
         text = FIXTURE_CSV.replace("-1.0,0.5", "-1.0,")
@@ -79,6 +80,61 @@ class TestLoadCsv:
             else:
                 assert list(back.values[c]) == list(data.values[c])
         assert back.fingerprint() == data.fingerprint()
+
+
+def three_row_dataset(labels, coding):
+    return fm.Dataset(
+        column_order=("g", "y1", "y2"),
+        roles={"g": "sensitive", "y1": "indicator", "y2": "indicator"},
+        values={"g": labels, "y1": np.array([1.0, 2.0, 4.0]), "y2": np.array([0.5, 0.0, 1.0])},
+        sensitive_coding=coding,
+    )
+
+
+class TestSensitiveColumn:
+    def test_coded_once_per_dataset(self, monkeypatch):
+        gen = make_generator()
+        data, _ = simulate_from(gen, n=50, seed=5)
+        calls = []
+        real = data_mod.group_codes
+
+        def counted(labels):
+            calls.append(len(labels))
+            return real(labels)
+
+        monkeypatch.setattr(data_mod, "group_codes", counted)
+        ds = fm.Dataset(data.column_order, data.roles, data.values, data.sensitive_coding)
+        codes = [ds.sensitive_codes() for _ in range(3)]
+        scores = fm.score_dataset(gen, ds)
+        assert calls == [50]
+        expected = [data.sensitive_coding[v] for v in data.sensitive_labels()]
+        for c in codes:
+            np.testing.assert_array_equal(c, expected)
+        np.testing.assert_array_equal(scores.naive, fm.naive_score(gen, ds.covariate_matrix(), expected))
+
+    def test_label_column_read_only_and_callers_array_untouched(self):
+        labels = np.array(["a", "b", "a"], dtype=object)
+        ds = three_row_dataset(labels, {"a": 0, "b": 1})
+        with pytest.raises(ValueError, match="read-only"):
+            ds.sensitive_labels()[0] = "b"
+        with pytest.raises(ValueError, match="read-only"):
+            ds.sensitive_codes()[0] = 1.0
+        assert labels.flags.writeable
+        labels[0] = "b"
+        assert ds.sensitive_labels().tolist() == ["a", "b", "a"]
+        np.testing.assert_array_equal(ds.sensitive_codes(), [0.0, 1.0, 0.0])
+
+    def test_labels_coded_by_their_str(self):
+        # the one coder maps labels through str, so numeric labels match
+        # str keys, and keys of any type are read as their str
+        for coding in ({"0": 1, "1": 0}, {0: 1, 1: 0}):
+            ds = three_row_dataset(np.array([0, 1, 0]), coding)
+            np.testing.assert_array_equal(ds.sensitive_codes(), [1.0, 0.0, 1.0])
+            assert ds.sensitive_coding == {"0": 1, "1": 0}
+
+    def test_label_without_code_rejected(self):
+        with pytest.raises(fm.DataValidationError, match=r"without a code: \['c'\]"):
+            three_row_dataset(np.array(["a", "c", "a"], dtype=object), {"a": 0, "b": 1})
 
 
 class TestTransform:
@@ -135,15 +191,15 @@ class TestSplit:
     def test_partition_is_exhaustive_and_disjoint(self):
         data, _ = simulate_from(make_generator(), n=37, seed=7)
         train, test = fm.split(data, 0.6, seed=1)
-        ids = sorted(train.row_ids() + test.row_ids())
-        assert ids == sorted(data.row_ids())
-        assert set(train.row_ids()).isdisjoint(test.row_ids())
+        ids = sorted([*train.column("id"), *test.column("id")])
+        assert ids == sorted(data.column("id"))
+        assert set(train.column("id")).isdisjoint(test.column("id"))
 
     def test_seed_sensitivity(self):
         data, _ = simulate_from(make_generator(), n=1000, seed=8)
         a1, _ = fm.split(data, 0.7, seed=1)
         a2, _ = fm.split(data, 0.7, seed=2)
-        assert set(a1.row_ids()) != set(a2.row_ids())
+        assert set(a1.column("id")) != set(a2.column("id"))
 
     def test_invalid_fraction(self):
         data, _ = simulate_from(make_generator(), n=10, seed=9)

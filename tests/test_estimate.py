@@ -115,6 +115,16 @@ class TestFit:
         with pytest.raises(ValueError, match=repr(data.sensitive_name)):
             fm.fit(base_template(generator), one_group)
 
+    def test_spec_coding_must_match_data(self, generator):
+        data, _ = simulate_from(generator, n=400, seed=28)
+        flipped = {k: 1 - v for k, v in data.sensitive_coding.items()}
+        spec = fm.template(data.indicator_names, data.covariate_names, flipped)
+        for given in (data, data_moments(spec, data)):
+            with pytest.raises(ValueError, match="codes the sensitive levels"):
+                fm.fit(spec, given)
+        with pytest.raises(ValueError, match="codes the sensitive levels"):
+            fm.dif_scan(spec, data)
+
     def test_non_convergence_reported_not_raised(self, generator):
         data, _ = simulate_from(generator, n=600, seed=27)
         with pytest.warns(UserWarning):  # SEs are unreliable away from the optimum

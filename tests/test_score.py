@@ -232,6 +232,21 @@ class TestScoreSet:
         assert not np.array_equal(scores.naive, flipped)
         assert np.array_equal(scores.fair, fm.fair_score(res.model, X))
 
+    def test_row_ids_lazy_without_id_column(self, tmp_path):
+        gen = make_generator()
+        data, _ = simulate_from(gen, n=30, seed=29)
+        keep = tuple(c for c in data.column_order if c != data.id_name)
+        no_id = fm.Dataset(
+            keep, {c: data.roles[c] for c in keep}, {c: data.values[c] for c in keep}, data.sensitive_coding
+        )
+        scores = fm.score_dataset(gen, no_id)
+        assert scores.row_ids is None
+        assert scores.summary_dict()["n"] == 30
+        scores.to_csv(tmp_path / "no_id.csv")
+        fm.score_dataset(gen, data).to_csv(tmp_path / "with_id.csv")
+        # simulate numbers its ids 0 .. n-1, so the two files are the same bytes
+        assert (tmp_path / "no_id.csv").read_bytes() == (tmp_path / "with_id.csv").read_bytes()
+
     def test_csv_round_trip(self, fitted_example, tmp_path):
         res, data = fitted_example
         scores = fm.score_dataset(res.model, data)

@@ -332,6 +332,11 @@ class TestSpearman:
         with pytest.raises(ValueError, match="zero-variance"):
             fm.spearman([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
 
+    @pytest.mark.parametrize("a, b", [([1.0, np.nan, 2.0], [1.0, 2.0, 3.0]), ([1.0, 2.0, 3.0], [3.0, 1.0, np.nan])])
+    def test_nan_rejected(self, a, b):
+        with pytest.raises(ValueError, match="NaN"):
+            fm.spearman(a, b)
+
     def test_too_short_rejected(self):
         with pytest.raises(ValueError):
             fm.spearman([1.0], [2.0])
