@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import group_codes, write_table
-from .model import MimicModel, _covariate_matrix
+from .model import MimicModel, _covariate_matrix, to_json
 from .score import fair_score, naive_score
 
 
@@ -22,11 +22,7 @@ class ParityReport:
     n_by_group: dict
 
     def to_dict(self) -> dict:
-        return {
-            "rate_by_group": dict(self.rate_by_group),
-            "parity_gap": self.parity_gap,
-            "n_by_group": dict(self.n_by_group),
-        }
+        return to_json(self)
 
 
 def statistical_parity(decisions, sensitive, levels=None) -> ParityReport:
@@ -94,22 +90,7 @@ class ConditionalParityCurve:
         ]
 
     def to_dict(self) -> dict:
-        return {
-            "groups": list(self.groups),
-            "n_bins": self.n_bins,
-            "mean_abs_gap": self.mean_abs_gap,
-            "gap_by_bin": list(self.gap_by_bin),
-            "bins": [
-                {
-                    "percentile_low": b.percentile_low,
-                    "percentile_high": b.percentile_high,
-                    "group": b.group,
-                    "mean": b.mean,
-                    "count": b.count,
-                }
-                for b in self.bins
-            ],
-        }
+        return to_json(self)
 
     def csv_rows(self, score_type=None) -> list:
         """``to_rows()`` as records of the tidy CSV, in the order of
@@ -210,12 +191,7 @@ class PpvReport:
     undefined_groups: tuple
 
     def to_dict(self) -> dict:
-        return {
-            "ppv_by_group": dict(self.ppv_by_group),
-            "parity_gap": self.parity_gap,
-            "n_positive_by_group": dict(self.n_positive_by_group),
-            "undefined_groups": list(self.undefined_groups),
-        }
+        return to_json(self)
 
 
 def predictive_parity(decisions, outcome_binary, sensitive) -> PpvReport:

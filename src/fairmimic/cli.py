@@ -21,15 +21,11 @@ from . import score as score_mod
 from . import select as select_mod
 from .estimate import OptimOptions, fit
 from .exceptions import FairMimicError
-from .model import load_model, log_likelihood, save_model, template
+from .model import dump_json, load_model, log_likelihood, save_model, template
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
 EXIT_NOT_CONVERGED = 2
-
-
-def _dump_json(obj, path) -> None:
-    Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 def _read_json(path):
@@ -38,28 +34,17 @@ def _read_json(path):
 
 def _echo_config(args: argparse.Namespace, out_dir: Path) -> None:
     config = {k: v for k, v in vars(args).items() if k != "func"}
-    _dump_json(config, out_dir / "run_config.json")
+    dump_json(config, out_dir / "run_config.json")
 
 
-def _load_dataset(args) -> data_mod.Dataset:
+def _load_dataset(args):
+    """The ``--data`` table under the ``--roles`` config, and that config."""
     roles = _read_json(args.roles)
-    return data_mod.load_csv(args.data, roles)
+    return data_mod.load_csv(args.data, roles), roles
 
 
 def _optim_options(args) -> OptimOptions:
     return OptimOptions(max_iter=args.max_iter, grad_tol=args.tol)
-
-
-def _apply_roles_transform(dataset, roles_config, record=None):
-    """Apply the transform described in the roles config (train statistics
-    come from ``dataset`` unless an existing record is supplied)."""
-    log1p = roles_config.get("log1p", ())
-    standardize = roles_config.get("standardize", ())
-    if record is not None:
-        return record.apply(dataset), record
-    if not log1p and not standardize:
-        return dataset, data_mod.TransformRecord(log1p=(), standardize={})
-    return data_mod.transform(dataset, log1p=log1p, standardize=standardize)
 
 
 # ---------------------------------------------------------------------------
@@ -77,22 +62,23 @@ def cmd_simulate(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     data_mod.write_csv(dataset, out / "data.csv")
     data_mod.write_table(out / "latent.csv", ("row_id", "latent"), (dataset.column(dataset.id_name), latent))
-    _dump_json(data_mod.role_config_of(dataset), out / "roles.json")
+    dump_json(data_mod.role_config_of(dataset), out / "roles.json")
     _echo_config(args, out)
     return EXIT_OK
 
 
 def cmd_fit(args) -> int:
-    roles_config = _read_json(args.roles)
-    dataset = _load_dataset(args)
+    dataset, roles_config = _load_dataset(args)
 
     if args.train_frac < 1.0:
         train, test = data_mod.split(dataset, args.train_frac, args.seed)
     else:
         train, test = dataset, None
-    train, record = _apply_roles_transform(train, roles_config)
+    train, record = data_mod.transform(
+        train, roles_config.get("log1p", ()), roles_config.get("standardize", ())
+    )
     if test is not None:
-        test, _ = _apply_roles_transform(test, roles_config, record=record)
+        test = record.apply(test)
 
     spec = template(
         train.indicator_names,
@@ -110,21 +96,24 @@ def cmd_fit(args) -> int:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     save_model(result.model, out / "model.json")
-    _dump_json(report, out / "fit_report.json")
-    _dump_json(record.to_dict(), out / "transform_record.json")
+    dump_json(report, out / "fit_report.json")
+    dump_json(record.to_dict(), out / "transform_record.json")
     _echo_config(args, out)
     return EXIT_OK if result.converged else EXIT_NOT_CONVERGED
 
 
 def cmd_score(args) -> int:
     model = load_model(args.model)
-    roles_config = _read_json(args.roles)
-    dataset = _load_dataset(args)
+    dataset, roles_config = _load_dataset(args)
     if args.transform is not None:
         record = data_mod.TransformRecord.from_dict(_read_json(args.transform))
         dataset = record.apply(dataset)
     elif roles_config.get("log1p") or roles_config.get("standardize"):
-        dataset, _ = _apply_roles_transform(dataset, roles_config)
+        raise FairMimicError(
+            "the roles declare log1p/standardize transforms; pass the fit's "
+            "transform_record.json with --transform, so the rows are scored "
+            "with the training statistics"
+        )
 
     reference_scores = None
     if args.reference_scores is not None:
@@ -142,7 +131,7 @@ def cmd_score(args) -> int:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     scores.to_csv(out / "scores.csv")
-    _dump_json(scores.summary_dict(), out / "score_summary.json")
+    dump_json(scores.summary_dict(), out / "score_summary.json")
     _echo_config(args, out)
     return EXIT_OK
 
@@ -163,7 +152,7 @@ def _read_scores(path) -> dict:
 
 
 def cmd_audit(args) -> int:
-    dataset = _load_dataset(args)
+    dataset, _ = _load_dataset(args)
     scores = _read_scores(args.scores)
     if len(scores["row_id"]) != dataset.n:
         raise FairMimicError(
@@ -212,7 +201,7 @@ def cmd_audit(args) -> int:
 
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    _dump_json(report, out / "audit_report.json")
+    dump_json(report, out / "audit_report.json")
     rows = [row for name, curve in curves.items() for row in curve.csv_rows(name)]
     data_mod.write_table(
         out / "parity_curve.csv",
@@ -224,9 +213,10 @@ def cmd_audit(args) -> int:
 
 
 def cmd_dif(args) -> int:
-    roles_config = _read_json(args.roles)
-    dataset = _load_dataset(args)
-    dataset, _ = _apply_roles_transform(dataset, roles_config)
+    dataset, roles_config = _load_dataset(args)
+    dataset, _ = data_mod.transform(
+        dataset, roles_config.get("log1p", ()), roles_config.get("standardize", ())
+    )
     base = template(
         dataset.indicator_names, dataset.covariate_names, dataset.sensitive_coding
     )
@@ -234,14 +224,14 @@ def cmd_dif(args) -> int:
 
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    _dump_json(report.to_dict(), out / "dif_report.json")
+    dump_json(report.to_dict(), out / "dif_report.json")
     (out / "dif_table.txt").write_text(report.to_text_table())
     _echo_config(args, out)
     return EXIT_OK
 
 
 def cmd_select(args) -> int:
-    dataset = _load_dataset(args)
+    dataset, _ = _load_dataset(args)
     target_name = args.target or dataset.indicator_names[0]
     target = dataset.column(target_name)
     names = dataset.covariate_names
@@ -264,8 +254,8 @@ def cmd_select(args) -> int:
 
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    _dump_json(path.to_dict(), out / "lasso_path.json")
-    _dump_json(selected_roles, out / "selected_roles.json")
+    dump_json(path.to_dict(), out / "lasso_path.json")
+    dump_json(selected_roles, out / "selected_roles.json")
     _echo_config(args, out)
     return EXIT_OK
 

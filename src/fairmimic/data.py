@@ -14,12 +14,13 @@ import hashlib
 import itertools
 import json
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import ndtri
 
 from .exceptions import DataValidationError
-from .model import MimicModel
+from .model import MimicModel, to_json
 
 ROLES = ("indicator", "covariate", "sensitive", "id", "ignore")
 
@@ -139,6 +140,12 @@ class Dataset:
             col = self.values[c]
             if col.dtype == np.float64:
                 h.update(col.tobytes())
+            elif c == self.sensitive_name:
+                # the coding key of each row's code is the str of its label,
+                # so the labels are written without a str() call per row
+                coding = self.sensitive_coding
+                keys = np.array(sorted(coding, key=coding.get), dtype=object)
+                h.update("\x1f".join(keys[self._codes.astype(np.intp)].tolist()).encode())
             else:
                 h.update("\x1f".join(str(v) for v in col).encode())
         return h.hexdigest()
@@ -424,15 +431,26 @@ def role_config_of(data: Dataset) -> dict:
 # ---------------------------------------------------------------------------
 
 
+class Standardization(NamedTuple):
+    """The statistics a column is standardized with: ``(x - mean) / std``."""
+
+    mean: float
+    std: float
+
+
 @dataclass(frozen=True)
 class TransformRecord:
     """Frozen transform statistics, fitted on the training split and reused
     verbatim on any later split (no leakage of test statistics)."""
 
     log1p: tuple
-    standardize: dict  # column -> (mean, std)
+    standardize: dict  # column -> Standardization
 
     def apply(self, data: Dataset) -> Dataset:
+        """``data`` with the recorded transform applied; ``data`` itself
+        when the record is empty."""
+        if not (self.log1p or self.standardize):
+            return data
         missing = [c for c in (*self.log1p, *self.standardize) if c not in data.values]
         if missing:
             raise DataValidationError(f"transform record names absent columns: {missing}")
@@ -449,17 +467,15 @@ class TransformRecord:
         return data.replace_columns(new, log_scale=flags)
 
     def to_dict(self) -> dict:
-        return {
-            "log1p": list(self.log1p),
-            "standardize": {c: {"mean": m, "std": s} for c, (m, s) in self.standardize.items()},
-        }
+        return to_json(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "TransformRecord":
         return cls(
             log1p=tuple(d.get("log1p", ())),
             standardize={
-                c: (v["mean"], v["std"]) for c, v in d.get("standardize", {}).items()
+                c: Standardization(v["mean"], v["std"])
+                for c, v in d.get("standardize", {}).items()
             },
         )
 
@@ -489,7 +505,7 @@ def transform(data: Dataset, log1p=(), standardize=()):
         std = float(col.std(ddof=0))
         if std == 0.0:
             raise DataValidationError(f"column {c!r} is constant, cannot standardize")
-        stats[c] = (mean, std)
+        stats[c] = Standardization(mean, std)
     record = TransformRecord(log1p=log1p, standardize=stats)
     return record.apply(data), record
 
@@ -548,6 +564,8 @@ class SimSpec:
     sensitive_column: str = "group"
     id_column: str = "id"
 
+    SCHEMA_VERSION = 1
+
     def __post_init__(self):
         if not 0.0 < self.group_prob < 1.0:
             raise ValueError("group_prob must be strictly between 0 and 1")
@@ -565,20 +583,7 @@ class SimSpec:
             object.__setattr__(self, "cross_loadings", cl)
 
     def to_dict(self) -> dict:
-        d = {
-            "schema_version": 1,
-            "n": self.n,
-            "group_prob": self.group_prob,
-            "seed": self.seed,
-            "model": self.model.to_dict(),
-            "sensitive_column": self.sensitive_column,
-            "id_column": self.id_column,
-        }
-        if self.group_shift is not None:
-            d["group_shift"] = self.group_shift.tolist()
-        if self.cross_loadings is not None:
-            d["cross_loadings"] = self.cross_loadings.tolist()
-        return d
+        return to_json(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "SimSpec":

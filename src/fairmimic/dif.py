@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from .estimate import OptimOptions, fit, lr_test
-from .model import MimicModel, data_moments
+from .model import MimicModel, data_moments, to_json
 
 
 def percent_effect(delta: float, ci=None):
@@ -28,6 +29,14 @@ def percent_effect(delta: float, ci=None):
     return pct, ((math.exp(lo) - 1.0) * 100.0, (math.exp(hi) - 1.0) * 100.0)
 
 
+class PercentEffect(NamedTuple):
+    """A log-scale offset on the percent scale, with its interval."""
+
+    percent: float
+    ci_low: float
+    ci_high: float
+
+
 @dataclass(frozen=True)
 class DifRow:
     indicator: str
@@ -36,32 +45,16 @@ class DifRow:
     ci_high: float | None = None
     lr_statistic: float | None = None
     p_value: float | None = None
-    percent: tuple | None = None  # (percent, pct_ci_low, pct_ci_high) for log-scale indicators
+    percent: PercentEffect | None = None  # for log-scale indicators
     log_scale: bool = False
     converged: bool = True
     error: str | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "indicator": self.indicator,
-            "delta": self.delta,
-            "ci_low": self.ci_low,
-            "ci_high": self.ci_high,
-            "lr_statistic": self.lr_statistic,
-            "p_value": self.p_value,
-            "percent_effect": (
-                None
-                if self.percent is None
-                else {
-                    "percent": self.percent[0],
-                    "ci_low": self.percent[1],
-                    "ci_high": self.percent[2],
-                }
-            ),
-            "log_scale": self.log_scale,
-            "converged": self.converged,
-            "error": self.error,
-        }
+        """The row's fields, ``percent`` written as ``percent_effect``."""
+        d = to_json(self)
+        d["percent_effect"] = d.pop("percent")
+        return d
 
 
 @dataclass(frozen=True)
@@ -78,14 +71,10 @@ class DifReport:
     coding: dict
     n_obs: int
 
+    SCHEMA_VERSION = 1
+
     def to_dict(self) -> dict:
-        return {
-            "schema_version": 1,
-            "coding": dict(self.coding),
-            "base_loglik": self.base_loglik,
-            "n_obs": self.n_obs,
-            "rows": [r.to_dict() for r in self.rows],
-        }
+        return to_json(self)
 
     def to_text_table(self) -> str:
         """Aligned table with the estimate and 95% interval per indicator."""
@@ -166,7 +155,7 @@ def dif_scan(
             pct = None
             if log_flag:
                 p_val, p_ci = percent_effect(delta, ci)
-                pct = (p_val, p_ci[0], p_ci[1])
+                pct = PercentEffect(p_val, *p_ci)
             rows.append(
                 DifRow(
                     indicator=name,

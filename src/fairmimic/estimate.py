@@ -18,6 +18,7 @@ from .model import (
     n_free_params,
     pack,
     param_names,
+    to_json,
     unpack,
 )
 
@@ -64,6 +65,8 @@ class FitResult:
     n_obs: int
     data_fingerprint: str
 
+    SCHEMA_VERSION = 1
+
     def se(self, name: str) -> float:
         """Standard error of a named free parameter."""
         try:
@@ -79,20 +82,8 @@ class FitResult:
         return est - WALD_Z * se, est + WALD_Z * se
 
     def to_dict(self) -> dict:
-        return {
-            "schema_version": 1,
-            "model": self.model.to_dict(),
-            "loglik": self.loglik,
-            "param_names": list(self.param_names),
-            "estimates": [float(v) for v in pack(self.model)],
-            "std_errors": [float(v) for v in self.std_errors],
-            "vcov": [[float(v) for v in row] for row in self.vcov],
-            "n_iter": self.n_iter,
-            "converged": self.converged,
-            "grad_norm": self.grad_norm,
-            "n_obs": self.n_obs,
-            "data_fingerprint": self.data_fingerprint,
-        }
+        """The fields, plus the packed ``estimates`` in ``param_names`` order."""
+        return {**to_json(self), "estimates": pack(self.model).tolist()}
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields, is_dataclass, replace
 from pathlib import Path
 from types import MappingProxyType
 from typing import NamedTuple
@@ -29,8 +29,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .exceptions import NotPositiveDefiniteError, SchemaVersionError
-
-MODEL_SCHEMA_VERSION = 1
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -89,6 +87,8 @@ class MimicModel:
     indicator_names: tuple
     covariate_names: tuple
     sensitive_coding: dict
+
+    SCHEMA_VERSION = 1
 
     def __post_init__(self):
         arr = lambda v, dt=np.float64: np.array(v, dtype=dt, copy=True)
@@ -176,17 +176,15 @@ class MimicModel:
         return replace(self, **changes)
 
     def to_dict(self) -> dict:
-        plain = {np.ndarray: np.ndarray.tolist, tuple: list, dict: dict, float: float}
-        d = {f.name: getattr(self, f.name) for f in fields(self)}
-        return {"schema_version": MODEL_SCHEMA_VERSION, **{k: plain[type(v)](v) for k, v in d.items()}}
+        return to_json(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "MimicModel":
         version = d.get("schema_version")
-        if version != MODEL_SCHEMA_VERSION:
+        if version != cls.SCHEMA_VERSION:
             raise SchemaVersionError(
                 f"model schema_version {version!r} is not supported "
-                f"(expected {MODEL_SCHEMA_VERSION})"
+                f"(expected {cls.SCHEMA_VERSION})"
             )
         return cls(**{f.name: d[f.name] for f in fields(cls)})
 
@@ -225,8 +223,40 @@ def template(
     )
 
 
+def to_json(value):
+    """The JSON form of a result.
+
+    A dataclass becomes the dict of its fields, led by ``schema_version``
+    when its class declares ``SCHEMA_VERSION``; a field value with its own
+    ``to_dict`` is written by it.  A named tuple becomes a dict, arrays and
+    tuples become lists, and dict values are converted in turn.
+    """
+    if is_dataclass(value):
+        d = {f.name: _json_field(getattr(value, f.name)) for f in fields(value)}
+        version = getattr(value, "SCHEMA_VERSION", None)
+        return d if version is None else {"schema_version": version, **d}
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if hasattr(value, "_asdict"):
+        return to_json(value._asdict())
+    if isinstance(value, dict):
+        return {k: _json_field(v) for k, v in value.items()}
+    if isinstance(value, (tuple, list)):
+        return [_json_field(v) for v in value]
+    return value
+
+
+def _json_field(value):
+    return value.to_dict() if hasattr(value, "to_dict") else to_json(value)
+
+
+def dump_json(obj, path) -> None:
+    """Write ``obj`` as JSON: indented, keys sorted, newline-terminated."""
+    Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+
+
 def save_model(model: MimicModel, path) -> None:
-    Path(path).write_text(json.dumps(model.to_dict(), indent=2, sort_keys=True) + "\n")
+    dump_json(model.to_dict(), path)
 
 
 def load_model(path) -> MimicModel:

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve
 
 from .data import group_codes, write_table
 from .model import MimicModel, _check_regressors, _covariate_matrix, _extract_arrays, _mean_cov
@@ -85,10 +84,10 @@ def factor_score(model: MimicModel, data) -> np.ndarray:
     """Posterior mean of the latent variable given indicators, covariates
     and group (regression factor scores); diagnostic use only."""
     Y, X, s = _extract_arrays(model, data)
-    Bt, _, chol = _mean_cov(vars(model))
+    Bt, sigma, _ = _mean_cov(vars(model))
     m = X @ model.struct_coefs + model.sens_coef * s
     mu = Bt[0] + np.column_stack([X, s]) @ Bt[1:]
-    weights = model.latent_var * cho_solve((chol, True), model.loadings)
+    weights = model.latent_var * np.linalg.solve(sigma, model.loadings)
     return m + (Y - mu) @ weights
 
 

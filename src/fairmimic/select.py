@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .exceptions import ConvergenceError
-from .model import sample_moments
+from .model import sample_moments, to_json
 
 MAX_SWEEPS = 10_000
 COEF_TOL = 1e-7
@@ -173,6 +173,8 @@ class LassoPath:
     feature_names: tuple | None
     rule: str
 
+    SCHEMA_VERSION = 1
+
     @property
     def chosen_coefs(self) -> np.ndarray:
         return self.coefs[self.chosen_index]
@@ -187,19 +189,7 @@ class LassoPath:
         return tuple(self.feature_names[j] for j in self.active_set)
 
     def to_dict(self) -> dict:
-        return {
-            "schema_version": 1,
-            "rule": self.rule,
-            "penalties": self.penalties.tolist(),
-            "coefs": self.coefs.tolist(),
-            "intercepts": self.intercepts.tolist(),
-            "cv_mse": self.cv_mse.tolist(),
-            "cv_se": self.cv_se.tolist(),
-            "chosen_index": self.chosen_index,
-            "chosen_penalty": self.chosen_penalty,
-            "active_set": list(self.active_set),
-            "feature_names": None if self.feature_names is None else list(self.feature_names),
-        }
+        return to_json(self)
 
     def to_role_fragment(self) -> dict:
         """Role-config fragment declaring the selected features as covariates."""

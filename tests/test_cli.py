@@ -153,6 +153,26 @@ class TestScoreAuditDif:
         summary = json.loads((tmp_path / "score_summary.json").read_text())
         assert summary["threshold_percentile"] == 55.0
 
+    def test_score_of_transformed_roles_needs_the_record(self, sim_dir, tmp_path, capsys):
+        # standardizing the scored rows with their own statistics would move
+        # every score; the training record must be passed instead
+        roles = json.loads((sim_dir / "roles.json").read_text())
+        roles["standardize"] = ["x1"]
+        roles_path = tmp_path / "roles.json"
+        roles_path.write_text(json.dumps(roles))
+        fit_out = tmp_path / "fit"
+        code = main(["fit", "--data", str(sim_dir / "data.csv"), "--roles", str(roles_path),
+                     "--out-dir", str(fit_out)])
+        assert code == 0
+        argv = ["score", "--model", str(fit_out / "model.json"), "--data", str(sim_dir / "data.csv"),
+                "--roles", str(roles_path)]
+        assert main(argv + ["--out-dir", str(tmp_path / "bare")]) == 1
+        assert "--transform" in capsys.readouterr().err
+        assert not (tmp_path / "bare").exists()
+        code = main(argv + ["--transform", str(fit_out / "transform_record.json"),
+                            "--out-dir", str(tmp_path / "scored")])
+        assert code == 0
+
     def test_audit_outputs(self, sim_dir, fit_dir, tmp_path):
         score_dir = tmp_path / "scores"
         main(
@@ -259,14 +279,10 @@ class TestScoreAuditDif:
 
 
 def test_import_leaves_scipy_stats_unloaded():
-    # scipy.stats would be most of the import time that every command pays.
+    # scipy.stats and scipy.linalg would be much of the import time that
+    # every command pays; the package needs only scipy.special.
     src = str(Path(fm.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-c", "import sys, fairmimic.cli; print('scipy.stats' in sys.modules)"],
-        capture_output=True,
-        text=True,
-        env=env,
-        check=True,
-    )
-    assert proc.stdout.strip() == "False"
+    code = "import sys, fairmimic.cli; print([m in sys.modules for m in ('scipy.stats', 'scipy.linalg')])"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert proc.stdout.strip() == "[False, False]"
