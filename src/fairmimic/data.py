@@ -140,12 +140,6 @@ class Dataset:
             col = self.values[c]
             if col.dtype == np.float64:
                 h.update(col.tobytes())
-            elif c == self.sensitive_name:
-                # the coding key of each row's code is the str of its label,
-                # so the labels are written without a str() call per row
-                coding = self.sensitive_coding
-                keys = np.array(sorted(coding, key=coding.get), dtype=object)
-                h.update("\x1f".join(keys[self._codes.astype(np.intp)].tolist()).encode())
             else:
                 h.update("\x1f".join(str(v) for v in col).encode())
         return h.hexdigest()
