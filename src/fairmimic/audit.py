@@ -120,7 +120,8 @@ def conditional_parity_curve(scores, sensitive, proxy_values, n_bins: int = 10) 
     (b * n) // n_bins, for b = 1 .. n_bins - 1.  Counts and proxy sums per
     (bin, group) cell come from one ``np.bincount`` each.  Empty group-bins
     are reported with count 0 and a null mean; bins where any group is empty
-    contribute no gap.
+    contribute no gap.  A NaN or infinite score or proxy value raises
+    ValueError: it has no percentile rank, or no mean.
     """
     scores = np.asarray(scores, dtype=np.float64)
     proxy = np.asarray(proxy_values, dtype=np.float64)
@@ -132,6 +133,9 @@ def conditional_parity_curve(scores, sensitive, proxy_values, n_bins: int = 10) 
         raise ValueError("scores, sensitive and proxy_values must have equal length")
     if n_bins < 2:
         raise ValueError("n_bins must be at least 2")
+    for name, values in (("scores", scores), ("proxy_values", proxy)):
+        if not np.isfinite(values).all():
+            raise ValueError(f"{name} must be finite")
 
     n_groups = len(levels)
     cuts = np.sort(scores)[np.arange(1, n_bins) * n // n_bins]
@@ -234,6 +238,13 @@ def counterfactual_check(model: MimicModel, covariates, reference_level=None, sc
     forced on all rows, and returns max_i (max_level - min_level).  For the
     fair score this is exactly 0; for the naive score it equals |gamma|
     times the coding span.
+
+    It cannot detect a fair score that depends on the group.  The fair path
+    is handed only the covariates, never the rows' sensitive labels, so it
+    returns 0 by construction, whatever the scorer does with a row's own
+    group.  A check that can fail intervenes on the labels of a
+    :class:`~fairmimic.data.Dataset` (``replace_columns`` with every label
+    flipped) and scores both through ``score_dataset``.
     """
     if score not in ("fair", "naive"):
         raise ValueError("score must be 'fair' or 'naive'")

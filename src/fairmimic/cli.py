@@ -148,6 +148,10 @@ def _read_scores(path) -> dict:
 
     header, columns = data_mod.read_table(path, dtypes_of)
     values = dict(zip(header, columns))
+    for c in ("fair_score", "naive_score"):
+        bad = np.flatnonzero(~np.isfinite(values[c]))
+        if bad.size:
+            raise FairMimicError(f"{path}: column {c!r} has a non-finite value in row {bad[0] + 2}")
     return {c: values[c] for c in _SCORE_DTYPES}
 
 

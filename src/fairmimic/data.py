@@ -36,8 +36,11 @@ class Dataset:
     ``sensitive_coding`` maps the two sensitive labels to {0, 1}.
 
     The sensitive column is coded once, at construction, by
-    :func:`group_codes`.  The dataset keeps a read-only copy of the labels,
-    so the stored codes cannot go stale; the caller's array stays writeable.
+    :func:`group_codes`.  The dataset keeps a read-only copy of the labels
+    as a :class:`Labels` that carries that coding, so the stored codes
+    cannot go stale and :func:`group_codes` hands the coding back when given
+    :meth:`sensitive_labels`; the caller's array stays writeable.  Labels
+    that already carry a coding are kept as they are.
     """
 
     column_order: tuple
@@ -55,9 +58,8 @@ class Dataset:
         )
         _validate_dataset(self)
         name = self.sensitive_name
-        labels = np.array(self.values[name])
-        labels.flags.writeable = False
-        levels, index = group_codes(labels)
+        labels = _coded_labels(self.values[name])
+        levels, index = labels.groups
         missing = [v for v in levels if v not in self.sensitive_coding]
         if missing:
             raise DataValidationError(f"sensitive labels without a code: {missing}")
@@ -109,8 +111,8 @@ class Dataset:
                 raise DataValidationError(f"column {c!r} is not a {role} column")
         return [self.values[c] for c in names]
 
-    def sensitive_labels(self) -> np.ndarray:
-        """The sensitive column, read-only."""
+    def sensitive_labels(self) -> "Labels":
+        """The sensitive column, read-only, carrying its coding."""
         return self.values[self.sensitive_name]
 
     def sensitive_codes(self) -> np.ndarray:
@@ -137,7 +139,7 @@ class Dataset:
         }
         h.update(json.dumps(meta, sort_keys=True).encode())
         for c in self.column_order:
-            col = self.values[c]
+            col = np.asarray(self.values[c])  # Labels iterate about 3x slower than their plain view
             if col.dtype == np.float64:
                 h.update(col.tobytes())
             else:
@@ -172,6 +174,34 @@ def _validate_dataset(ds: Dataset):
                 raise DataValidationError(f"column {c!r} has non-finite values")
 
 
+class Labels(np.ndarray):
+    """A dataset's read-only sensitive column, carrying its coding.
+
+    ``groups`` is the ``(levels, index)`` pair :func:`group_codes` gave for
+    this very array, set by :class:`Dataset` on a view of its own read-only
+    copy, which cannot be made writeable again.  Every array derived from
+    it (a slice, a copy, a comparison) has ``groups`` None and is coded
+    afresh.
+    """
+
+    def __array_finalize__(self, obj):
+        self.groups = None
+
+
+def _coded_labels(values) -> Labels:
+    """``values`` as a read-only :class:`Labels` carrying its coding: the
+    array itself when it carries one, else a read-only copy.  Either way
+    the coding comes from :func:`group_codes`, which hands a carried one
+    back without a pass."""
+    labels = values
+    if not isinstance(labels, Labels) or labels.groups is None:
+        labels = np.array(values)
+        labels.flags.writeable = False  # before the view, so it stays read-only
+        labels = labels.view(Labels)
+    labels.groups = group_codes(labels)
+    return labels
+
+
 def group_codes(labels):
     """Sorted distinct labels as ``str`` and each row's index into them.
 
@@ -179,9 +209,14 @@ def group_codes(labels):
     equal value; ``str`` is then applied once per distinct value, to that
     row's element as the array holds it.  Values that compare equal (0.0 and
     -0.0, 1 and True) share one group.  This is the package's one coder of
-    group labels: :class:`Dataset`, ``score.as_codes`` and the audit
-    functions all go through it.
+    group labels: :class:`Dataset`, ``load_csv``, ``score.as_codes`` and the
+    audit functions all go through it.  A dataset's
+    :meth:`~Dataset.sensitive_labels` carry their coding, which is returned
+    without a pass.  The result is shared, so it is immutable: ``levels`` is
+    a tuple and ``index`` is read-only.
     """
+    if isinstance(labels, Labels) and labels.groups is not None:
+        return labels.groups
     arr = np.asarray(labels)
     n = len(arr)
     first = {}
@@ -190,11 +225,13 @@ def group_codes(labels):
     )
     rows = list(first.values())
     names = [str(arr[i]) for i in rows]
-    levels = sorted(set(names))
+    levels = tuple(sorted(set(names)))
     index = {name: i for i, name in enumerate(levels)}
     code = np.empty(n, dtype=np.intp)
     code[rows] = [index[name] for name in names]
-    return levels, code[first_row]
+    code = code[first_row]
+    code.flags.writeable = False
+    return levels, code
 
 
 # ---------------------------------------------------------------------------
@@ -387,14 +424,16 @@ def load_csv(path, role_config: dict) -> Dataset:
     sens_cols = [c for c in header if roles[c] == "sensitive"]
     if len(sens_cols) != 1:
         raise DataValidationError(f"need exactly one sensitive column, got {len(sens_cols)}")
-    labels = sorted(set(values[sens_cols[0]]))
-    if len(labels) != 2:
+    labels = _coded_labels(values[sens_cols[0]])
+    values[sens_cols[0]] = labels
+    levels = labels.groups[0]
+    if len(levels) != 2:
         raise DataValidationError(
-            f"sensitive column {sens_cols[0]!r} must have exactly 2 levels, got {labels}"
+            f"sensitive column {sens_cols[0]!r} must have exactly 2 levels, got {list(levels)}"
         )
     coding = role_config.get("sensitive_coding")
     if coding is None:
-        coding = {labels[0]: 0, labels[1]: 1}
+        coding = {levels[0]: 0, levels[1]: 1}
     coding = {str(k): int(v) for k, v in coding.items()}
 
     return Dataset(

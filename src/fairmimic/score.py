@@ -49,7 +49,7 @@ def as_codes(model: MimicModel, sensitive) -> np.ndarray:
         if bad.any():
             raise ValueError(f"sensitive codes must be 0 or 1, got {codes[bad][0]!r}")
         return codes
-    levels, index = group_codes(arr)
+    levels, index = group_codes(sensitive)
     return np.array([model.level_code(v) for v in levels], dtype=np.float64)[index]
 
 

@@ -64,6 +64,19 @@ class TestConditionalParityCurve:
         with pytest.raises(ValueError, match="at least 2"):
             fm.conditional_parity_curve([1.0, 2.0], ["a", "b"], [0.0, 1.0], n_bins=1)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_scores_or_proxy_rejected(self, bad):
+        rng = np.random.default_rng(53)
+        scores = rng.normal(size=200)
+        proxy = rng.normal(size=200)
+        groups = rng.choice(["a", "b"], size=200)
+        for name, values in (("scores", scores), ("proxy_values", proxy)):
+            spoiled = values.copy()
+            spoiled[rng.choice(200, size=60, replace=False)] = bad
+            args = {"scores": scores, "proxy_values": proxy, name: spoiled}
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                fm.conditional_parity_curve(args["scores"], groups, args["proxy_values"])
+
     def test_identical_scores_reduce_to_overall_group_means(self):
         # all rows share one percentile, so the top bin holds everything and
         # its gap is the difference of overall group means

@@ -235,6 +235,30 @@ class TestScoreAuditDif:
         assert code == 1
         assert "does not match the data ids" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("column", ["fair_score", "naive_score"])
+    def test_non_finite_scores_file_exits_1(self, sim_dir, fit_dir, tmp_path, capsys, column):
+        main(
+            ["score", "--model", str(fit_dir / "model.json"), "--data", str(sim_dir / "data.csv"),
+             "--roles", str(sim_dir / "roles.json"), "--out-dir", str(tmp_path)]
+        )
+        with open(tmp_path / "scores.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        rows[3][rows[0].index(column)] = "nan"
+        spoiled = tmp_path / "spoiled.csv"
+        with open(spoiled, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows(rows)
+        common = ["--data", str(sim_dir / "data.csv"), "--roles", str(sim_dir / "roles.json")]
+        runs = [
+            ["audit", "--scores", str(spoiled), *common, "--out-dir", str(tmp_path / "audit")],
+            ["score", "--model", str(fit_dir / "model.json"), "--reference-scores", str(spoiled),
+             *common, "--out-dir", str(tmp_path / "rescored")],
+        ]
+        for argv in runs:
+            assert main(argv) == 1
+            err = capsys.readouterr().err
+            assert str(spoiled) in err and repr(column) in err and "row 4" in err
+        assert not (tmp_path / "audit").exists() and not (tmp_path / "rescored").exists()
+
     def test_dif_table_schema(self, sim_dir, tmp_path):
         code = main(
             ["dif", "--data", str(sim_dir / "data.csv"), "--roles", str(sim_dir / "roles.json"),

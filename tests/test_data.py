@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 import fairmimic as fm
+from fairmimic import audit as audit_mod
 from fairmimic import data as data_mod
+from fairmimic import score as score_mod
 from fairmimic.data import role_config_of
 
 from conftest import make_generator, simulate_from
@@ -124,6 +126,74 @@ class TestSensitiveColumn:
         assert ds.sensitive_labels().tolist() == ["a", "b", "a"]
         np.testing.assert_array_equal(ds.sensitive_codes(), [0.0, 1.0, 0.0])
 
+    @pytest.mark.parametrize("source", ["Dataset", "load_csv"])
+    def test_one_coding_pass_through_score_and_audit(self, monkeypatch, tmp_path, source):
+        gen = make_generator()
+        data, latent = simulate_from(gen, n=200, seed=6)
+        path = tmp_path / "data.csv"
+        fm.write_csv(data, path)
+        callers = np.array(data.sensitive_labels())
+        passes = count_coding_passes(monkeypatch)
+        if source == "Dataset":
+            ds = fm.Dataset(data.column_order, data.roles,
+                            {**data.values, data.sensitive_name: callers}, data.sensitive_coding)
+        else:
+            ds = fm.load_csv(path, role_config_of(data))
+        labels = ds.sensitive_labels()
+        outcome = (latent > np.median(latent)).astype(np.int64)
+        proxy = ds.column("y1")
+
+        def audits(sens):
+            scores = fm.score_dataset(gen, ds)
+            return [
+                fm.statistical_parity(scores.decision, sens),
+                fm.conditional_parity_curve(scores.fair, sens, proxy),
+                fm.conditional_parity_curve(scores.naive, sens, proxy),
+                fm.predictive_parity(scores.decision, outcome, sens),
+                score_mod.as_codes(gen, sens).tolist(),
+            ]
+
+        reports = audits(labels)
+        assert passes == [200]
+        assert reports == audits(callers)
+        assert passes == [200] * 6  # the caller's own array is coded afresh by each call
+
+    def test_arrays_derived_from_the_labels_coded_afresh(self, monkeypatch):
+        ds = three_row_dataset(np.array(["a", "b", "b"], dtype=object), {"a": 0, "b": 1})
+        carried = ds.sensitive_labels()
+        flipped = np.where(carried == "a", "b", "a")
+        swapped = ds.replace_columns({"g": flipped})  # every label flipped
+        np.testing.assert_array_equal(swapped.sensitive_codes(), [1.0, 0.0, 0.0])
+        derived = [carried[1:], carried[::-1], carried.copy(), carried == "b", flipped,
+                   swapped.sensitive_labels()]
+        expected = [data_mod.group_codes(list(arr)) for arr in derived]
+        passes = count_coding_passes(monkeypatch)
+        for arr, (levels, index) in zip(derived, expected):
+            got_levels, got_index = data_mod.group_codes(arr)
+            assert got_levels == levels
+            np.testing.assert_array_equal(got_index, index)
+        # all but the swapped-in column, which carries the coding it was given
+        assert len(passes) == len(derived) - 1
+
+    def test_numeric_replacement_keeps_the_coding(self, monkeypatch):
+        ds = three_row_dataset(np.array(["a", "b", "a"], dtype=object), {"a": 0, "b": 1})
+        passes = count_coding_passes(monkeypatch)
+        out = ds.replace_columns({"y1": np.array([0.0, 1.0, 2.0])})
+        assert out.sensitive_labels() is ds.sensitive_labels()
+        assert passes == []
+        np.testing.assert_array_equal(out.sensitive_codes(), [0.0, 1.0, 0.0])
+
+    def test_carried_coding_cannot_go_stale(self):
+        ds = three_row_dataset(np.array(["a", "b", "a"], dtype=object), {"a": 0, "b": 1})
+        with pytest.raises(ValueError):
+            ds.sensitive_labels().flags.writeable = True
+        for labels in (ds.sensitive_labels(), np.array(["b", "a"])):
+            levels, index = data_mod.group_codes(labels)
+            with pytest.raises(TypeError):
+                levels[0] = "z"
+            with pytest.raises(ValueError, match="read-only"):
+                index[0] = 1
+
     def test_labels_coded_by_their_str(self):
         # the one coder maps labels through str, so numeric labels match
         # str keys, and keys of any type are read as their str
@@ -135,6 +205,24 @@ class TestSensitiveColumn:
     def test_label_without_code_rejected(self):
         with pytest.raises(fm.DataValidationError, match=r"without a code: \['c'\]"):
             three_row_dataset(np.array(["a", "c", "a"], dtype=object), {"a": 0, "b": 1})
+
+
+def count_coding_passes(monkeypatch) -> list:
+    """Patch every module's ``group_codes`` to record the length of each
+    array it codes afresh, that is each call not handing back the coding the
+    array carries."""
+    passes = []
+    real = data_mod.group_codes
+
+    def counted(labels):
+        out = real(labels)
+        if out is not getattr(labels, "groups", None):
+            passes.append(len(labels))
+        return out
+
+    for module in (data_mod, audit_mod, score_mod):
+        monkeypatch.setattr(module, "group_codes", counted)
+    return passes
 
 
 class TestTransform:
