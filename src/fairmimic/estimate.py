@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import chdtrc
 
-from .exceptions import NotPositiveDefiniteError, SingularInformationError
+from .exceptions import NotPositiveDefiniteError
 from .model import (
     MimicModel,
     SampleMoments,
@@ -25,6 +25,10 @@ from .model import (
 # A fit is declared converged when the Euclidean gradient norm at the
 # returned point is below this, independent of why the optimizer stopped.
 CONVERGED_GRAD_NORM = 1e-5
+
+# observed_information warns when the gradient norm at its point is at
+# least this: the information is then not taken at a stationary point.
+STATIONARY_GRAD_NORM = 1e-3
 
 WALD_Z = 1.96  # two-sided 95%
 
@@ -147,7 +151,10 @@ def fit(spec: MimicModel, data, options: OptimOptions | None = None, callback=No
     Deterministic given (spec, data, options): starting values are fixed
     functions of the data, the optimizer uses no randomness, and the
     sensitive effect gamma is always estimated freely.  Non-convergence does
-    not raise; it is reported through ``converged=False``.
+    not raise; it is reported through ``converged=False``.  The standard
+    errors and ``vcov`` come from the solver's eigendecomposition of the
+    information -H at the returned point; they are all NaN, with a warning,
+    unless -H is positive definite with condition number below 1e12.
 
     Parameters
     ----------
@@ -193,9 +200,10 @@ def fit(spec: MimicModel, data, options: OptimOptions | None = None, callback=No
 
     x = pack(spec) if options.init == "model" else _start_values(spec, mom)
     ll, grad, hess = _loglik(x, spec, mom, order=2)
+    w, v = np.linalg.eigh(-hess)
     radius, n_iter = 1.0, 0
     while n_iter < options.max_iter and np.linalg.norm(grad) >= options.grad_tol:
-        step, predicted = _trust_step(grad, -hess, radius)
+        step, predicted = _trust_step(grad, w, v, radius)
         try:
             with np.errstate(over="raise", invalid="raise"):
                 ll_try, grad_try, hess_try = _loglik(x + step, spec, mom, order=2)
@@ -206,7 +214,8 @@ def fit(spec: MimicModel, data, options: OptimOptions | None = None, callback=No
             ll_try >= ll - 1e-12 * abs(ll) and np.linalg.norm(grad_try) < np.linalg.norm(grad)
         ):
             ratio = (ll_try - ll) / predicted
-            x, ll, grad, hess = x + step, ll_try, grad_try, hess_try
+            x, ll, grad = x + step, ll_try, grad_try
+            w, v = np.linalg.eigh(-hess_try)
             n_iter += 1
             if callback is not None:
                 callback(x)
@@ -221,16 +230,15 @@ def fit(spec: MimicModel, data, options: OptimOptions | None = None, callback=No
     grad_norm = float(np.linalg.norm(grad))
     converged = grad_norm < CONVERGED_GRAD_NORM
 
-    try:
-        vcov = _invert_information(-hess)
-        diag = np.diag(vcov).copy()
-        bad = diag < 0
-        if bad.any():
-            warnings.warn("negative variance estimates in vcov; SEs set to NaN")
-            diag[bad] = np.nan
-        std_errors = np.sqrt(diag)
-    except SingularInformationError:
-        warnings.warn("observed information is singular; standard errors unavailable")
+    if w[0] > 1e-12 * w[-1]:  # -H positive definite, condition number below 1e12
+        root = v / np.sqrt(w)
+        vcov = root @ root.T
+        std_errors = np.sqrt(np.diag(vcov))
+    else:
+        warnings.warn(
+            f"observed information has eigenvalues from {w[0]:.3g} to {w[-1]:.3g}: "
+            "not a well-identified maximum, standard errors set to NaN"
+        )
         vcov = np.full((k, k), np.nan)
         std_errors = np.full(k, np.nan)
 
@@ -248,9 +256,10 @@ def fit(spec: MimicModel, data, options: OptimOptions | None = None, callback=No
     )
 
 
-def _trust_step(grad, info, radius):
+def _trust_step(grad, w, v, radius):
     """Step ``s`` maximizing ``grad @ s - s @ info @ s / 2`` subject to
-    ``|s| <= radius``, and the gain that quadratic model predicts.
+    ``|s| <= radius``, and the gain that quadratic model predicts, given the
+    eigendecomposition ``info = v @ diag(w) @ v.T`` (``w`` ascending).
 
     The solution is ``s = (info + lam I)^-1 grad`` with the smallest shift
     ``lam >= 0`` that makes ``info + lam I`` positive semidefinite and the
@@ -262,7 +271,6 @@ def _trust_step(grad, info, radius):
     curvature (the hard case), the step at the smallest shift is extended
     along that direction to the radius.
     """
-    w, v = np.linalg.eigh(info)
     a = v.T @ grad
     # A lower bound on the shift: below -w[0] the matrix is indefinite, and
     # below |a_i| / radius - w_i component i alone exceeds the radius.  It is
@@ -288,7 +296,7 @@ def _trust_step(grad, info, radius):
     return v @ coef, predicted
 
 
-def observed_information(model: MimicModel, data, _warn_threshold: float = 1e-3) -> np.ndarray:
+def observed_information(model: MimicModel, data) -> np.ndarray:
     """Negative exact Hessian of the log-likelihood at ``model``, in the
     packed parameters.
 
@@ -296,27 +304,12 @@ def observed_information(model: MimicModel, data, _warn_threshold: float = 1e-3)
     point.
     """
     _, g, hess = _loglik(pack(model), model, _moments_of(model, data), order=2)
-    if np.linalg.norm(g) >= _warn_threshold:
+    if np.linalg.norm(g) >= STATIONARY_GRAD_NORM:
         warnings.warn(
             f"observed_information evaluated away from a stationary point "
             f"(gradient norm {np.linalg.norm(g):.3g})"
         )
     return -hess
-
-
-def _invert_information(info: np.ndarray) -> np.ndarray:
-    try:
-        vcov = np.linalg.inv(info)
-    except np.linalg.LinAlgError:
-        raise SingularInformationError(
-            "observed information matrix is singular (model not identified?)"
-        ) from None
-    if not np.all(np.isfinite(vcov)) or np.linalg.cond(info) > 1e12:
-        raise SingularInformationError(
-            "observed information matrix is numerically singular "
-            "(model not identified?)"
-        )
-    return 0.5 * (vcov + vcov.T)
 
 
 def lr_test(full: FitResult, nested: FitResult) -> LrTestResult:

@@ -17,9 +17,5 @@ class ConvergenceError(FairMimicError, RuntimeError):
     """Raised when an iterative solver exhausts its iteration budget."""
 
 
-class SingularInformationError(FairMimicError, RuntimeError):
-    """Raised when the observed information matrix cannot be inverted."""
-
-
 class SchemaVersionError(FairMimicError, ValueError):
     """Raised when a serialized artifact has an unsupported schema version."""

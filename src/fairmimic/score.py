@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import group_codes, write_table
-from .model import MimicModel, _check_regressors, _covariate_matrix, _extract_arrays, _mean_cov
+from .model import MimicModel, _check_regressors, _covariate_matrix, _extract_arrays, implied_moments
 
 
 def fair_score(model: MimicModel, covariates, reference_level=None) -> np.ndarray:
@@ -84,11 +84,10 @@ def factor_score(model: MimicModel, data) -> np.ndarray:
     """Posterior mean of the latent variable given indicators, covariates
     and group (regression factor scores); diagnostic use only."""
     Y, X, s = _extract_arrays(model, data)
-    Bt, sigma, _ = _mean_cov(vars(model))
+    implied = implied_moments(model, X, s)
     m = X @ model.struct_coefs + model.sens_coef * s
-    mu = Bt[0] + np.column_stack([X, s]) @ Bt[1:]
-    weights = model.latent_var * np.linalg.solve(sigma, model.loadings)
-    return m + (Y - mu) @ weights
+    weights = model.latent_var * np.linalg.solve(implied.cond_cov, model.loadings)
+    return m + (Y - implied.cond_mean) @ weights
 
 
 @dataclass(frozen=True)

@@ -61,6 +61,12 @@ class TestFit:
         assert np.linalg.eigvalsh(-hess).min() < 0.0
         res = fm.fit(spec, data, fm.OptimOptions(grad_tol=1e-8))
         assert res.converged and res.grad_norm < 1e-8
+        # Stopped at that start, the fit is at no maximum and reports no SE.
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            start = fm.fit(spec, data, fm.OptimOptions(max_iter=0))
+        assert [w.category for w in caught] == [UserWarning]
+        assert np.all(np.isnan(start.std_errors)) and np.all(np.isnan(start.vcov))
 
     def test_callback_fires_once_per_iterate(self, generator):
         data, _ = simulate_from(generator, n=800, seed=45)
@@ -146,6 +152,28 @@ class TestFit:
         eigmin = np.linalg.eigvalsh(res.vcov).min()
         assert eigmin > -1e-10
         np.testing.assert_allclose(res.std_errors, np.sqrt(np.diag(res.vcov)), rtol=1e-12)
+
+    def test_vcov_inverts_observed_information(self, fitted_example):
+        res, data = fitted_example
+        product = res.vcov @ fm.observed_information(res.model, data)
+        assert np.abs(product - np.eye(len(res.param_names))).max() <= 1e-10
+
+    def test_collinear_covariate_reports_no_standard_errors(self, generator):
+        data, _ = simulate_from(generator, n=2000, seed=30)
+        collinear = data.replace_columns({"x3": 2.0 * data.column("x1")})
+        with pytest.warns(UserWarning):
+            res = fm.fit(base_template(generator), collinear)
+        assert np.all(np.isnan(res.std_errors)) and np.all(np.isnan(res.vcov))
+
+    def test_duplicated_rows_divide_standard_errors_by_sqrt2(self):
+        gen = make_generator(dif=(0.0, 0.0, 0.3, 0.0))
+        spec = base_template(gen, free_dif=("y3",))
+        for seed in range(20):
+            data, _ = simulate_from(gen, n=3000, seed=seed)
+            once = fm.fit(spec, data)
+            twice = fm.fit(spec, data.subset(np.r_[0 : data.n, 0 : data.n]))
+            np.testing.assert_allclose(fm.pack(twice.model), fm.pack(once.model), rtol=0, atol=1e-11)
+            np.testing.assert_allclose(twice.std_errors * np.sqrt(2.0), once.std_errors, rtol=1e-11)
 
 
 class TestFitFromMoments:
