@@ -4,7 +4,10 @@ Each indicator is tested one at a time: the model is refitted with only
 that indicator's group offset freed and compared against the all-constrained
 base fit by a likelihood-ratio test, with a Wald 95% interval from the
 observed information.  One-at-a-time freeing keeps the model identified; a
-single-factor model with every offset free alongside gamma is not.
+single-factor model with every offset free alongside gamma is not.  The p
+refits share their packed length and start at the base optimum, so they run
+as one stacked solve (:func:`~fairmimic.estimate.fit_stack`), each with its
+own iterate and stopping; a row equals the one its refit alone would give.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .estimate import OptimOptions, fit, lr_test
+from .estimate import OptimOptions, fit, fit_stack, lr_test
 from .model import MimicModel, data_moments, to_json
 
 
@@ -123,9 +126,11 @@ def dif_scan(
     indicator, the corresponding offset is freed, the model refitted from
     the base optimum (shared starting point, which keeps the LR statistic
     nonnegative), and the estimate, Wald interval, LR statistic and p-value
-    recorded.  A failed per-indicator fit is recorded in its row and the
-    scan continues.  The sample moments and the data fingerprint are built
-    once and shared by every fit of the scan.
+    recorded.  The refits run as one stacked solve.  A row whose result
+    fails is recorded as failed and the scan continues; should the stacked
+    solve itself raise, every row records that error.  The sample moments
+    and the data fingerprint are built once and shared by every fit of the
+    scan.
     """
     if base_spec.free_mask.any():
         raise ValueError("base_spec must have every dif offset constrained to 0")
@@ -138,17 +143,18 @@ def dif_scan(
 
     mom = data_moments(base_spec, data)
     base_fit = fit(base_spec, mom, options)
-    warm = replace(options, init="model")
-
+    columns = [base_spec.indicator_names.index(name) for name in indicators_to_test]
+    specs = [base_fit.model.with_values(free_mask=np.arange(base_spec.n_indicators) == j) for j in columns]
+    try:
+        nested = fit_stack(specs, mom, replace(options, init="model")) if specs else ()
+    except Exception as exc:  # the stacked refit failed: every row records it
+        nested = [exc] * len(specs)
     rows = []
-    for name in indicators_to_test:
-        j = base_spec.indicator_names.index(name)
-        mask = np.zeros(base_spec.n_indicators, dtype=bool)
-        mask[j] = True
-        spec_j = base_fit.model.with_values(free_mask=mask)
+    for name, j, fit_j in zip(indicators_to_test, columns, nested):
         log_flag = name in data.log_scale
         try:
-            fit_j = fit(spec_j, mom, warm)
+            if isinstance(fit_j, Exception):
+                raise fit_j
             delta = float(fit_j.model.dif_offsets[j])
             ci = fit_j.wald_ci(f"delta[{name}]")
             test = lr_test(fit_j, base_fit)

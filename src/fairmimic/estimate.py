@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -12,10 +13,12 @@ from .exceptions import NotPositiveDefiniteError
 from .model import (
     MimicModel,
     SampleMoments,
+    _layout,
     _loglik,
     _moments_of,
+    _pack_fields,
+    _stack_layout,
     data_moments,
-    n_free_params,
     pack,
     param_names,
     to_json,
@@ -31,6 +34,8 @@ CONVERGED_GRAD_NORM = 1e-5
 STATIONARY_GRAD_NORM = 1e-3
 
 WALD_Z = 1.96  # two-sided 95%
+
+_EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -100,6 +105,11 @@ class LrTestResult:
 
     @classmethod
     def from_statistic(cls, statistic: float, df: int) -> "LrTestResult":
+        """The test of ``statistic`` against chi-square with ``df`` degrees
+        of freedom; a small negative statistic (float noise in two nearly
+        equal log-likelihoods) counts as 0, a non-finite one raises."""
+        if not math.isfinite(statistic):
+            raise ValueError(f"LR statistic must be finite, got {statistic}")
         statistic = max(0.0, float(statistic))
         if df < 0:
             raise ValueError("df must be nonnegative")
@@ -120,7 +130,7 @@ def _start_values(spec: MimicModel, mom) -> np.ndarray:
     p, q = spec.n_indicators, spec.n_covariates
     var = np.diag(mom.gram)[q + 1 :] / (mom.n - 1)
     beta, *_ = np.linalg.lstsq(mom.gram[:q, :q], mom.gram[:q, q + 1], rcond=None)
-    start = spec.with_values(
+    start = dict(
         loadings=np.ones(p),
         intercepts=mom.mean[q + 1 :],
         struct_coefs=beta,
@@ -129,7 +139,7 @@ def _start_values(spec: MimicModel, mom) -> np.ndarray:
         resid_vars=var / 2.0,
         latent_var=float(var[0]) / 2.0,
     )
-    return pack(start)
+    return _pack_fields(_layout(spec)[0], start)
 
 
 def fit(spec: MimicModel, data, options: OptimOptions | None = None, callback=None) -> FitResult:
@@ -147,6 +157,8 @@ def fit(spec: MimicModel, data, options: OptimOptions | None = None, callback=No
     The data enter once, through their sample moments; a caller that fits
     several specs with the same columns to one dataset can build those once
     with :func:`~fairmimic.model.data_moments` and pass them as ``data``.
+    Specs that also share their number of free parameters can be fitted in
+    one stacked solve by :func:`fit_stack`; ``fit`` is its stack of one.
 
     Deterministic given (spec, data, options): starting values are fixed
     functions of the data, the optimizer uses no randomness, and the
@@ -170,7 +182,29 @@ def fit(spec: MimicModel, data, options: OptimOptions | None = None, callback=No
         Invoked with the packed parameter vector after every accepted
         iterate; ``n_iter`` of the result counts these calls.
     """
+    return fit_stack((spec,), data, options, callback)[0]
+
+
+def fit_stack(specs, data, options: OptimOptions | None = None, callback=None) -> tuple:
+    """Fit several specs to one dataset in one stacked Newton solve.
+
+    The specs share their covariates, indicators, sensitive coding and
+    number of free parameters, and may differ in which dif offsets are
+    free, as the nested specs of a DIF scan do.  Every member runs the
+    iteration :func:`fit` describes on its own: its own iterate, trust
+    radius, acceptance and stopping; only the evaluations of the members
+    still running are batched into one call.  A trial point outside the
+    model rejects that member's step only.  Returns one :class:`FitResult`
+    per spec, in order, each equal to ``fit(spec, data, options)``;
+    ``callback`` is invoked with a member's packed vector after each of its
+    accepted iterates.
+    """
     options = options or OptimOptions()
+    specs = tuple(specs)
+    if not specs:
+        raise ValueError("fit_stack needs at least one spec")
+    k = _stack_layout(specs)[1]  # the specs share their names and length
+    spec = specs[0]
     mom = data if isinstance(data, SampleMoments) else data_moments(spec, data)
     q = spec.n_covariates
     columns = mom.columns or ()
@@ -179,13 +213,13 @@ def fit(spec: MimicModel, data, options: OptimOptions | None = None, callback=No
             "sample moments must come from data_moments for the spec's covariates "
             f"{spec.covariate_names} and indicators {spec.indicator_names}; got columns {mom.columns}"
         )
-    if mom.coding != spec.sensitive_coding:
-        raise ValueError(
-            f"the spec codes the sensitive levels as {spec.sensitive_coding}, "
-            f"the data as {mom.coding}"
-        )
+    for s in specs:
+        if mom.coding != s.sensitive_coding:
+            raise ValueError(
+                f"the spec codes the sensitive levels as {s.sensitive_coding}, "
+                f"the data as {mom.coding}"
+            )
     n = mom.n
-    k = n_free_params(spec)
     if n < k:
         raise ValueError(f"need at least {k} rows to estimate {k} free parameters, got {n}")
     var = np.diag(mom.gram)[q + 1 :]
@@ -198,38 +232,83 @@ def fit(spec: MimicModel, data, options: OptimOptions | None = None, callback=No
             "its effect gamma is not identified"
         )
 
-    x = pack(spec) if options.init == "model" else _start_values(spec, mom)
-    ll, grad, hess = _loglik(x, spec, mom, order=2)
+    start = pack if options.init == "model" else (lambda s: _start_values(s, mom))
+    x = np.array([start(s) for s in specs])
+    ll, grad, hess = _stack_loglik(x, specs, mom)
     w, v = np.linalg.eigh(-hess)
-    radius, n_iter = 1.0, 0
-    while n_iter < options.max_iter and np.linalg.norm(grad) >= options.grad_tol:
-        step, predicted = _trust_step(grad, w, v, radius)
-        try:
-            with np.errstate(over="raise", invalid="raise"):
-                ll_try, grad_try, hess_try = _loglik(x + step, spec, mom, order=2)
-        except (FloatingPointError, NotPositiveDefiniteError):
-            ll_try = -np.inf  # a trial point outside the model is a rejected step
-        length = float(np.linalg.norm(step))
-        if ll_try > ll or (
-            ll_try >= ll - 1e-12 * abs(ll) and np.linalg.norm(grad_try) < np.linalg.norm(grad)
-        ):
-            ratio = (ll_try - ll) / predicted
-            x, ll, grad = x + step, ll_try, grad_try
-            w, v = np.linalg.eigh(-hess_try)
-            n_iter += 1
+    norm = _norms(grad)
+    radius, n_iter = [1.0] * len(specs), [0] * len(specs)
+    live = list(range(len(specs)))  # the members still running
+    while True:
+        live = [i for i in live if n_iter[i] < options.max_iter and norm[i] >= options.grad_tol]
+        if not live:
+            break
+        rows = live if len(live) < len(specs) else slice(None)
+        step, predicted = _trust_step(grad[rows], w[rows], v[rows], np.array([radius[i] for i in live]))
+        trial = x[rows] + step
+        ll_try, grad_try, hess_try = _trial_loglik(trial, [specs[i] for i in live], mom)
+        norm_try, length = _norms(grad_try), _norms(step)
+        accepted = []
+        for j, i in enumerate(live):
+            if ll_try[j] > ll[i] or (ll_try[j] >= ll[i] - 1e-12 * abs(ll[i]) and norm_try[j] < norm[i]):
+                ratio = (ll_try[j] - ll[i]) / predicted[j]
+                ll[i], norm[i] = ll_try[j], norm_try[j]
+                n_iter[i] += 1
+                accepted.append(j)
+            else:
+                ratio = -np.inf
+            if ratio < 0.25:
+                radius[i] = 0.25 * length[j]
+            elif ratio > 0.75 and length[j] > 0.99 * radius[i]:
+                radius[i] *= 2.0
+        if accepted:
+            every = len(accepted) == len(live)
+            took, moved = (slice(None), rows) if every else (accepted, [live[j] for j in accepted])
+            x[moved], grad[moved] = trial[took], grad_try[took]
+            w[moved], v[moved] = np.linalg.eigh(-hess_try[took])
             if callback is not None:
-                callback(x)
-        else:
-            ratio = -np.inf
-        if ratio < 0.25:
-            radius = 0.25 * length
-        elif ratio > 0.75 and length > 0.99 * radius:
-            radius *= 2.0
-        if not radius > np.finfo(float).eps * (1.0 + np.linalg.norm(x)):
-            break  # no step the floats can represent improves
-    grad_norm = float(np.linalg.norm(grad))
-    converged = grad_norm < CONVERGED_GRAD_NORM
+                for j in accepted:
+                    callback(trial[j].copy())
+        # a member stops when no step the floats can represent improves
+        size = _norms(x[rows])
+        live = [i for i, s in zip(live, size) if radius[i] > _EPS * (1.0 + s)]
+    return tuple(_result(*a, mom) for a in zip(specs, x, ll, norm, w, v, n_iter))
 
+
+def _norms(a) -> list:
+    """The 2-norms of the rows of ``a``."""
+    return np.sqrt((a * a).sum(1)).tolist()
+
+
+def _stack_loglik(x, specs, mom):
+    """Order-2 log-likelihood of a stack, the values as a list.  A stack of
+    one takes the unbatched evaluation, which gives the same numbers
+    faster."""
+    if len(specs) == 1:
+        ll, grad, hess = _loglik(x[0], specs[0], mom, order=2)
+        return [float(ll)], grad[None], hess[None]
+    ll, grad, hess = _loglik(x, specs, mom, order=2)
+    return ll.tolist(), grad, hess
+
+
+def _trial_loglik(x, specs, mom):
+    """:func:`_stack_loglik` at trial points.  A member whose point lies
+    outside the model gets log-likelihood -inf (a rejected step); when one
+    does, the members are evaluated one at a time to find it."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            return _stack_loglik(x, specs, mom)
+    except (FloatingPointError, NotPositiveDefiniteError):
+        if len(specs) == 1:
+            k = x.shape[1]
+            return [-np.inf], np.full((1, k), np.nan), np.full((1, k, k), np.nan)
+    ll, grad, hess = zip(*(_trial_loglik(x[i : i + 1], specs[i : i + 1], mom) for i in range(len(specs))))
+    return sum(ll, []), np.concatenate(grad), np.concatenate(hess)
+
+
+def _result(spec, x, ll, grad_norm, w, v, n_iter, mom) -> FitResult:
+    """The FitResult of one member at its returned point, with the SEs from
+    its eigendecomposition ``w, v`` of the information -H."""
     if w[0] > 1e-12 * w[-1]:  # -H positive definite, condition number below 1e12
         root = v / np.sqrt(w)
         vcov = root @ root.T
@@ -239,9 +318,8 @@ def fit(spec: MimicModel, data, options: OptimOptions | None = None, callback=No
             f"observed information has eigenvalues from {w[0]:.3g} to {w[-1]:.3g}: "
             "not a well-identified maximum, standard errors set to NaN"
         )
-        vcov = np.full((k, k), np.nan)
-        std_errors = np.full(k, np.nan)
-
+        vcov = np.full(v.shape, np.nan)
+        std_errors = np.full(len(w), np.nan)
     return FitResult(
         model=unpack(spec, x),
         loglik=float(ll),
@@ -249,17 +327,18 @@ def fit(spec: MimicModel, data, options: OptimOptions | None = None, callback=No
         vcov=vcov,
         param_names=param_names(spec),
         n_iter=n_iter,
-        converged=converged,
+        converged=grad_norm < CONVERGED_GRAD_NORM,
         grad_norm=grad_norm,
-        n_obs=n,
+        n_obs=mom.n,
         data_fingerprint=mom.fingerprint,
     )
 
 
 def _trust_step(grad, w, v, radius):
-    """Step ``s`` maximizing ``grad @ s - s @ info @ s / 2`` subject to
-    ``|s| <= radius``, and the gain that quadratic model predicts, given the
-    eigendecomposition ``info = v @ diag(w) @ v.T`` (``w`` ascending).
+    """Steps ``s`` maximizing ``grad @ s - s @ info @ s / 2`` subject to
+    ``|s| <= radius``, and the list of gains that quadratic model predicts,
+    given the eigendecomposition ``info = v @ diag(w) @ v.T`` (``w``
+    ascending); every argument and the steps carry a leading member axis.
 
     The solution is ``s = (info + lam I)^-1 grad`` with the smallest shift
     ``lam >= 0`` that makes ``info + lam I`` positive semidefinite and the
@@ -267,33 +346,42 @@ def _trust_step(grad, w, v, radius):
     step.  On the eigenbasis of ``info`` the step length is explicit in
     ``lam``, and Newton's method on ``1 / |s(lam)| = 1 / radius``, started
     below the root, increases monotonically to it because that function is
-    concave.  When the gradient has no component along the most negative
-    curvature (the hard case), the step at the smallest shift is extended
-    along that direction to the radius.
+    concave; each member iterates until its own step fits.  When the
+    gradient has no component along the most negative curvature (the hard
+    case), the step at the smallest shift is extended along that direction
+    to the radius.
     """
-    a = v.T @ grad
+    a = (grad[:, None, :] @ v)[:, 0]  # v.T @ grad, member by member
     # A lower bound on the shift: below -w[0] the matrix is indefinite, and
     # below |a_i| / radius - w_i component i alone exceeds the radius.  It is
     # 0 when the Newton step fits.
-    lam = max(0.0, -w[0], float(np.max(np.abs(a) / radius - w)))
-    floor = len(w) * np.finfo(float).eps * np.abs(w).max()  # eigenvalue resolution
+    lam = np.maximum(np.maximum((np.abs(a) / radius[:, None] - w).max(1), -w[:, 0]), 0.0)
+    floor = w.shape[1] * _EPS * np.abs(w).max(1, keepdims=True)  # eigenvalue resolution
+    top = radius * (1.0 + 1e-6)
     for _ in range(50):
         # A component whose shifted curvature is below the resolution
         # carries no gradient the floats can resolve; it is left out.
-        d = w + lam
+        d = w + lam[:, None]
         live = d > floor
-        coef = np.divide(a, d, out=np.zeros_like(a), where=live)
-        length = np.linalg.norm(coef)
-        if length <= radius * (1.0 + 1e-6):
+        d = np.where(live, d, np.inf)
+        coef = a / d
+        square = coef * coef
+        length = np.sqrt(square.sum(1))
+        long = length > top
+        if not long.any():
             break
-        curve = coef @ np.divide(coef, d, out=np.zeros_like(a), where=live)
-        lam += (length * length / curve) * (length - radius) / radius
-    if length > radius:  # the root lies within float resolution of lam
-        coef *= radius / length
-    elif length < radius and lam > 0.0 and not live[0]:  # hard case
-        coef[0] = np.sqrt(radius * radius - length * length)
-    predicted = float(a @ coef - 0.5 * (w * coef) @ coef)
-    return v @ coef, predicted
+        # Only a member whose step is still too long moves its shift; one
+        # whose step fits keeps it, and so its step.
+        curve = np.where(long, (square / d).sum(1), 1.0)
+        lam = np.where(long, lam + (length * length / curve) * (length - radius) / radius, lam)
+    over = length > radius  # the root lies within float resolution of lam
+    if over.any():
+        coef[over] *= (radius[over] / length[over])[:, None]
+    if not live[:, 0].all():
+        hard = (length < radius) & (lam > 0.0) & ~live[:, 0]  # the hard case
+        coef[hard, 0] = np.sqrt(radius[hard] * radius[hard] - length[hard] * length[hard])
+    predicted = np.einsum("ij,ij->i", a - 0.5 * w * coef, coef)
+    return (v @ coef[:, :, None])[:, :, 0], predicted.tolist()
 
 
 def observed_information(model: MimicModel, data) -> np.ndarray:

@@ -276,6 +276,7 @@ class _Block(NamedTuple):
     names: tuple  # names of the field's entries, for the parameter names
     log: bool  # packed as the log of the field
     at: np.ndarray  # positions in the packed vector
+    span: slice  # the same positions, as a slice
 
 
 def _layout(spec: MimicModel):
@@ -300,13 +301,34 @@ def _layout_of(ind, cov, free_mask):
     layout, k = {}, 0
     for name, field, index, names, log in rows:
         size = 1 if index is None else len(index)
-        layout[name] = _Block(field, index, names, log, np.arange(k, k + size))
+        layout[name] = _Block(field, index, names, log, np.arange(k, k + size), slice(k, k + size))
         k += size
     for b in layout.values():
         for a in (b.index, b.at):
             if a is not None:
                 a.flags.writeable = False
     return MappingProxyType(layout), k
+
+
+def _stack_layout(spec):
+    """The layout of ``spec``, its length and its free-offset mask.
+
+    ``spec`` may also be a sequence of B specs with the same names and
+    packed length.  They then differ at most in which offsets are free, so
+    every block sits at the same positions, and the mask is (B, p): row b
+    marks the offsets member b's delta block holds.
+    """
+    if isinstance(spec, MimicModel):
+        return (*_layout(spec), spec.free_mask)
+    layout, k = _layout(spec[0])
+    names = (spec[0].indicator_names, spec[0].covariate_names)
+    for s in spec:
+        if (s.indicator_names, s.covariate_names) != names or _layout(s)[1] != k:
+            raise ValueError(
+                "the specs of a stack must share their indicators and covariates "
+                "and have the same number of free parameters"
+            )
+    return layout, k, np.array([s.free_mask for s in spec])
 
 
 def param_names(model: MimicModel):
@@ -323,9 +345,14 @@ def n_free_params(model: MimicModel) -> int:
 
 def pack(model: MimicModel) -> np.ndarray:
     """Flatten the free parameters into a single vector."""
+    return _pack_fields(_layout(model)[0], vars(model))
+
+
+def _pack_fields(layout, values) -> np.ndarray:
+    """The packed vector of the fields in ``values``, by name."""
     parts = []
-    for b in _layout(model)[0].values():
-        v = getattr(model, b.field)
+    for b in layout.values():
+        v = values[b.field]
         v = [v] if b.index is None else v[b.index]
         parts.append(np.log(v) if b.log else v)
     return np.concatenate(parts)
@@ -335,23 +362,26 @@ def unpack(spec: MimicModel, x: np.ndarray) -> MimicModel:
     """Rebuild a model from a packed free-parameter vector, keeping the
     structure (names, free_mask, coding) of ``spec``."""
     x = np.asarray(x, dtype=np.float64)
-    layout, k = _layout(spec)
+    layout, k, free = _stack_layout(spec)
     if x.shape != (k,):
         raise ValueError(f"expected {k} free parameters, got {x.shape}")
-    return spec.with_values(**_field_values(spec, layout, x))
+    return spec.with_values(**_field_values(layout, free, x))
 
 
-def _field_values(spec: MimicModel, layout, x: np.ndarray) -> dict:
-    """The fields the packed vector ``x`` holds, by name; entries it does
-    not hold (the pinned first loading, constrained offsets) are ``spec``'s."""
+def _field_values(layout, free, x: np.ndarray) -> dict:
+    """The fields the packed vectors ``x`` (..., k) hold, by name, each with
+    the leading axes of ``x``.  Entries a packed vector does not hold are
+    the same in every model: the first loading is pinned to 1, and the
+    offsets outside ``free`` (the free-offset mask, (..., p)) are 0."""
     values = {}
     for b in layout.values():
-        v = np.exp(x[b.at]) if b.log else x[b.at]
-        if b.index is None:
-            values[b.field] = float(v[0])
-        else:
-            values[b.field] = getattr(spec, b.field).copy()
-            values[b.field][b.index] = v
+        v = np.exp(x[..., b.span]) if b.log else x[..., b.span]
+        values[b.field] = v[..., 0] if b.index is None else v
+    lam = np.ones(free.shape)
+    lam[..., 1:] = values["loadings"]
+    delta = np.zeros(free.shape)
+    delta[free] = values["dif_offsets"].ravel()  # which are free may differ by member
+    values["loadings"], values["dif_offsets"] = lam, delta
     return values
 
 
@@ -398,20 +428,22 @@ def _check_regressors(model, covariates, sensitive):
 def _mean_cov(values):
     """Conditional mean coefficients, covariance and its Cholesky factor.
 
-    ``values`` maps the MimicModel fields to their values.  Returns the
-    (q+2) x p matrix ``Bt = [nu'; beta lambda'; (gamma lambda + delta)']``,
-    so that the mean of a row is ``[1, x, s] @ Bt``, the covariance
+    ``values`` maps the MimicModel fields to their values, or to stacks of
+    them with a leading member axis.  Returns the (q+2) x p matrix
+    ``Bt = [nu'; beta lambda'; (gamma lambda + delta)']``, so that the mean
+    of a row is ``[1, x, s] @ Bt``, the covariance
     ``Sigma = psi lambda lambda' + diag(theta)`` and its lower Cholesky
-    factor.
+    factor, each with that leading axis.
     """
     lam, beta = values["loadings"], values["struct_coefs"]
-    p, q = lam.shape[0], beta.shape[0]
-    Bt = np.empty((q + 2, p))
-    Bt[0] = values["intercepts"]
-    Bt[1 : q + 1] = beta[:, None] * lam
-    Bt[q + 1] = values["sens_coef"] * lam + values["dif_offsets"]
-    sigma = values["latent_var"] * np.outer(lam, lam)
-    sigma.flat[:: p + 1] += values["resid_vars"]
+    gamma, psi = np.asarray(values["sens_coef"]), np.asarray(values["latent_var"])
+    p, q = lam.shape[-1], beta.shape[-1]
+    Bt = np.empty(lam.shape[:-1] + (q + 2, p))
+    Bt[..., 0, :] = values["intercepts"]
+    Bt[..., 1 : q + 1, :] = beta[..., :, None] * lam[..., None, :]
+    Bt[..., q + 1, :] = gamma[..., None] * lam + values["dif_offsets"]
+    sigma = psi[..., None, None] * (lam[..., :, None] * lam[..., None, :])
+    sigma.reshape(lam.shape[:-1] + (p * p,))[..., :: p + 1] += values["resid_vars"]
     try:
         chol = np.linalg.cholesky(sigma)
     except np.linalg.LinAlgError:
@@ -475,6 +507,15 @@ class SampleMoments:
     columns: tuple | None = None
     fingerprint: str | None = None
     coding: dict | None = None
+
+    @functools.cached_property
+    def cross(self) -> np.ndarray:
+        """``sum_i [1, w_i]' [1, w_i]``, the uncentred cross products of
+        the columns led by the intercept."""
+        m = np.concatenate([[1.0], self.mean])
+        cross = np.outer(self.n * m, m)
+        cross[1:, 1:] += self.gram
+        return cross
 
 
 def sample_moments(columns) -> SampleMoments:
@@ -558,28 +599,35 @@ def _extract_arrays(model: MimicModel, data):
 # Hessian adds the curvature of that map: loading times beta or gamma in Bt,
 # loading times loading or log psi in Sigma, and on each log-scale block the
 # curvature of exp, which equals the block's gradient.
+#
+# Every array may carry a leading member axis: a stack of specs that differ
+# only in which offsets are free shares the data and the layout, so one
+# batched call evaluates every member by the same formulas.
 # ---------------------------------------------------------------------------
 
 
-def _jacobians(layout, k, values):
+def _jacobians(layout, k, free, values):
     """Derivatives of Bt and of Sigma with respect to every packed
-    parameter, as (k, q+2, p) and (k, p, p) arrays."""
+    parameter, as (..., k, q+2, p) and (..., k, p, p) arrays with the
+    leading axes of ``values``; ``free`` is the free-offset mask of
+    :func:`_stack_layout`."""
     lam, beta, gamma = values["loadings"], values["struct_coefs"], values["sens_coef"]
     theta, psi = values["resid_vars"], values["latent_var"]
-    p, q = lam.shape[0], beta.shape[0]
+    p, q = lam.shape[-1], beta.shape[-1]
+    lead = lam.shape[:-1]
     lo, th = layout["lambda"], layout["log_theta"]
-    jb = np.zeros((k, q + 2, p))
-    jb[lo.at, 1 : q + 1, lo.index] = beta
-    jb[lo.at, q + 1, lo.index] = gamma
-    jb[layout["nu"].at, 0, layout["nu"].index] = 1.0
-    jb[layout["beta"].at, 1 + layout["beta"].index, :] = lam
-    jb[layout["gamma"].at, q + 1, :] = lam
-    jb[layout["delta"].at, q + 1, layout["delta"].index] = 1.0
-    js = np.zeros((k, p, p))
-    js[lo.at, lo.index, :] = psi * lam
-    js[lo.at, :, lo.index] += psi * lam
-    js[th.at, th.index, th.index] = theta
-    js[layout["log_psi"].at] = psi * np.outer(lam, lam)
+    jb = np.zeros(lead + (k, q + 2, p))
+    jb[..., lo.at, 1 : q + 1, lo.index] = beta
+    jb[..., lo.at, q + 1, lo.index] = gamma[..., None]
+    jb[..., layout["nu"].at, 0, layout["nu"].index] = 1.0
+    jb[..., layout["beta"].at, 1 + layout["beta"].index, :] = lam[..., None, :]
+    jb[..., layout["gamma"].at, q + 1, :] = lam[..., None, :]
+    jb[..., layout["delta"].at, q + 1, :] = np.eye(p)[np.nonzero(free)[-1]].reshape(lead + (-1, p))
+    js = np.zeros(lead + (k, p, p))
+    js[..., lo.at, lo.index, :] = (psi[..., None] * lam)[..., None, :]
+    js[..., lo.span, :, :] += js[..., lo.span, :, :].swapaxes(-1, -2)
+    js[..., th.at, th.index, th.index] = theta
+    js[..., layout["log_psi"].at[0], :, :] = psi[..., None, None] * (lam[..., :, None] * lam[..., None, :])
     return jb, js
 
 
@@ -591,68 +639,85 @@ def _second_differential(jb, js, n, szz, G, P, Q):
         js (P kron (n P / 2 - Q)) js' - jb (szz kron P) jb' - C - C',
         C = jb (G kron P) js',
 
-    each sandwich evaluated slice by slice without the Kronecker matrix."""
-    k = jb.shape[0]
-    flat_b, flat_s = jb.reshape(k, -1), js.reshape(k, -1)
-    cross = flat_b @ (G @ js @ P).reshape(k, -1).T
+    each sandwich evaluated slice by slice without the Kronecker matrix,
+    and member by member when the arrays carry a leading member axis."""
+    lead, k = jb.shape[:-3], jb.shape[-3]
+    flat_b, flat_s = jb.reshape(lead + (k, -1)), js.reshape(lead + (k, -1))
+    G, P, Q = G[..., None, :, :], P[..., None, :, :], Q[..., None, :, :]  # over the k slices
+
+    def sandwich(flat, slices):
+        return flat @ slices.reshape(lead + (k, -1)).swapaxes(-1, -2)
+
+    cross = sandwich(flat_b, G @ js @ P)
     return (
-        flat_s @ (P @ js @ (0.5 * n * P - Q.T)).reshape(k, -1).T
-        - flat_b @ (szz @ jb @ P).reshape(k, -1).T
+        sandwich(flat_s, P @ js @ (0.5 * n * P - Q.swapaxes(-1, -2)))
+        - sandwich(flat_b, szz @ jb @ P)
         - cross
-        - cross.T
+        - cross.swapaxes(-1, -2)
     )
 
 
-def _loglik(x, spec: MimicModel, mom: SampleMoments, order: int = 0):
+def _loglik(x, spec, mom: SampleMoments, order: int = 0):
     """Log-likelihood at the packed vector ``x``; with ``order`` 1 also its
-    gradient, with ``order`` 2 also the gradient and the exact Hessian."""
-    p, q = spec.n_indicators, spec.n_covariates
-    layout, k = _layout(spec)
-    values = _field_values(spec, layout, x)
+    gradient, with ``order`` 2 also the gradient and the exact Hessian.
+
+    ``spec`` may also be a sequence of B specs that differ at most in which
+    offsets are free (see :func:`_stack_layout`), with ``x`` the (B, k)
+    stack of their packed vectors; the log-likelihoods (B,), gradients
+    (B, k) and Hessians (B, k, k) then come from the same formulas, member
+    by member, in one batched product per step.
+    """
+    layout, k, free = _stack_layout(spec)
+    values = _field_values(layout, free, x)
     Bt, _, chol = _mean_cov(values)
+    p, q = Bt.shape[-1], Bt.shape[-2] - 2
+    lead = Bt.shape[:-2]
     n = mom.n
     zbar, ybar = mom.mean[: q + 1], mom.mean[q + 1 :]
     czz, czy, cyy = mom.gram[: q + 1, : q + 1], mom.gram[: q + 1, q + 1 :], mom.gram[q + 1 :, q + 1 :]
 
-    B = Bt[1:]
-    rbar = ybar - Bt[0] - zbar @ B
+    B = Bt[..., 1:, :]
+    rbar = ybar - Bt[..., 0, :] - zbar @ B
     E = czy - czz @ B  # sum_i (z_i - zbar) r_i'
-    W = n * rbar[:, None] * rbar + cyy - czy.T @ B - B.T @ E
+    W = n * rbar[..., :, None] * rbar[..., None, :] + cyy - czy.T @ B - B.swapaxes(-1, -2) @ E
 
     chol_inv = np.linalg.inv(chol)
-    P = chol_inv.T @ chol_inv
-    logdet = 2.0 * float(np.sum(np.log(chol.diagonal())))
-    ll = -0.5 * (n * (p * LOG_2PI + logdet) + float(np.sum(P * W)))
+    P = chol_inv.swapaxes(-1, -2) @ chol_inv
+    logdet = 2.0 * np.log(chol.diagonal(0, -2, -1)).sum(-1)
+    ll = -0.5 * (n * (p * LOG_2PI + logdet) + (P * W).sum((-2, -1)))
     if order == 0:
         return ll
 
-    F = np.empty((q + 2, p))
-    F[0] = n * rbar
-    F[1:] = n * zbar[:, None] * rbar + E
+    F = np.empty(Bt.shape)
+    F[..., 0, :] = n * rbar
+    F[..., 1:, :] = n * zbar[:, None] * rbar[..., None, :] + E
     G = F @ P
     Q = P @ W @ P
-    M = 0.5 * (Q + Q.T) - n * P
-    jb, js = _jacobians(layout, k, values)
-    grad = jb.reshape(k, -1) @ G.ravel() + 0.5 * (js.reshape(k, -1) @ M.ravel())
+    M = 0.5 * (Q + Q.swapaxes(-1, -2)) - n * P
+    jb, js = _jacobians(layout, k, free, values)
+    grad = (
+        jb.reshape(lead + (k, -1)) @ G.reshape(lead + (-1, 1))
+        + 0.5 * (js.reshape(lead + (k, -1)) @ M.reshape(lead + (-1, 1)))
+    )[..., 0]
     if order == 1:
         return ll, grad
 
-    szz = np.empty((q + 2, q + 2))  # sum_i [1, z_i]' [1, z_i]
-    szz[0, 0] = n
-    szz[0, 1:] = szz[1:, 0] = n * zbar
-    szz[1:, 1:] = czz + n * zbar[:, None] * zbar
+    szz = mom.cross[: q + 2, : q + 2]  # sum_i [1, z_i]' [1, z_i]
     hess = _second_differential(jb, js, n, szz, G, P, Q)
+    # The curvature of the parameter map.  The free loadings are all but
+    # the first; a term placed on one side of the diagonal only is doubled,
+    # for the symmetrization halves it.
     lam, psi = values["loadings"], values["latent_var"]
-    lo = layout["lambda"]
-    hess[lo.at[:, None], lo.at] += psi * M[lo.index[:, None], lo.index]
+    lo = layout["lambda"].span
+    hess[..., lo, lo] += psi[..., None, None] * M[..., 1:, 1:]  # loading x loading
+    hess[..., lo, layout["beta"].span] += 2.0 * G[..., 1 : q + 1, 1:].swapaxes(-1, -2)
+    hess[..., lo, layout["gamma"].at[0]] += 2.0 * G[..., q + 1, 1:]
+    hess[..., lo, layout["log_psi"].at[0]] += 2.0 * psi[..., None] * (M @ lam[..., None])[..., 1:, 0]
+    diag = hess.reshape(lead + (k * k,))[..., :: k + 1]
     for b in layout.values():
-        if b.log:
-            hess[b.at, b.at] += grad[b.at]
-    off = np.zeros_like(hess)  # loading x (beta, gamma, log psi) curvature
-    off[lo.at[:, None], layout["beta"].at] = G[1 : q + 1, lo.index].T
-    off[lo.at, layout["gamma"].at] = G[q + 1, lo.index]
-    off[lo.at, layout["log_psi"].at] = psi * (M @ lam)[lo.index]
-    return ll, grad, 0.5 * (hess + hess.T) + off + off.T
+        if b.log:  # the curvature of exp equals the block's gradient
+            diag[..., b.span] += grad[..., b.span]
+    return ll, grad, 0.5 * (hess + hess.swapaxes(-1, -2))
 
 
 def _ll_value(x, spec, Y, X, s):
@@ -663,7 +728,7 @@ def _ll_value(x, spec, Y, X, s):
 def log_likelihood(model: MimicModel, data) -> float:
     """Conditional Gaussian log-likelihood of the indicators, summed over
     rows; covariates and the sensitive attribute are treated as fixed."""
-    return _loglik(pack(model), model, _moments_of(model, data))
+    return float(_loglik(pack(model), model, _moments_of(model, data)))
 
 
 def log_likelihood_grad(model: MimicModel, data) -> np.ndarray:

@@ -114,6 +114,26 @@ class TestDifScan:
             assert row.lr_statistic >= 0.0
             assert abs(row.lr_statistic - 2.0 * (fit_j.loglik - base_fit.loglik)) <= 1e-8
 
+    def test_rows_do_not_depend_on_the_other_indicators(self):
+        # The nested fits are solved as one stack: a row must come out the
+        # same whether its indicator is scanned alone, with the others, or
+        # in reverse order, here with DIF on y3.
+        gen = make_generator(dif=(0.0, 0.0, 0.3, 0.0))
+        data, _ = simulate_from(gen, n=3000, seed=67)
+        base = base_template(gen)
+        names = gen.indicator_names
+        full = fm.dif_scan(base, data)
+        reverse = fm.dif_scan(base, data, indicators_to_test=names[::-1])
+        assert tuple(r.indicator for r in reverse.rows) == names[::-1]
+        assert full.rows[2].p_value < 1e-6  # the injected DIF is found
+        scans = [{r.indicator: r for r in report.rows} for report in (full, reverse)]
+        for name in names:
+            (alone,) = fm.dif_scan(base, data, indicators_to_test=[name]).rows
+            assert alone.error is None and alone.converged
+            for rows in scans:
+                for field in ("delta", "ci_low", "ci_high", "lr_statistic", "p_value"):
+                    assert abs(getattr(alone, field) - getattr(rows[name], field)) <= 1e-12
+
     def test_sign_flips_with_swapped_coding(self):
         gen = make_generator(dif=(0.0, 0.3, 0.0, 0.0))
         data, _ = simulate_from(gen, n=3000, seed=61)
@@ -162,21 +182,35 @@ class TestDifScan:
             fm.dif_scan(base_template(generator), data, indicators_to_test=["nope"])
 
     def test_per_indicator_failure_recorded_and_scan_continues(self, generator, monkeypatch):
+        # The nested fits run as one stacked solve; the LR test is still
+        # taken row by row, so a failure there is y2's alone.
         data, _ = simulate_from(generator, n=500, seed=65)
-        real_fit = dif_mod.fit
+        real_lr_test = dif_mod.lr_test
 
-        def flaky_fit(spec, d, options=None, **kwargs):
-            if spec.free_mask.any() and spec.indicator_names[int(np.argmax(spec.free_mask))] == "y2":
+        def flaky_lr_test(full, nested):
+            if "delta[y2]" in full.param_names:
                 raise RuntimeError("boom")
-            return real_fit(spec, d, options, **kwargs)
+            return real_lr_test(full, nested)
 
-        monkeypatch.setattr(dif_mod, "fit", flaky_fit)
+        monkeypatch.setattr(dif_mod, "lr_test", flaky_lr_test)
         report = fm.dif_scan(base_template(generator), data)
         by_name = {r.indicator: r for r in report.rows}
         assert by_name["y2"].error is not None and "boom" in by_name["y2"].error
         assert by_name["y2"].delta is None
         for name in ("y1", "y3", "y4"):
             assert by_name[name].error is None
+
+    def test_failed_stacked_refit_recorded_in_every_row(self, generator, monkeypatch):
+        data, _ = simulate_from(generator, n=500, seed=65)
+
+        def broken_fit_stack(specs, d, options=None):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(dif_mod, "fit_stack", broken_fit_stack)
+        report = fm.dif_scan(base_template(generator), data)
+        assert np.isfinite(report.base_loglik)
+        for row in report.rows:
+            assert row.delta is None and not row.converged and "boom" in row.error
 
     def test_moments_and_fingerprint_built_once_per_scan(self, generator, monkeypatch):
         data, _ = simulate_from(generator, n=500, seed=66)
@@ -194,9 +228,11 @@ class TestDifScan:
         count(fm.Dataset, "fingerprint")
         count(fm.Dataset, "sensitive_codes")
         count(dif_mod, "fit")
+        count(dif_mod, "fit_stack")
         report = fm.dif_scan(base_template(generator), data)
         assert all(r.error is None for r in report.rows)
-        assert calls == {"fingerprint": 1, "sensitive_codes": 1, "fit": 5}
+        # one base fit, then one stacked solve for the four nested fits
+        assert calls == {"fingerprint": 1, "sensitive_codes": 1, "fit": 1, "fit_stack": 1}
 
     def test_text_table_mirrors_report(self, generator):
         data, _ = simulate_from(generator, n=600, seed=66)

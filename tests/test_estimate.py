@@ -7,7 +7,8 @@ import pytest
 from scipy.stats import chi2
 
 import fairmimic as fm
-from fairmimic.estimate import CONVERGED_GRAD_NORM, _start_values
+from fairmimic import estimate as estimate_mod
+from fairmimic.estimate import CONVERGED_GRAD_NORM, _start_values, fit_stack
 from fairmimic.model import _loglik, data_moments, sample_moments
 
 from conftest import CODING, base_template, make_generator, simulate_from
@@ -198,6 +199,78 @@ class TestFitFromMoments:
                 fm.fit(spec, mom)
 
 
+class TestFitStack:
+    """``fit_stack`` runs each member's own iteration; members share only
+    the batched evaluations."""
+
+    @staticmethod
+    def nested_specs(data, gen):
+        base = fm.fit(base_template(gen), data)
+        return [base.model.with_values(free_mask=np.arange(4) == j) for j in range(4)]
+
+    @staticmethod
+    def assert_same_fit(a, b, tol=1e-12):
+        assert a.param_names == b.param_names and a.n_iter == b.n_iter and a.converged == b.converged
+        assert abs(a.loglik - b.loglik) <= tol * abs(b.loglik)
+        np.testing.assert_allclose(fm.pack(a.model), fm.pack(b.model), rtol=tol, atol=tol)
+        np.testing.assert_allclose(a.std_errors, b.std_errors, rtol=1e-9, atol=tol)
+
+    def test_members_match_independent_fits(self):
+        gen = make_generator(dif=(0.0, 0.0, 0.3, 0.0))
+        data, _ = simulate_from(gen, n=3000, seed=49)
+        mom = data_moments(base_template(gen), data)
+        specs = self.nested_specs(data, gen)
+        warm = fm.OptimOptions(init="model")
+        for options in (warm, fm.OptimOptions()):  # warm from the base optimum, and cold
+            stacked = fit_stack(specs, mom, options)
+            assert len(stacked) == len(specs)
+            for spec, res in zip(specs, stacked):
+                self.assert_same_fit(res, fm.fit(spec, mom, options))
+
+    def test_specs_of_different_length_refused(self, generator):
+        data, _ = simulate_from(generator, n=400, seed=50)
+        specs = [base_template(generator), base_template(generator, free_dif=("y2",))]
+        with pytest.raises(ValueError, match="same number of free parameters"):
+            fit_stack(specs, data)
+
+    def test_failed_trial_point_rejects_that_members_step_only(self, monkeypatch):
+        gen = make_generator(dif=(0.0, 0.0, 0.3, 0.0))
+        data, _ = simulate_from(gen, n=3000, seed=51)
+        mom = data_moments(base_template(gen), data)
+        specs = self.nested_specs(data, gen)
+        warm = fm.OptimOptions(init="model")
+        alone = [fm.fit(spec, mom, warm) for spec in specs]
+
+        # y2's first trial point raises, as a point outside the model does,
+        # whether it is evaluated in the stack or by itself.
+        real, points, poisoned = estimate_mod._loglik, [], []
+
+        def loglik(x, spec, mom, order=0):
+            members = [spec] if isinstance(spec, fm.MimicModel) else list(spec)
+            for member, row in zip(members, np.atleast_2d(x)):
+                if member.free_mask[1]:
+                    points.append((len(members), row.copy()))
+                    if len(points) == 2:
+                        poisoned.append(row.copy())
+                    if poisoned and np.array_equal(row, poisoned[0]):
+                        raise FloatingPointError("overflow")
+            return real(x, spec, mom, order)
+
+        monkeypatch.setattr(estimate_mod, "_loglik", loglik)
+        stacked = fit_stack(specs, mom, warm)
+        monkeypatch.undo()
+
+        start, bad = points[0][1], poisoned[0]
+        assert any(size == 1 and np.array_equal(row, bad) for size, row in points)  # found alone
+        after = next(row for _, row in points[2:] if not np.array_equal(row, bad))
+        # the step was rejected: y2 stayed at its start and its radius shrank
+        assert np.linalg.norm(after - start) <= 0.25 * np.linalg.norm(bad - start) * (1.0 + 1e-12)
+        assert stacked[1].converged
+        assert abs(stacked[1].loglik - alone[1].loglik) <= 1e-9 * abs(alone[1].loglik)
+        for j in (0, 2, 3):
+            self.assert_same_fit(stacked[j], alone[j])
+
+
 class TestObservedInformation:
     def test_symmetry(self, fitted_example):
         res, data = fitted_example
@@ -269,6 +342,16 @@ class TestLrTest:
         r2 = fm.fit(base_template(generator, free_dif=("y3",)), data)
         with pytest.raises(ValueError, match="not nested"):
             fm.lr_test(r1, r2)
+
+    @pytest.mark.parametrize("statistic", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_statistic_rejected(self, statistic):
+        # max(0.0, nan) is 0.0 in Python: a NaN statistic must not pass as 0
+        with pytest.raises(ValueError, match="finite"):
+            fm.LrTestResult.from_statistic(statistic, 1)
+
+    def test_small_negative_statistic_counts_as_zero(self):
+        res = fm.LrTestResult.from_statistic(-1e-10, 1)
+        assert res.statistic == 0.0 and res.p_value == 1.0
 
     def test_null_calibration(self, null_dif_study):
         # under a true null the rejection rate at p < 0.05 is near nominal
