@@ -198,7 +198,8 @@ def cmd_audit(args) -> int:
             "naive": audit_mod.counterfactual_check(model, X, args.reference_level, "naive"),
         }
     if args.outcome_col is not None:
-        outcome = dataset.column(args.outcome_col).astype(np.int64)
+        # as floats, so that predictive_parity refuses a 0.5 an integer cast would truncate to 0
+        outcome = dataset.column(args.outcome_col).astype(np.float64)
         report["predictive_parity"] = audit_mod.predictive_parity(
             scores["decision"], outcome, sensitive
         ).to_dict()

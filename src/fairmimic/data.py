@@ -20,7 +20,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from .exceptions import DataValidationError
-from .model import MimicModel, to_json
+from .model import MimicModel, _matrix, to_json
 
 ROLES = ("indicator", "covariate", "sensitive", "id", "ignore")
 
@@ -100,9 +100,7 @@ class Dataset:
 
     def covariate_matrix(self, names=None) -> np.ndarray:
         names = self.covariate_names if names is None else names
-        if not names:
-            return np.empty((self.n, 0))
-        return np.column_stack(self.role_columns(names, "covariate"))
+        return _matrix(self.role_columns(names, "covariate"), self.n)
 
     def role_columns(self, names, role) -> list:
         """The named columns, not copied, each checked to have ``role``."""

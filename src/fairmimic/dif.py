@@ -48,16 +48,10 @@ class DifRow:
     ci_high: float | None = None
     lr_statistic: float | None = None
     p_value: float | None = None
-    percent: PercentEffect | None = None  # for log-scale indicators
+    percent_effect: PercentEffect | None = None  # for log-scale indicators
     log_scale: bool = False
     converged: bool = True
     error: str | None = None
-
-    def to_dict(self) -> dict:
-        """The row's fields, ``percent`` written as ``percent_effect``."""
-        d = to_json(self)
-        d["percent_effect"] = d.pop("percent")
-        return d
 
 
 @dataclass(frozen=True)
@@ -170,7 +164,7 @@ def dif_scan(
                     ci_high=ci[1],
                     lr_statistic=test.statistic,
                     p_value=test.p_value,
-                    percent=pct,
+                    percent_effect=pct,
                     log_scale=log_flag,
                     converged=fit_j.converged,
                 )

@@ -12,10 +12,8 @@ from scipy.special import chdtrc
 from .exceptions import NotPositiveDefiniteError
 from .model import (
     MimicModel,
-    SampleMoments,
     _layout,
     _loglik,
-    _moments_of,
     _pack_fields,
     _stack_layout,
     data_moments,
@@ -204,37 +202,26 @@ def fit_stack(specs, data, options: OptimOptions | None = None, callback=None) -
     if not specs:
         raise ValueError("fit_stack needs at least one spec")
     k = _stack_layout(specs)[1]  # the specs share their names and length
-    spec = specs[0]
-    mom = data if isinstance(data, SampleMoments) else data_moments(spec, data)
-    q = spec.n_covariates
-    columns = mom.columns or ()
-    if columns[:q] != spec.covariate_names or columns[q + 1 :] != spec.indicator_names:
-        raise ValueError(
-            "sample moments must come from data_moments for the spec's covariates "
-            f"{spec.covariate_names} and indicators {spec.indicator_names}; got columns {mom.columns}"
-        )
-    for s in specs:
-        if mom.coding != s.sensitive_coding:
-            raise ValueError(
-                f"the spec codes the sensitive levels as {s.sensitive_coding}, "
-                f"the data as {mom.coding}"
-            )
-    n = mom.n
-    if n < k:
-        raise ValueError(f"need at least {k} rows to estimate {k} free parameters, got {n}")
+    mom = data
+    for s in specs:  # the moments are built for the first spec and checked against each
+        mom = data_moments(s, mom)
+    spec, q = specs[0], specs[0].n_covariates
+    if mom.n < k:
+        raise ValueError(f"need at least {k} rows to estimate {k} free parameters, got {mom.n}")
     var = np.diag(mom.gram)[q + 1 :]
     if np.any(var == 0.0):
         j = int(np.argmin(var))
         raise ValueError(f"indicator {spec.indicator_names[j]!r} is constant")
     if mom.gram[q, q] == 0.0:
         raise ValueError(
-            f"sensitive column {columns[q]!r} holds one group only; "
+            f"sensitive column {mom.columns[q]!r} holds one group only; "
             "its effect gamma is not identified"
         )
 
     start = pack if options.init == "model" else (lambda s: _start_values(s, mom))
     x = np.array([start(s) for s in specs])
-    ll, grad, hess = _stack_loglik(x, specs, mom)
+    ll, grad, hess = _loglik(x, specs, mom, order=2)
+    ll = ll.tolist()
     w, v = np.linalg.eigh(-hess)
     norm = _norms(grad)
     radius, n_iter = [1.0] * len(specs), [0] * len(specs)
@@ -280,24 +267,15 @@ def _norms(a) -> list:
     return np.sqrt((a * a).sum(1)).tolist()
 
 
-def _stack_loglik(x, specs, mom):
-    """Order-2 log-likelihood of a stack, the values as a list.  A stack of
-    one takes the unbatched evaluation, which gives the same numbers
-    faster."""
-    if len(specs) == 1:
-        ll, grad, hess = _loglik(x[0], specs[0], mom, order=2)
-        return [float(ll)], grad[None], hess[None]
-    ll, grad, hess = _loglik(x, specs, mom, order=2)
-    return ll.tolist(), grad, hess
-
-
 def _trial_loglik(x, specs, mom):
-    """:func:`_stack_loglik` at trial points.  A member whose point lies
-    outside the model gets log-likelihood -inf (a rejected step); when one
-    does, the members are evaluated one at a time to find it."""
+    """The order-2 log-likelihood of a stack at trial points, the values as
+    a list.  A member whose point lies outside the model gets log-likelihood
+    -inf (a rejected step); when one does, the members are evaluated one at
+    a time to find it."""
     try:
         with np.errstate(over="raise", invalid="raise"):
-            return _stack_loglik(x, specs, mom)
+            ll, grad, hess = _loglik(x, specs, mom, order=2)
+            return ll.tolist(), grad, hess
     except (FloatingPointError, NotPositiveDefiniteError):
         if len(specs) == 1:
             k = x.shape[1]
@@ -391,7 +369,7 @@ def observed_information(model: MimicModel, data) -> np.ndarray:
     Warns when the gradient norm suggests the model is not at a stationary
     point.
     """
-    _, g, hess = _loglik(pack(model), model, _moments_of(model, data), order=2)
+    _, g, hess = _loglik(pack(model), model, data_moments(model, data), order=2)
     if np.linalg.norm(g) >= STATIONARY_GRAD_NORM:
         warnings.warn(
             f"observed_information evaluated away from a stationary point "

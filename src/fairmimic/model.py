@@ -537,23 +537,46 @@ def sample_moments(columns) -> SampleMoments:
     return SampleMoments(n=n, mean=mean, gram=gram)
 
 
-def _moments_of(model: MimicModel, data) -> SampleMoments:
-    """Sample moments of the model's covariates, group codes and indicators
-    in ``data``, without their names or the fingerprint."""
-    return sample_moments(
-        data.role_columns(model.covariate_names, "covariate")
-        + [data.sensitive_codes()]
-        + data.role_columns(model.indicator_names, "indicator")
+def _check_coding(model: MimicModel, coding) -> None:
+    """Refuse data whose sensitive ``coding`` differs from the model's."""
+    if coding != model.sensitive_coding:
+        raise ValueError(f"the spec codes the sensitive levels as {model.sensitive_coding}, the data as {coding}")
+
+
+def _columns(model: MimicModel, data):
+    """The model's covariate columns, the rows' group codes and the model's
+    indicator columns in the dataset ``data``, none of them copied; every
+    read of a dataset by a model goes through here and its coding check."""
+    _check_coding(model, data.sensitive_coding)
+    return (
+        data.role_columns(model.covariate_names, "covariate"),
+        data.sensitive_codes(),
+        data.role_columns(model.indicator_names, "indicator"),
     )
 
 
+def _matrix(columns, n: int) -> np.ndarray:
+    """Equal-length columns of ``n`` rows side by side, as an n x d matrix."""
+    return np.column_stack(columns) if columns else np.empty((n, 0))
+
+
 def data_moments(model: MimicModel, data) -> SampleMoments:
-    """Sample moments of the model's covariates, group codes and
-    indicators in ``data``, with their column names, the dataset's
-    fingerprint and its sensitive coding; :func:`fairmimic.fit` accepts them
-    in place of ``data``."""
+    """Sample moments of the model's covariates, group codes and indicators
+    in ``data``, with their column names, the dataset's fingerprint and its
+    coding: the one way data reach the likelihood.  Such moments given as
+    ``data`` are checked to hold the model's columns and coding."""
+    if isinstance(data, SampleMoments):
+        q, columns = model.n_covariates, data.columns or ()
+        if columns[:q] != model.covariate_names or columns[q + 1 :] != model.indicator_names:
+            raise ValueError(
+                "sample moments must come from data_moments for the spec's covariates "
+                f"{model.covariate_names} and indicators {model.indicator_names}; got columns {data.columns}"
+            )
+        _check_coding(model, data.coding)
+        return data
+    cov, s, ind = _columns(model, data)
     return replace(
-        _moments_of(model, data),
+        sample_moments([*cov, s, *ind]),
         columns=(*model.covariate_names, data.sensitive_name, *model.indicator_names),
         fingerprint=data.fingerprint(),
         coding=dict(data.sensitive_coding),
@@ -562,10 +585,9 @@ def data_moments(model: MimicModel, data) -> SampleMoments:
 
 def _extract_arrays(model: MimicModel, data):
     """Row-wise (Y, X, s) arrays of the model's columns in ``data``."""
-    Y = data.indicator_matrix(model.indicator_names)
-    X = data.covariate_matrix(model.covariate_names)
-    s = data.sensitive_codes()
-    if not (np.all(np.isfinite(Y)) and np.all(np.isfinite(X)) and np.all(np.isfinite(s))):
+    cov, s, ind = _columns(model, data)
+    Y, X = np.column_stack(ind), _matrix(cov, len(s))
+    if not (np.all(np.isfinite(Y)) and np.all(np.isfinite(X))):
         raise ValueError("data contains missing or non-finite values")
     return Y, X, s
 
@@ -728,12 +750,12 @@ def _ll_value(x, spec, Y, X, s):
 def log_likelihood(model: MimicModel, data) -> float:
     """Conditional Gaussian log-likelihood of the indicators, summed over
     rows; covariates and the sensitive attribute are treated as fixed."""
-    return float(_loglik(pack(model), model, _moments_of(model, data)))
+    return float(_loglik(pack(model), model, data_moments(model, data)))
 
 
 def log_likelihood_grad(model: MimicModel, data) -> np.ndarray:
     """Gradient of :func:`log_likelihood` with respect to the packed free
     parameters (variances on the log scale); see :func:`param_names` for
     the coordinate order."""
-    _, grad = _loglik(pack(model), model, _moments_of(model, data), order=1)
+    _, grad = _loglik(pack(model), model, data_moments(model, data), order=1)
     return grad

@@ -11,11 +11,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
 from .data import group_codes, write_table
-from .model import MimicModel, _check_regressors, _covariate_matrix, _extract_arrays, implied_moments
+from .model import (
+    MimicModel, _check_regressors, _columns, _covariate_matrix, _extract_arrays, _matrix, implied_moments
+)
 
 
 def fair_score(model: MimicModel, covariates, reference_level=None) -> np.ndarray:
@@ -55,13 +58,14 @@ def as_codes(model: MimicModel, sensitive) -> np.ndarray:
 
 def nearest_rank_percentile(values, percentile: float) -> float:
     """Smallest sample value with at least ``percentile`` percent of the
-    sample at or below it."""
+    sample at or below it; the rank is exact for the decimal ``percentile``
+    prints as (16.1 percent of 1000 values is rank 161, not 162)."""
     values = np.asarray(values, dtype=np.float64)
     if values.size == 0:
         raise ValueError("cannot take a percentile of an empty sample")
     if not 0.0 < percentile < 100.0:
         raise ValueError("percentile must be strictly between 0 and 100")
-    rank = math.ceil(percentile * values.size / 100.0)
+    rank = math.ceil(Fraction(repr(float(percentile))) * values.size / 100)
     return float(np.sort(values)[rank - 1])
 
 
@@ -144,9 +148,10 @@ def score_dataset(
         raise ValueError("decided_on must be 'fair' or 'naive'")
     if reference_level is None:
         reference_level = model.reference_level
-    X = data.covariate_matrix(model.covariate_names)
+    cov, s, _ = _columns(model, data)
+    X = _matrix(cov, len(s))  # the covariates alone are stacked
     fair = fair_score(model, X, reference_level)
-    naive = naive_score(model, X, data.sensitive_codes())
+    naive = naive_score(model, X, s)
     chosen = fair if decided_on == "fair" else naive
     decisions, threshold = decide(chosen, percentile, reference_scores)
     return ScoreSet(

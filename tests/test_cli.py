@@ -259,6 +259,61 @@ class TestScoreAuditDif:
             assert str(spoiled) in err and repr(column) in err and "row 4" in err
         assert not (tmp_path / "audit").exists() and not (tmp_path / "rescored").exists()
 
+    def test_score_refuses_data_coded_the_other_way(self, tmp_path, capsys):
+        # the demo codes "w" as 0; roles without a sensitive_coding code the
+        # sorted labels, "b" as 0, which would swap every naive score's group
+        demo = Path(__file__).resolve().parents[1] / "scripts" / "demo_simspec.json"
+        sim, fit_out = tmp_path / "sim", tmp_path / "fit"
+        assert main(["simulate", "--spec", str(demo), "--out-dir", str(sim)]) == 0
+        common = ["--data", str(sim / "data.csv")]
+        assert main(["fit", *common, "--roles", str(sim / "roles.json"), "--out-dir", str(fit_out)]) == 0
+        roles = json.loads((sim / "roles.json").read_text())
+        del roles["sensitive_coding"]
+        uncoded = tmp_path / "roles.json"
+        uncoded.write_text(json.dumps(roles))
+        score = ["score", "--model", str(fit_out / "model.json"), *common]
+        assert main([*score, "--roles", str(sim / "roles.json"), "--out-dir", str(tmp_path / "ok")]) == 0
+        capsys.readouterr()
+        assert main([*score, "--roles", str(uncoded), "--out-dir", str(tmp_path / "swapped")]) == 1
+        assert "codes the sensitive levels" in capsys.readouterr().err
+        assert not (tmp_path / "swapped" / "scores.csv").exists()
+
+    def test_audit_refuses_a_non_binary_outcome(self, sim_dir, fit_dir, tmp_path, capsys):
+        score_dir = tmp_path / "scores"
+        main(
+            ["score", "--model", str(fit_dir / "model.json"), "--data", str(sim_dir / "data.csv"),
+             "--roles", str(sim_dir / "roles.json"), "--out-dir", str(score_dir)]
+        )
+        with open(sim_dir / "data.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        rows[0].append("outcome")
+        for i, row in enumerate(rows[1:]):
+            row.append(str(i % 2))
+        roles = json.loads((sim_dir / "roles.json").read_text())
+        roles_path = tmp_path / "roles.json"
+
+        def audit(outcome, out, role="covariate"):  # a numeric role is read as float64, "ignore" as text
+            roles["roles"]["outcome"] = role
+            roles_path.write_text(json.dumps(roles))
+            with open(tmp_path / "data.csv", "w", newline="", encoding="utf-8") as fh:
+                csv.writer(fh).writerows(rows)
+            return main(["audit", "--scores", str(score_dir / "scores.csv"), "--data", str(tmp_path / "data.csv"),
+                         "--roles", str(roles_path), "--outcome-col", outcome, "--out-dir", str(tmp_path / out)])
+
+        for role in ("covariate", "ignore"):
+            assert audit("outcome", role, role) == 0
+            report = json.loads((tmp_path / role / "audit_report.json").read_text())
+            assert report["predictive_parity"]["parity_gap"] is not None
+        assert (tmp_path / "covariate" / "audit_report.json").read_bytes() == (
+            tmp_path / "ignore" / "audit_report.json"
+        ).read_bytes()
+        capsys.readouterr()
+        rows[3][-1] = "0.5"  # once cast to an integer, it would read as 0
+        assert audit("outcome", "half") == 1
+        assert "outcome must be binary 0/1" in capsys.readouterr().err
+        assert audit("y2", "proxy") == 1  # a continuous column is no outcome
+        assert not (tmp_path / "half").exists() and not (tmp_path / "proxy").exists()
+
     def test_dif_table_schema(self, sim_dir, tmp_path):
         code = main(
             ["dif", "--data", str(sim_dir / "data.csv"), "--roles", str(sim_dir / "roles.json"),

@@ -164,11 +164,11 @@ class TestDifScan:
         )
         report = fm.dif_scan(base_template(gen), flagged)
         by_name = {r.indicator: r for r in report.rows}
-        assert by_name["y1"].percent is not None
-        assert by_name["y1"].percent[0] == pytest.approx(
+        assert by_name["y1"].percent_effect is not None
+        assert by_name["y1"].percent_effect[0] == pytest.approx(
             (math.exp(by_name["y1"].delta) - 1) * 100, rel=1e-12
         )
-        assert by_name["y2"].percent is None
+        assert by_name["y2"].percent_effect is None
 
     def test_requires_fully_constrained_base(self):
         gen = make_generator(dif=(0.0, 0.3, 0.0, 0.0))

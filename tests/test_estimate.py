@@ -126,11 +126,11 @@ class TestFit:
         data, _ = simulate_from(generator, n=400, seed=28)
         flipped = {k: 1 - v for k, v in data.sensitive_coding.items()}
         spec = fm.template(data.indicator_names, data.covariate_names, flipped)
-        for given in (data, data_moments(spec, data)):
-            with pytest.raises(ValueError, match="codes the sensitive levels"):
-                fm.fit(spec, given)
-        with pytest.raises(ValueError, match="codes the sensitive levels"):
-            fm.dif_scan(spec, data)
+        own = data_moments(base_template(generator), data)  # under the data's own coding
+        for call in (data_moments, fm.fit, fm.dif_scan):
+            for given in (data, own):
+                with pytest.raises(ValueError, match="codes the sensitive levels"):
+                    call(spec, given)
 
     def test_non_convergence_reported_not_raised(self, generator):
         data, _ = simulate_from(generator, n=600, seed=27)

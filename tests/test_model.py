@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -277,6 +278,23 @@ class TestSingularCovariance:
         data = _dataset_from_rows(self.MODEL, np.array([[0.0, 0.1], [0.3, 0.2]]), np.zeros((2, 1)), ["a", "b"])
         with pytest.raises(fm.NotPositiveDefiniteError, match="covariance is not positive definite"):
             call(self.MODEL, data)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [fm.log_likelihood, fm.log_likelihood_grad, fm.observed_information, fm.factor_score, fm.score_dataset],
+    ids=["log_likelihood", "log_likelihood_grad", "observed_information", "factor_score", "score_dataset"],
+)
+def test_data_coded_the_other_way_rejected(generator, call):
+    """Every entry point reading a dataset through a model refuses the same
+    table coded the other way round, which would swap the groups."""
+    data, _ = simulate_from(generator, n=200, seed=31)
+    swapped = fm.Dataset(data.column_order, data.roles, data.values, {"a": 1, "b": 0})
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # information away from the optimum
+        call(generator, data)
+    with pytest.raises(ValueError, match="codes the sensitive levels"):
+        call(generator, swapped)
 
 
 @given(st.data())

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import fairmimic as fm
+from fairmimic.model import to_json
 
 from conftest import base_template, make_generator, simulate_from
 
@@ -169,13 +170,12 @@ def test_dif_dicts():
     d = report.to_dict()
     assert set(d) == field_names(report) | {"schema_version"}
     rows = [fm.DifRow(indicator="y3", converged=False, error="ValueError: x"), *report.rows]
-    assert d["rows"] == [r.to_dict() for r in report.rows]
+    assert d["rows"] == [to_json(r) for r in report.rows]
     for row in rows:
-        rd = row.to_dict()
-        assert set(rd) == field_names(row) - {"percent"} | {"percent_effect"}
-    with_pct = report.rows[0].to_dict()["percent_effect"]
-    assert with_pct == dict(zip(("percent", "ci_low", "ci_high"), report.rows[0].percent))
-    assert report.rows[1].to_dict()["percent_effect"] is None
+        assert set(to_json(row)) == field_names(row)
+    with_pct = d["rows"][0]["percent_effect"]
+    assert with_pct == dict(zip(("percent", "ci_low", "ci_high"), report.rows[0].percent_effect))
+    assert d["rows"][1]["percent_effect"] is None
 
 
 def test_audit_select_and_transform_dicts():

@@ -145,6 +145,16 @@ class TestDecide:
             assert threshold == brute
             np.testing.assert_array_equal(decisions, (scores > brute).astype(int))
 
+    def test_decimal_percentile_takes_the_exact_rank(self):
+        # in floats 16.1 * 1000 / 100 is 161.00000000000003, whose ceiling
+        # is one rank too high
+        assert fm.decide(np.arange(1.0, 1001.0), 16.1)[1] == 161.0
+        for n in (10, 100, 1000, 2000):
+            values = np.arange(1.0, n + 1.0)
+            for tenths in range(1, 1000):
+                rank = -(-tenths * n // 1000)  # ceil(tenths / 10 * n / 100), in integers
+                assert fm.decide(values, tenths / 10)[1] == rank
+
     def test_selection_fraction_with_distinct_scores(self):
         rng = np.random.default_rng(5)
         scores = rng.permutation(1000).astype(float)
