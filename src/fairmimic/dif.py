@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .estimate import OptimOptions, fit, fit_stack, lr_test
-from .model import MimicModel, data_moments, to_json
+from .model import MimicModel, SampleMoments, data_moments, to_json
 
 
 def percent_effect(delta: float, ci=None):
@@ -124,7 +124,8 @@ def dif_scan(
     fails is recorded as failed and the scan continues; should the stacked
     solve itself raise, every row records that error.  The sample moments
     and the data fingerprint are built once and shared by every fit of the
-    scan.
+    scan.  ``data`` must be the :class:`~fairmimic.data.Dataset`, not its
+    sample moments: the percent effects read its ``log_scale``.
     """
     if base_spec.free_mask.any():
         raise ValueError("base_spec must have every dif offset constrained to 0")
@@ -136,6 +137,10 @@ def dif_scan(
     options = options or OptimOptions()
 
     mom = data_moments(base_spec, data)
+    if isinstance(data, SampleMoments):
+        raise TypeError(
+            "dif_scan needs the Dataset, not its SampleMoments: the percent effects read the dataset's log_scale"
+        )
     base_fit = fit(base_spec, mom, options)
     columns = [base_spec.indicator_names.index(name) for name in indicators_to_test]
     specs = [base_fit.model.with_values(free_mask=np.arange(base_spec.n_indicators) == j) for j in columns]

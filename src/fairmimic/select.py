@@ -1,14 +1,28 @@
 """LASSO feature selection with cross-validation, plus Spearman correlation.
 
-The solver is cyclic coordinate descent with soft-thresholding on the
-objective (1/2n)||y - b0 - F w||^2 + penalty * ||w||_1; the intercept is
-handled by centering and is never penalized.  It uses the covariance updates
-of Friedman, Hastie & Tibshirani (2010, JSS 33(1)): the objective depends on
-the data only through the centred moments G = Fc'Fc/n, c = Fc'yc/n and
-yy = yc'yc/n, so they are computed once per penalty path and every
-coordinate step costs O(q) instead of O(n).  The descent carries
-g = c - G w, which is Fc'r/n for the centred residual r, and after each
-change of w[j] updates it with the row G[j].
+The objective is (1/2n)||y - b0 - F w||^2 + penalty * ||w||_1; the intercept
+is handled by centering and is never penalized.  It depends on the data only
+through the centred moments G = Fc'Fc/n, c = Fc'yc/n and yy = yc'yc/n, which
+are computed once per penalty path.
+
+A path over a descending grid (:func:`cv_select`, for the full data and each
+fold) solves each penalty exactly on an active set.  Given a support A with
+signs s and a nonsingular G_AA, the only candidate is the solution of
+G_AA w_A = c_A - penalty s_A, and it is the LASSO solution when its signs
+are s and every column j off A has |c_j - G_jA w_A| <= penalty (the KKT
+conditions; Osborne, Presnell & Turlach 2000).  Each grid point tries the support and signs of the previous
+point's solution; if the check fails, it tries once more on a guessed set:
+the members whose sign did not hold dropped, and each violator added with
+the sign of its gradient.  Along a fine grid the set rarely changes, so one
+or two small solves usually settle a point.  Only when both fail does the
+point run cyclic coordinate descent from the previous solution, followed by
+the same exact step on the support the descent found.
+
+:func:`lasso_fit` is the descent alone: cyclic coordinate descent with
+soft-thresholding and the covariance updates of Friedman, Hastie & Tibshirani
+(2010, JSS 33(1)), so each coordinate step costs O(q) instead of O(n).  It
+carries g = c - G w, which is Fc'r/n for the centred residual r, and after
+each change of w[j] updates it with the row G[j].
 """
 
 from __future__ import annotations
@@ -99,11 +113,56 @@ def _descend(G, c, yy, penalty, w, trace=None):
     )
 
 
-def penalty_max(features, target) -> float:
-    """Smallest penalty at which every coefficient is exactly zero."""
+def _exact_step(G, c, penalty, w):
+    """The LASSO solution at ``penalty`` on the support and signs of ``w``
+    or, failing that, on one guessed update of them; None if neither holds
+    or a solve meets a singular G_AA.
+
+    A candidate is accepted when its signs hold and every gradient off its
+    support is at most ``penalty`` in absolute value.  The guess drops the
+    members whose sign did not hold and adds each violator with the sign of
+    its gradient.
+    """
+    signs = np.sign(w)
+    for _ in range(2):
+        active = signs.nonzero()[0]
+        new = np.zeros_like(w)
+        try:
+            new[active] = np.linalg.solve(G[active][:, active], c[active] - penalty * signs[active])
+        except np.linalg.LinAlgError:
+            return None
+        grad = c - G @ new
+        if not np.isfinite(grad).all():
+            return None
+        flipped = np.sign(new) != signs
+        over = np.abs(grad) > penalty
+        over[active] = False
+        if not (flipped | over).any():
+            return new
+        signs[flipped] = 0.0
+        signs[over] = np.sign(grad[over])
+    return None
+
+
+def _arrays(features, target):
     F = np.asarray(features, dtype=np.float64)
     y = np.asarray(target, dtype=np.float64)
-    return _penalty_max(_moments(F, y))
+    if F.ndim != 2 or y.ndim != 1 or F.shape[0] != y.shape[0]:
+        raise ValueError("features must be n x q and target length n")
+    return F, y
+
+
+def _check_penalties(values, name: str) -> None:
+    values = np.asarray(values, dtype=np.float64)
+    if not np.isfinite(values).all():
+        raise ValueError(f"{name} must be finite")
+    if (values < 0).any():
+        raise ValueError(f"{name} must be nonnegative")
+
+
+def penalty_max(features, target) -> float:
+    """Smallest penalty at which every coefficient is exactly zero."""
+    return _penalty_max(_moments(*_arrays(features, target)))
 
 
 def _penalty_max(mom: _Moments) -> float:
@@ -120,7 +179,7 @@ def lasso_fit(features, target, penalty_weight: float, w0=None, trace=None):
     ----------
     features : (n, q) array
     target : (n,) array
-    penalty_weight : float, >= 0
+    penalty_weight : float, finite and >= 0
     w0 : optional warm-start coefficients.
     trace : optional list; if given, the objective value after each sweep is
         appended (used to check that sweeps never increase the objective).
@@ -135,12 +194,8 @@ def lasso_fit(features, target, penalty_weight: float, w0=None, trace=None):
         If the maximum coefficient change is still above 1e-7 after 10^4
         sweeps.
     """
-    F = np.asarray(features, dtype=np.float64)
-    y = np.asarray(target, dtype=np.float64)
-    if F.ndim != 2 or y.ndim != 1 or F.shape[0] != y.shape[0]:
-        raise ValueError("features must be n x q and target length n")
-    if penalty_weight < 0:
-        raise ValueError("penalty_weight must be nonnegative")
+    F, y = _arrays(features, target)
+    _check_penalties(penalty_weight, "penalty_weight")
     mom = _moments(F, y)
     w = np.zeros(F.shape[1]) if w0 is None else np.array(w0, dtype=np.float64)
     _descend(mom.G, mom.c, mom.yy, penalty_weight, w, trace)
@@ -198,12 +253,19 @@ class LassoPath:
 
 def _fit_path(mom: _Moments, grid):
     """Coefficients and intercepts over a descending grid from one set of
-    moments, warm-starting each penalty from the previous solution."""
+    moments: each penalty is solved by :func:`_exact_step` from the previous
+    solution, or by descent from it when that step fails (module docstring)."""
     q = mom.c.shape[0]
     coefs = np.empty((len(grid), q))
     w = np.zeros(q)
     for i, pen in enumerate(grid):
-        coefs[i] = _descend(mom.G, mom.c, mom.yy, pen, w)
+        exact = _exact_step(mom.G, mom.c, pen, w)
+        if exact is None:
+            _descend(mom.G, mom.c, mom.yy, pen, w)
+            exact = _exact_step(mom.G, mom.c, pen, w)
+        if exact is not None:
+            w = exact
+        coefs[i] = w
     return coefs, mom.y_mean - coefs @ mom.f_mean
 
 
@@ -223,8 +285,7 @@ def cv_select(
     minimum.  Fold assignment is a seeded permutation, so the result is
     deterministic given the seed.
     """
-    F = np.asarray(features, dtype=np.float64)
-    y = np.asarray(target, dtype=np.float64)
+    F, y = _arrays(features, target)
     n = F.shape[0]
     if k_folds < 2:
         raise ValueError("k_folds must be at least 2")
@@ -237,6 +298,9 @@ def cv_select(
         grid = _penalty_grid(_penalty_max(full), GRID_POINTS, GRID_RATIO)
     else:
         grid = np.asarray(penalty_grid, dtype=np.float64)
+        if grid.ndim != 1 or grid.size == 0:
+            raise ValueError("penalty_grid must be a non-empty 1-D sequence")
+        _check_penalties(grid, "penalty_grid")
         if np.any(np.diff(grid) > 0):
             raise ValueError("penalty_grid must be descending")
 

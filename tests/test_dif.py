@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import fairmimic as fm
 from fairmimic import dif as dif_mod
+from fairmimic.model import data_moments
 
 from conftest import CODING, base_template, make_generator, simulate_from
 
@@ -180,6 +181,19 @@ class TestDifScan:
         data, _ = simulate_from(generator, n=500, seed=64)
         with pytest.raises(ValueError, match="unknown indicators"):
             fm.dif_scan(base_template(generator), data, indicators_to_test=["nope"])
+
+    def test_sample_moments_refused_before_fitting(self, generator, monkeypatch):
+        # the percent effects need the dataset's log_scale, which moments lack
+        data, _ = simulate_from(generator, n=500, seed=64)
+        mom = data_moments(base_template(generator), data)
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("dif_scan fitted before refusing its input")
+
+        monkeypatch.setattr(dif_mod, "fit", no_fit)
+        monkeypatch.setattr(dif_mod, "fit_stack", no_fit)
+        with pytest.raises(TypeError, match="log_scale"):
+            fm.dif_scan(base_template(generator), mom)
 
     def test_per_indicator_failure_recorded_and_scan_continues(self, generator, monkeypatch):
         # The nested fits run as one stacked solve; the LR test is still

@@ -30,8 +30,9 @@ def shifted_instance(n, q, seed):
     return F, y
 
 
-def residual_lasso(F, y, pen, w0=None):
-    """Oracle: coordinate descent on the row-wise residual, O(n) per step.
+def residual_lasso(F, y, pen, w0=None, tol=select.COEF_TOL):
+    """Oracle: coordinate descent on the row-wise residual, O(n) per step,
+    until the largest change in a sweep is below ``tol``.
 
     Returns the intercept and the coefficients after every sweep.
     """
@@ -54,7 +55,7 @@ def residual_lasso(F, y, pen, w0=None):
                 w[j] = new
                 max_change = max(max_change, abs(new - old))
         sweeps.append(w.copy())
-        if max_change < select.COEF_TOL:
+        if max_change < tol:
             return y.mean() - F.mean(axis=0) @ w, sweeps
     raise AssertionError("oracle did not converge")
 
@@ -147,6 +148,8 @@ class TestLassoFit:
             fm.lasso_fit(np.zeros((3, 2)), np.zeros(3), -0.1)
         with pytest.raises(ValueError, match="non-finite"):
             fm.lasso_fit(np.array([[1.0], [np.nan], [2.0]]), np.zeros(3), 0.1)
+        with pytest.raises(ValueError, match="finite"):
+            fm.lasso_fit(np.zeros((3, 2)), np.zeros(3), np.nan)
 
 
 class TestGramFormOracle:
@@ -167,7 +170,7 @@ class TestGramFormOracle:
         path = fm.cv_select(F, y, k_folds=5, seed=4)
         w = np.zeros(8)
         for i, pen in enumerate(path.penalties):
-            b0, sweeps = residual_lasso(F, y, pen, w0=w)
+            b0, sweeps = residual_lasso(F, y, pen, w0=w, tol=1e-13)
             w = sweeps[-1]
             np.testing.assert_allclose(path.coefs[i], w, rtol=0, atol=1e-9)
             assert path.intercepts[i] == pytest.approx(b0, rel=0, abs=1e-9)
@@ -217,8 +220,78 @@ class TestGramFormOracle:
         monkeypatch.setattr(select, "MAX_SWEEPS", 1)
         with pytest.raises(ConvergenceError):
             fm.lasso_fit(F, y, 0.01 * fm.penalty_max(F, y))
+        fm.cv_select(F, y, k_folds=5)  # every point solved exactly, no descent
+        # refusing the exact step forces the descent fallback
+        monkeypatch.setattr(select, "_exact_step", lambda G, c, penalty, w: None)
         with pytest.raises(ConvergenceError):
             fm.cv_select(F, y, k_folds=5)
+
+
+def path_kkt_violation(mom, grid, coefs):
+    """Worst KKT violation over a path, from the moments (G, c), relative to
+    max|c|."""
+    worst = 0.0
+    for pen, w in zip(grid, coefs):
+        g = mom.c - mom.G @ w
+        on = w != 0.0
+        viol = np.concatenate([np.abs(g[on] - pen * np.sign(w[on])), np.maximum(np.abs(g[~on]) - pen, 0.0)])
+        worst = max(worst, viol.max())
+    return worst / np.abs(mom.c).max()
+
+
+def correlated_instance(seed):
+    """x3 is close to (x1 + x2) / 2 but absent from y: it enters the path
+    first and leaves it once x1 and x2 are in."""
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(200, 4))
+    x3 = 0.5 * (X[:, 0] + X[:, 1]) + 0.2 * rng.normal(size=200)
+    F = np.column_stack([X[:, 0], X[:, 1], x3, X[:, 2], X[:, 3]])
+    y = F[:, 0] + F[:, 1] + 0.3 * F[:, 3] + 0.5 * rng.normal(size=200)
+    return F, y
+
+
+class TestExactPath:
+    """Each point of a cv_select path is an exact solution on its active set."""
+
+    @pytest.mark.parametrize(
+        "F, y",
+        [shifted_instance(300, 8, seed=93), random_instance(500, 12, seed=98)[:2], correlated_instance(3)],
+        ids=["shifted", "sparse", "correlated"],
+    )
+    def test_every_path_point_meets_kkt(self, F, y, monkeypatch):
+        paths = []
+        fit_path = select._fit_path
+
+        def recorded(mom, grid):
+            coefs, intercepts = fit_path(mom, grid)
+            paths.append((mom, grid, coefs))
+            return coefs, intercepts
+
+        monkeypatch.setattr(select, "_fit_path", recorded)
+        fm.cv_select(F, y, k_folds=5, seed=1)
+        assert len(paths) == 1 + 5  # each fold, then the full data
+        for mom, grid, coefs in paths:
+            assert path_kkt_violation(mom, grid, coefs) <= 1e-12
+
+    def test_coefficient_leaving_the_set_matches_oracle(self, monkeypatch):
+        F, y = correlated_instance(3)
+        descended = []
+        descend = select._descend
+        monkeypatch.setattr(
+            select, "_descend", lambda G, c, yy, pen, w: descended.append(pen) or descend(G, c, yy, pen, w)
+        )
+        path = fm.cv_select(F, y, k_folds=5, seed=0)
+        on = path.coefs != 0.0
+        left = np.flatnonzero((on[:-1] & ~on[1:]).any(axis=1)) + 1
+        assert left.size > 0 and on[left[0] - 1, 2] and not on[left[0], 2]
+        # x3 left at a point the guessed update solved, without descent
+        assert path.penalties[left[0]] not in descended
+        w = np.zeros(5)
+        for i, pen in enumerate(path.penalties):
+            b0, sweeps = residual_lasso(F, y, pen, w0=w, tol=1e-13)
+            w = sweeps[-1]
+            np.testing.assert_allclose(path.coefs[i], w, rtol=0, atol=1e-9)
+            assert path.intercepts[i] == pytest.approx(b0, rel=0, abs=1e-9)
 
 
 class TestCvSelect:
@@ -272,6 +345,31 @@ class TestCvSelect:
         p_min = fm.cv_select(F, y, k_folds=5, seed=0, rule="min")
         p_1se = fm.cv_select(F, y, k_folds=5, seed=0, rule="1se")
         assert p_1se.chosen_penalty >= p_min.chosen_penalty
+
+    @pytest.mark.parametrize(
+        "case, match",
+        [
+            ("1-D features", "n x q"),
+            ("short target", "n x q"),
+            ("empty grid", "non-empty"),
+            ("negative penalty", "nonnegative"),
+            ("NaN penalty", "finite"),
+            ("infinite penalty", "finite"),
+        ],
+    )
+    def test_invalid_inputs(self, case, match):
+        F, y, _ = random_instance(40, 3, seed=81)
+        pmax = fm.penalty_max(F, y)
+        args = {
+            "1-D features": (F[:, 0], y, None),
+            "short target": (F, y[:-1], None),
+            "empty grid": (F, y, []),
+            "negative penalty": (F, y, [pmax, 0.1 * pmax, -0.01 * pmax]),
+            "NaN penalty": (F, y, [pmax, np.nan]),
+            "infinite penalty": (F, y, [np.inf, pmax]),
+        }[case]
+        with pytest.raises(ValueError, match=match):
+            fm.cv_select(args[0], args[1], k_folds=5, penalty_grid=args[2])
 
     def test_fold_too_small_rejected(self):
         F, y, _ = random_instance(5, 2, seed=79)
