@@ -17,8 +17,8 @@ from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import ndtri
 
+from ._special import ndtri
 from .exceptions import DataValidationError
 from .model import MimicModel, _matrix, to_json
 
@@ -127,7 +127,9 @@ class Dataset:
 
     def fingerprint(self) -> str:
         """SHA-256 over a canonical text serialization of the table and its
-        role metadata; used to check that two fits saw the same data."""
+        role metadata: equal fingerprints mean the same table.  Fits identify
+        their data by the cheaper digest of the sample moments instead
+        (``model.data_moments``)."""
         h = hashlib.sha256()
         meta = {
             "columns": list(self.column_order),
@@ -630,12 +632,25 @@ class SimSpec:
         )
 
 
+# Entries that _gauss draws and transforms at a time: the quantile's
+# temporaries stay in cache, and a large draw holds no full-size uniforms.
+GAUSS_BLOCK = 1 << 14
+
+
 def _gauss(rng, size):
     # Inverse-CDF transform of 53-bit uniforms from PCG64.  The uniforms are
     # (k + 0.5) * 2^-53 with k drawn as integers, so they lie strictly inside
     # (0, 1) and the output stream is reproducible bit-for-bit from the seed.
-    u = (rng.integers(0, 1 << 53, size=size).astype(np.float64) + 0.5) * 2.0**-53
-    return ndtri(u)
+    # Successive integer draws continue one stream, so drawing block by
+    # block gives the same values as one draw of every entry.
+    out = np.empty(size)
+    flat = out.reshape(-1)
+    for a in range(0, flat.size, GAUSS_BLOCK):
+        u = rng.integers(0, 1 << 53, size=min(GAUSS_BLOCK, flat.size - a)).astype(np.float64)
+        u += 0.5
+        u *= 2.0**-53
+        flat[a : a + u.size] = ndtri(u)
+    return out
 
 
 def simulate(spec: SimSpec):
@@ -650,11 +665,17 @@ def simulate(spec: SimSpec):
     rng = np.random.default_rng(spec.seed)
 
     s = (rng.random(n) < spec.group_prob).astype(np.float64)
-    X = _gauss(rng, (n, q))
+    # One quantile pass for every normal draw: the uniforms are the same
+    # stream as drawing the covariates, the latent noise and the indicator
+    # noise in turn.
+    z = _gauss(rng, n * (q + 1 + p))
+    X = z[: n * q].reshape(n, q)
     if spec.group_shift is not None:
         X = X + s[:, None] * spec.group_shift[None, :]
-    zeta = _gauss(rng, n) * np.sqrt(model.latent_var)
-    eps = _gauss(rng, (n, p)) * np.sqrt(model.resid_vars)[None, :]
+    zeta = z[n * q : n * (q + 1)]
+    zeta *= np.sqrt(model.latent_var)
+    eps = z[n * (q + 1) :].reshape(n, p)
+    eps *= np.sqrt(model.resid_vars)[None, :]
 
     eta = X @ model.struct_coefs + model.sens_coef * s + zeta
     Y = (

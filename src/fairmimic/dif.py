@@ -122,8 +122,8 @@ def dif_scan(
     nonnegative), and the estimate, Wald interval, LR statistic and p-value
     recorded.  The refits run as one stacked solve.  A row whose result
     fails is recorded as failed and the scan continues; should the stacked
-    solve itself raise, every row records that error.  The sample moments
-    and the data fingerprint are built once and shared by every fit of the
+    solve itself raise, every row records that error.  The sample moments,
+    with their fingerprint, are built once and shared by every fit of the
     scan.  ``data`` must be the :class:`~fairmimic.data.Dataset`, not its
     sample moments: the percent effects read its ``log_scale``.
     """

@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import chdtrc
 
+from ._special import chi2_sf
 from .exceptions import NotPositiveDefiniteError
 from .model import (
     MimicModel,
@@ -105,14 +106,16 @@ class LrTestResult:
     def from_statistic(cls, statistic: float, df: int) -> "LrTestResult":
         """The test of ``statistic`` against chi-square with ``df`` degrees
         of freedom; a small negative statistic (float noise in two nearly
-        equal log-likelihoods) counts as 0, a non-finite one raises."""
+        equal log-likelihoods) counts as 0, a non-finite one raises, and so
+        does a ``df`` that is not a nonnegative integer."""
         if not math.isfinite(statistic):
             raise ValueError(f"LR statistic must be finite, got {statistic}")
         statistic = max(0.0, float(statistic))
-        if df < 0:
-            raise ValueError("df must be nonnegative")
+        if isinstance(df, bool) or not isinstance(df, numbers.Integral) or df < 0:
+            raise ValueError(f"df must be a nonnegative integer, got {df!r}")
+        df = int(df)
         # df == 0 means the models coincide; the test is vacuous.
-        p = 1.0 if df == 0 else float(chdtrc(df, statistic))
+        p = 1.0 if df == 0 else chi2_sf(statistic, df)
         return cls(statistic=statistic, df=df, p_value=p)
 
 
@@ -381,8 +384,9 @@ def observed_information(model: MimicModel, data) -> np.ndarray:
 def lr_test(full: FitResult, nested: FitResult) -> LrTestResult:
     """Likelihood-ratio test of ``nested`` against ``full``.
 
-    Both fits must come from the same data (checked by fingerprint) and the
-    nested model's free parameters must be a subset of the full model's.
+    Both fits must come from the same data (checked by the fingerprint of
+    their sample moments) and the nested model's free parameters must be a
+    subset of the full model's.
     """
     if full.data_fingerprint != nested.data_fingerprint:
         raise ValueError("fits were computed on different datasets")

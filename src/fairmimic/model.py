@@ -19,6 +19,7 @@ constrained optimization.
 from __future__ import annotations
 
 import functools
+import hashlib
 import json
 import math
 from dataclasses import dataclass, fields, is_dataclass, replace
@@ -497,8 +498,9 @@ class SampleMoments:
     the column means and ``gram = sum_i (w_i - mean)(w_i - mean)'``.
 
     Moments built by :func:`data_moments` also record the names of the
-    columns, in that order, the fingerprint of the dataset and its
-    sensitive coding; those from :func:`sample_moments` record none of them.
+    columns, in that order, the dataset's sensitive coding and a SHA-256
+    ``fingerprint`` of all of these; those from :func:`sample_moments`
+    record none of them.
     """
 
     n: int
@@ -562,9 +564,13 @@ def _matrix(columns, n: int) -> np.ndarray:
 
 def data_moments(model: MimicModel, data) -> SampleMoments:
     """Sample moments of the model's covariates, group codes and indicators
-    in ``data``, with their column names, the dataset's fingerprint and its
-    coding: the one way data reach the likelihood.  Such moments given as
-    ``data`` are checked to hold the model's columns and coding."""
+    in ``data``, with their column names, the dataset's coding and their
+    fingerprint: the one way data reach the likelihood.  Such moments given
+    as ``data`` are checked to hold the model's columns and coding.
+
+    The likelihood reads the data only through these moments, so their
+    digest is what identifies "the same data" for ``lr_test``; it costs
+    O(d^2) whatever the number of rows."""
     if isinstance(data, SampleMoments):
         q, columns = model.n_covariates, data.columns or ()
         if columns[:q] != model.covariate_names or columns[q + 1 :] != model.indicator_names:
@@ -575,12 +581,13 @@ def data_moments(model: MimicModel, data) -> SampleMoments:
         _check_coding(model, data.coding)
         return data
     cov, s, ind = _columns(model, data)
-    return replace(
-        sample_moments([*cov, s, *ind]),
-        columns=(*model.covariate_names, data.sensitive_name, *model.indicator_names),
-        fingerprint=data.fingerprint(),
-        coding=dict(data.sensitive_coding),
-    )
+    mom = sample_moments([*cov, s, *ind])
+    columns = (*model.covariate_names, data.sensitive_name, *model.indicator_names)
+    # _columns checked that the model's coding, which holds plain ints, is the data's
+    digest = hashlib.sha256(json.dumps([mom.n, columns, model.sensitive_coding], sort_keys=True).encode())
+    digest.update(mom.mean.tobytes())
+    digest.update(mom.gram.tobytes())
+    return replace(mom, columns=columns, fingerprint=digest.hexdigest(), coding=dict(data.sensitive_coding))
 
 
 def _extract_arrays(model: MimicModel, data):

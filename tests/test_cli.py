@@ -357,11 +357,55 @@ class TestScoreAuditDif:
         assert code == 1
 
 
-def test_import_leaves_scipy_stats_unloaded():
-    # scipy.stats and scipy.linalg would be much of the import time that
-    # every command pays; the package needs only scipy.special.
+def _run_python(code: str, *args: str) -> subprocess.CompletedProcess:
+    """Run ``code`` with ``args`` in a fresh interpreter that imports this package."""
     src = str(Path(fm.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = "import sys, fairmimic.cli; print([m in sys.modules for m in ('scipy.stats', 'scipy.linalg')])"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
-    assert proc.stdout.strip() == "[False, False]"
+    return subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True, env=env)
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # scipy would be about half of the import time that every command pays;
+    # the package needs none of it, so no scipy module at all is loaded.
+    proc = _run_python(
+        "import sys, fairmimic.cli\n"
+        "print([m in sys.modules for m in ('scipy.stats', 'scipy.linalg')])\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n")[:2] == ["[False, False]", "[]"]
+
+
+NO_SCIPY_RUN = """
+import importlib.abc, json, sys
+
+class RefuseScipy(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError(f"scipy is not importable here: {name}")
+        return None
+
+sys.meta_path.insert(0, RefuseScipy())
+from fairmimic.cli import main
+
+out = sys.argv[1]
+data = ["--data", f"{out}/sim/data.csv", "--roles", f"{out}/sim/roles.json"]
+codes = [
+    main(["simulate", "--spec", f"{out}/simspec.json", "--out-dir", f"{out}/sim"]),
+    main(["fit", *data, "--out-dir", f"{out}/fit"]),
+    main(["dif", *data, "--out-dir", f"{out}/dif"]),
+]
+print(json.dumps(codes))
+"""
+
+
+def test_cli_runs_with_scipy_unimportable(tmp_path):
+    # scipy is a test oracle, not a runtime dependency: simulate, fit and a
+    # DIF scan run through the CLI with every scipy import refused.
+    spec = fm.SimSpec(n=600, model=make_generator(dif=(0.0, 0.0, 0.3, 0.0)), group_prob=0.5, seed=5)
+    (tmp_path / "simspec.json").write_text(json.dumps(spec.to_dict()))
+    proc = _run_python(NO_SCIPY_RUN, str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[0, 0, 0]"
+    report = json.loads((tmp_path / "dif" / "dif_report.json").read_text())
+    assert all(0.0 <= row["p_value"] <= 1.0 for row in report["rows"])

@@ -245,8 +245,9 @@ class TestDifScan:
         count(dif_mod, "fit_stack")
         report = fm.dif_scan(base_template(generator), data)
         assert all(r.error is None for r in report.rows)
-        # one base fit, then one stacked solve for the four nested fits
-        assert calls == {"fingerprint": 1, "sensitive_codes": 1, "fit": 1, "fit_stack": 1}
+        # one base fit, then one stacked solve for the four nested fits; the
+        # fingerprint is a digest of the moments, so the table is never hashed
+        assert calls == {"sensitive_codes": 1, "fit": 1, "fit_stack": 1}
 
     def test_text_table_mirrors_report(self, generator):
         data, _ = simulate_from(generator, n=600, seed=66)

@@ -182,9 +182,10 @@ class TestFitFromMoments:
         data, _ = simulate_from(generator, n=800, seed=47)
         spec = base_template(generator, free_dif=("y2",))
         from_data = fm.fit(spec, data)
-        from_moments = fm.fit(spec, data_moments(spec, data))
+        mom = data_moments(spec, data)
+        from_moments = fm.fit(spec, mom)
         assert from_moments.to_dict() == from_data.to_dict()
-        assert from_moments.data_fingerprint == data.fingerprint()
+        assert from_moments.data_fingerprint == mom.fingerprint
 
     def test_refuses_moments_not_built_for_the_spec(self, generator):
         data, _ = simulate_from(generator, n=400, seed=48)
@@ -335,6 +336,42 @@ class TestLrTest:
         r2 = fm.fit(base_template(generator), d2)
         with pytest.raises(ValueError, match="different datasets"):
             fm.lr_test(r1, r2)
+
+    @pytest.mark.parametrize(
+        "column, edit",
+        [
+            ("y3", "bump"),
+            ("x2", "bump"),
+            ("group", "flip"),
+            # rows 0 and 8 meet in one accumulator of numpy's unrolled sum, so
+            # the swap keeps the column mean bit for bit and moves only the Gram
+            ("y3", "swap"),
+        ],
+    )
+    def test_tables_differing_in_a_cell_or_two_rejected(self, generator, column, edit):
+        d1, _ = simulate_from(generator, n=400, seed=31)
+        value = d1.column(column).copy()
+        if edit == "bump":
+            value[17] += 0.25
+        elif edit == "flip":
+            value[17] = {"a": "b", "b": "a"}[value[17]]
+        else:
+            value[[0, 8]] = value[[8, 0]]
+        d2 = d1.replace_columns({column: value})
+        r1 = fm.fit(base_template(generator), d1)
+        r2 = fm.fit(base_template(generator), d2)
+        with pytest.raises(ValueError, match="different datasets"):
+            fm.lr_test(r1, r2)
+
+    @pytest.mark.parametrize("df", [True, 1.5, 1.0, "1", -1])
+    def test_df_must_be_a_nonnegative_integer(self, df):
+        with pytest.raises(ValueError, match="df must be a nonnegative integer"):
+            fm.LrTestResult.from_statistic(3.0, df)
+
+    def test_numpy_integer_df_accepted(self):
+        res = fm.LrTestResult.from_statistic(3.0, np.int64(2))
+        assert res.df == 2 and type(res.df) is int
+        assert res.p_value == pytest.approx(float(chi2.sf(3.0, 2)), rel=1e-13)
 
     def test_non_nested_rejected(self, generator):
         data, _ = simulate_from(generator, n=400, seed=33)
