@@ -2,21 +2,30 @@
 
 The objective is (1/2n)||y - b0 - F w||^2 + penalty * ||w||_1; the intercept
 is handled by centering and is never penalized.  It depends on the data only
-through the centred moments G = Fc'Fc/n, c = Fc'yc/n and yy = yc'yc/n, which
-are computed once per penalty path.
+through the centred moments G = Fc'Fc/n, c = Fc'yc/n and yy = yc'yc/n.
 
-A path over a descending grid (:func:`cv_select`, for the full data and each
-fold) solves each penalty exactly on an active set.  Given a support A with
-signs s and a nonsingular G_AA, the only candidate is the solution of
-G_AA w_A = c_A - penalty s_A, and it is the LASSO solution when its signs
-are s and every column j off A has |c_j - G_jA w_A| <= penalty (the KKT
-conditions; Osborne, Presnell & Turlach 2000).  Each grid point tries the support and signs of the previous
-point's solution; if the check fails, it tries once more on a guessed set:
-the members whose sign did not hold dropped, and each violator added with
-the sign of its gradient.  Along a fine grid the set rarely changes, so one
-or two small solves usually settle a point.  Only when both fail does the
-point run cyclic coordinate descent from the previous solution, followed by
-the same exact step on the support the descent found.
+:func:`cv_select` reads each row once: it takes the count, means, centred
+Gram matrix and column range of each fold's rows, and pools them (Chan,
+Golub & LeVeque 1983, Am. Stat. 37(3)): the Gram matrices add, plus
+n_g (m_g - m)(m_g - m)' for each part's mean m_g about the pooled mean m.
+A training set pools a prefix of the folds with a suffix, so the k training
+sets cost O(k d^2), and all folds pooled are the full data.  Nothing is
+subtracted from a larger Gram matrix, so a column that is constant on the
+training rows is found by its range and gets exactly zero moments.
+
+A path over a descending grid (the full data and each training set) is
+solved exactly, one affine segment per active set.  Given a support A with
+signs s and a nonsingular G_AA, the only candidate at a penalty is the
+solution of G_AA w_A = c_A - penalty s_A, which is u - penalty v for the one
+solve G_AA [u v] = [c_A s_A] (Efron, Hastie, Johnstone & Tibshirani 2004,
+Ann. Statist. 32(2)).  It is the LASSO solution when its signs are s and
+every column j off A has |c_j - G_jA w_A| <= penalty (the KKT conditions;
+Osborne, Presnell & Turlach 2000).  A segment checks every remaining grid
+point at once and keeps the leading run that passes.  Where it ends, the
+next segment is a guessed set: the members whose sign did not hold dropped,
+and each violator added with the sign of its gradient.  Only when that
+fails too does the point run cyclic coordinate descent from the previous
+solution, followed by the same two tries on the support the descent found.
 
 :func:`lasso_fit` is the descent alone: cyclic coordinate descent with
 soft-thresholding and the covariance updates of Friedman, Hastie & Tibshirani
@@ -49,6 +58,16 @@ def _soft_threshold(z: float, threshold: float) -> float:
     return 0.0
 
 
+class _Part(NamedTuple):
+    """Moments of some rows of (F, y), before scaling: pooled by :func:`_pool`."""
+
+    n: int
+    mean: np.ndarray  # (q + 1,) column means of F, then of y
+    gram: np.ndarray  # (q + 1, q + 1) centred Gram matrix of [F, y], not divided by n
+    lo: np.ndarray  # (q,) column minima of F
+    hi: np.ndarray  # (q,) column maxima of F
+
+
 class _Moments(NamedTuple):
     f_mean: np.ndarray  # (q,) column means of F
     y_mean: float
@@ -57,30 +76,57 @@ class _Moments(NamedTuple):
     yy: float  # yc'yc / n
 
 
-def _moments(F, y) -> _Moments:
-    """Column means and centred second moments of (F, y), divided by n.
-
-    A constant column gets exactly zero moments: ``np.mean`` of a constant is
-    often inexact, which would leave it a tiny centred variance and let the
-    descent give it a coefficient at a penalty near 0.
-    """
-    q = F.shape[1]
+def _part(F, y) -> _Part:
+    """The moments of the rows (F, y), each row read once by ``sample_moments``."""
     mom = sample_moments(list(F.T) + [y])
-    scaled = mom.gram / mom.n
-    # A constant column's mean is off by about log2(n) * eps relative, so its
-    # centred variance is far below (1e-8 * mean)^2; only such columns are
-    # tested for exact constancy.
-    small = np.flatnonzero(np.diag(scaled)[:q] <= (1e-8 * mom.mean[:q]) ** 2)
-    constant = small[F[:, small].max(axis=0) == F[:, small].min(axis=0)]
+    return _Part(mom.n, mom.mean, mom.gram, F.min(axis=0), F.max(axis=0))
+
+
+def _pool(a: _Part | None, b: _Part | None) -> _Part | None:
+    """The moments of the rows of both parts, either of which may be None
+    for no rows (Chan, Golub & LeVeque 1983): the centred Gram matrices add,
+    plus the spread of the two means about the pooled one.  Nothing is
+    subtracted, so no cancellation enters, and a column constant on the rows
+    of both keeps only a rounding-size Gram row, which :func:`_scaled`
+    zeroes exactly."""
+    if a is None or b is None:
+        return b if a is None else a
+    n = a.n + b.n
+    delta = b.mean - a.mean
+    return _Part(
+        n=n,
+        mean=a.mean + delta * (b.n / n),
+        gram=a.gram + b.gram + np.outer(delta, delta * (a.n * b.n / n)),
+        lo=np.minimum(a.lo, b.lo),
+        hi=np.maximum(a.hi, b.hi),
+    )
+
+
+def _scaled(part: _Part) -> _Moments:
+    """Column means and centred second moments divided by n.
+
+    A constant column, one whose minimum equals its maximum, gets exactly
+    zero moments: ``np.mean`` of a constant is often inexact, which would
+    leave it a tiny centred variance and let the descent give it a
+    coefficient at a penalty near 0.
+    """
+    q = part.lo.shape[0]
+    scaled = part.gram / part.n
+    constant = np.flatnonzero(part.lo == part.hi)
     scaled[constant, :] = 0.0
     scaled[:, constant] = 0.0
     return _Moments(
-        f_mean=mom.mean[:q],
-        y_mean=float(mom.mean[q]),
+        f_mean=part.mean[:q],
+        y_mean=float(part.mean[q]),
         G=scaled[:q, :q],
         c=scaled[:q, q],
         yy=float(scaled[q, q]),
     )
+
+
+def _moments(F, y) -> _Moments:
+    """Column means and centred second moments of (F, y), divided by n."""
+    return _scaled(_part(F, y))
 
 
 def _descend(G, c, yy, penalty, w, trace=None):
@@ -113,35 +159,50 @@ def _descend(G, c, yy, penalty, w, trace=None):
     )
 
 
-def _exact_step(G, c, penalty, w):
-    """The LASSO solution at ``penalty`` on the support and signs of ``w``
-    or, failing that, on one guessed update of them; None if neither holds
-    or a solve meets a singular G_AA.
+def _segment(G, c, penalties, signs):
+    """The LASSO solutions on the support A and signs s of ``signs`` over
+    the leading run of the descending ``penalties`` at which they hold, and
+    the guessed signs for the first penalty at which they do not.
 
-    A candidate is accepted when its signs hold and every gradient off its
-    support is at most ``penalty`` in absolute value.  The guess drops the
-    members whose sign did not hold and adds each violator with the sign of
-    its gradient.
+    One solve of G_AA [u v] = [c_A s_A] gives the candidate
+    w_A = u - penalty v at every penalty.  A candidate holds when its signs
+    are s and every gradient off A is at most the penalty in absolute
+    value.  The guess drops the members whose sign did not hold and adds
+    each violator with the sign of its gradient; it is None when the run
+    covers every penalty, G_AA is singular or the gradient is not finite.
+
+    Returns ``(coefs, guess)`` with ``coefs`` of shape (run, q).
     """
-    signs = np.sign(w)
-    for _ in range(2):
-        active = signs.nonzero()[0]
-        new = np.zeros_like(w)
-        try:
-            new[active] = np.linalg.solve(G[active][:, active], c[active] - penalty * signs[active])
-        except np.linalg.LinAlgError:
-            return None
-        grad = c - G @ new
-        if not np.isfinite(grad).all():
-            return None
-        flipped = np.sign(new) != signs
-        over = np.abs(grad) > penalty
-        over[active] = False
-        if not (flipped | over).any():
-            return new
-        signs[flipped] = 0.0
-        signs[over] = np.sign(grad[over])
-    return None
+    active = signs.nonzero()[0]
+    off = np.flatnonzero(signs == 0.0)
+    try:
+        uv = np.linalg.solve(G[np.ix_(active, active)], np.column_stack([c[active], signs[active]]))
+    except np.linalg.LinAlgError:
+        return np.empty((0, c.shape[0])), None
+    w_active = uv[:, 0] - penalties[:, None] * uv[:, 1]
+    grad = c - w_active @ G[active]
+    finite = np.isfinite(grad).all(axis=1)
+    flipped = np.sign(w_active) != signs[active]
+    over = np.abs(grad[:, off]) > penalties[:, None]
+    fails = ~finite | flipped.any(axis=1) | over.any(axis=1)
+    run = int(fails.argmax()) if fails.any() else len(penalties)
+    coefs = np.zeros((run, c.shape[0]))
+    coefs[:, active] = w_active[:run]
+    if run == len(penalties) or not finite[run]:
+        return coefs, None
+    guess = signs.copy()
+    guess[active[flipped[run]]] = 0.0
+    guess[off[over[run]]] = np.sign(grad[run, off[over[run]]])
+    return coefs, guess
+
+
+def _settle(G, c, penalties, signs):
+    """:func:`_segment` on ``signs`` or, when they fail at the first
+    penalty, on their guessed update."""
+    coefs, guess = _segment(G, c, penalties, signs)
+    if len(coefs) or guess is None:
+        return coefs, guess
+    return _segment(G, c, penalties, guess)
 
 
 def _arrays(features, target):
@@ -180,7 +241,7 @@ def lasso_fit(features, target, penalty_weight: float, w0=None, trace=None):
     features : (n, q) array
     target : (n,) array
     penalty_weight : float, finite and >= 0
-    w0 : optional warm-start coefficients.
+    w0 : optional warm-start coefficients, q finite values.
     trace : optional list; if given, the objective value after each sweep is
         appended (used to check that sweeps never increase the objective).
 
@@ -190,14 +251,19 @@ def lasso_fit(features, target, penalty_weight: float, w0=None, trace=None):
 
     Raises
     ------
+    ValueError
+        If the inputs are malformed or ``w0`` is not q finite values.
     ConvergenceError
         If the maximum coefficient change is still above 1e-7 after 10^4
         sweeps.
     """
     F, y = _arrays(features, target)
     _check_penalties(penalty_weight, "penalty_weight")
+    q = F.shape[1]
+    w = np.zeros(q) if w0 is None else np.array(w0, dtype=np.float64)
+    if w.shape != (q,) or not np.isfinite(w).all():
+        raise ValueError(f"w0 must hold {q} finite values")
     mom = _moments(F, y)
-    w = np.zeros(F.shape[1]) if w0 is None else np.array(w0, dtype=np.float64)
     _descend(mom.G, mom.c, mom.yy, penalty_weight, w, trace)
     return w, float(mom.y_mean - mom.f_mean @ w)
 
@@ -253,19 +319,37 @@ class LassoPath:
 
 def _fit_path(mom: _Moments, grid):
     """Coefficients and intercepts over a descending grid from one set of
-    moments: each penalty is solved by :func:`_exact_step` from the previous
-    solution, or by descent from it when that step fails (module docstring)."""
-    q = mom.c.shape[0]
-    coefs = np.empty((len(grid), q))
-    w = np.zeros(q)
-    for i, pen in enumerate(grid):
-        exact = _exact_step(mom.G, mom.c, pen, w)
-        if exact is None:
-            _descend(mom.G, mom.c, mom.yy, pen, w)
-            exact = _exact_step(mom.G, mom.c, pen, w)
-        if exact is not None:
-            w = exact
-        coefs[i] = w
+    moments, one affine segment per support and signs (module docstring).
+
+    Each point first tries the support and signs of the previous point's
+    solution, then their guessed update; along a segment the first try
+    holds, and where it ends its guess is already known.  When both fail,
+    the point descends from the previous solution and tries the same two on
+    the support the descent found, keeping the descent's solution when
+    neither holds.
+    """
+    G, c = mom.G, mom.c
+    m, q = len(grid), c.shape[0]
+    coefs = np.empty((m, q))
+    i = 0
+    held, guess = _settle(G, c, grid, np.zeros(q))
+    while True:
+        if not len(held):  # the set in use and its guess both fail at grid[i]
+            w = coefs[i - 1].copy() if i else np.zeros(q)
+            _descend(G, c, mom.yy, grid[i], w)
+            held, guess = _settle(G, c, grid[i:], np.sign(w))
+        if len(held):
+            coefs[i : i + len(held)] = held
+            i += len(held)
+            if i == m:
+                break
+            held, guess = (held[:0], None) if guess is None else _segment(G, c, grid[i:], guess)
+        else:  # no exact solution on the descent's support either
+            coefs[i] = w
+            i += 1
+            if i == m:
+                break
+            held, guess = _settle(G, c, grid[i:], np.sign(w))
     return coefs, mom.y_mean - coefs @ mom.f_mean
 
 
@@ -293,7 +377,24 @@ def cv_select(
         raise ValueError(f"{k_folds} folds over {n} rows leaves folds smaller than 1 row")
     if rule not in ("min", "1se"):
         raise ValueError("rule must be 'min' or '1se'")
-    full = _moments(F, y)
+    names = None if feature_names is None else tuple(feature_names)
+    if names is not None and len(names) != F.shape[1]:
+        raise ValueError(f"{len(names)} feature_names for {F.shape[1]} features")
+
+    perm = np.random.default_rng(seed).permutation(n)
+    folds = np.array_split(perm, k_folds)
+    # Each fold's rows are read once; the training moments of fold f pool
+    # the folds before f with the folds after it, and all k give the full data.
+    parts = [_part(F[val_idx], y[val_idx]) for val_idx in folds]
+    before = [None]
+    for part in parts[:-1]:
+        before.append(_pool(before[-1], part))
+    after = [None]
+    for part in parts[:0:-1]:
+        after.append(_pool(part, after[-1]))
+    after.reverse()
+    full = _scaled(_pool(before[-1], parts[-1]))
+
     if penalty_grid is None:
         grid = _penalty_grid(_penalty_max(full), GRID_POINTS, GRID_RATIO)
     else:
@@ -304,16 +405,13 @@ def cv_select(
         if np.any(np.diff(grid) > 0):
             raise ValueError("penalty_grid must be descending")
 
-    perm = np.random.default_rng(seed).permutation(n)
-    folds = np.array_split(perm, k_folds)
-
     fold_mse = np.empty((k_folds, len(grid)))
     for f, val_idx in enumerate(folds):
-        mask = np.ones(n, dtype=bool)
-        mask[val_idx] = False
-        coefs, intercepts = _fit_path(_moments(F[mask], y[mask]), grid)
-        preds = F[val_idx] @ coefs.T + intercepts[None, :]
-        fold_mse[f] = ((preds - y[val_idx, None]) ** 2).mean(axis=0)
+        coefs, intercepts = _fit_path(_scaled(_pool(before[f], after[f])), grid)
+        resid = F[val_idx] @ coefs.T
+        resid -= y[val_idx, None]
+        resid += intercepts
+        fold_mse[f] = np.einsum("ij,ij->j", resid, resid) / len(val_idx)
 
     cv_mse = fold_mse.mean(axis=0)
     cv_se = fold_mse.std(axis=0, ddof=1) / np.sqrt(k_folds)
@@ -336,7 +434,7 @@ def cv_select(
         chosen_index=chosen,
         chosen_penalty=float(grid[chosen]),
         active_set=active,
-        feature_names=None if feature_names is None else tuple(feature_names),
+        feature_names=names,
         rule=rule,
     )
 

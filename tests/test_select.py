@@ -141,6 +141,16 @@ class TestLassoFit:
         w, b0 = fm.lasso_fit(F, y, pen)
         assert kkt_violation(F, y, pen, w, b0) <= 1e-5
 
+    @pytest.mark.parametrize(
+        "w0", [[np.nan, 0.0, 0.0], [0.0, np.inf, 0.0], [0.0, 0.0], [[0.0], [0.0], [0.0]]], ids=["nan", "inf", "short", "2-D"]
+    )
+    def test_bad_warm_start_rejected(self, w0):
+        # a NaN warm start used to stop the sweep at once with all-zero
+        # coefficients, at a penalty whose solution is nonzero
+        F, y, _ = random_instance(50, 3, seed=82)
+        with pytest.raises(ValueError, match="w0"):
+            fm.lasso_fit(F, y, 0.1 * fm.penalty_max(F, y), w0=w0)
+
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
             fm.lasso_fit(np.zeros((3, 2)), np.zeros(4), 0.1)
@@ -206,14 +216,42 @@ class TestGramFormOracle:
         assert w[3] == 0.0
         assert w[0] == pytest.approx(1.0, abs=0.2)
 
-    def test_full_data_moments_computed_once(self, monkeypatch):
+    def test_each_row_enters_sample_moments_once(self, monkeypatch):
         F, y, _ = random_instance(100, 5, seed=97)
-        rows = []
-        moments = select._moments
-        monkeypatch.setattr(select, "_moments", lambda F, y: rows.append(len(y)) or moments(F, y))
+        first_columns = []
+        sample_moments = select.sample_moments
+        monkeypatch.setattr(
+            select, "sample_moments", lambda columns: first_columns.append(columns[0].copy()) or sample_moments(columns)
+        )
         fm.cv_select(F, y, k_folds=5)
-        assert rows.count(100) == 1
-        assert len(rows) == 1 + 5
+        assert len(first_columns) == 5
+        # F[:, 0] holds 100 distinct values, so this is each row exactly once
+        np.testing.assert_array_equal(np.sort(np.concatenate(first_columns)), np.sort(F[:, 0]))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_pooled_training_moments_match_direct(self, seed, monkeypatch):
+        n, k, hold = 300, 5, 2
+        F, y = shifted_instance(n, 8, seed=100 + seed)
+        rng = np.random.default_rng(seed)
+        folds = np.array_split(rng.permutation(n), k)  # cv_select's folds for this seed
+        F[:, 5] = 7.3  # constant on the training rows of fold `hold` only
+        F[folds[hold], 5] = rng.normal(size=len(folds[hold]))
+        # |mean| = 1000 sd: centred pooling errs by about eps * 1000 relative,
+        # pooling uncentred sums of squares by about eps * 1000^2
+        F[:, 6] = 100.0 + 0.1 * rng.normal(size=n)
+        pooled = []
+        fit_path = select._fit_path
+        monkeypatch.setattr(select, "_fit_path", lambda mom, grid: pooled.append(mom) or fit_path(mom, grid))
+        fm.cv_select(F, y, k_folds=k, seed=seed)
+        assert len(pooled) == k + 1
+        for f in range(k):
+            mask = np.ones(n, dtype=bool)
+            mask[folds[f]] = False
+            assert_moments_close(pooled[f], select._moments(F[mask], y[mask]))
+        assert_moments_close(pooled[k], select._moments(F, y))
+        G, c = pooled[hold].G, pooled[hold].c
+        assert np.all(G[5] == 0.0) and np.all(G[:, 5] == 0.0) and c[5] == 0.0
+        assert np.all(pooled[0].G[5] != 0.0)
 
     def test_sweep_limit_raises(self, monkeypatch):
         F, y = shifted_instance(100, 5, seed=96)
@@ -221,10 +259,23 @@ class TestGramFormOracle:
         with pytest.raises(ConvergenceError):
             fm.lasso_fit(F, y, 0.01 * fm.penalty_max(F, y))
         fm.cv_select(F, y, k_folds=5)  # every point solved exactly, no descent
-        # refusing the exact step forces the descent fallback
-        monkeypatch.setattr(select, "_exact_step", lambda G, c, penalty, w: None)
+        # refusing the exact segment solve forces the descent fallback
+        monkeypatch.setattr(select, "_segment", lambda G, c, penalties, signs: (np.empty((0, len(c))), None))
         with pytest.raises(ConvergenceError):
             fm.cv_select(F, y, k_folds=5)
+
+
+def assert_moments_close(mom, ref, tol=1e-12):
+    """Means and scaled moments of ``mom`` within ``tol`` of ``ref``, each
+    entry relative to the spread of its columns; an entry of a zero-variance
+    column must match exactly."""
+    M = np.block([[mom.G, mom.c[:, None]], [mom.c[None, :], np.array([[mom.yy]])]])
+    R = np.block([[ref.G, ref.c[:, None]], [ref.c[None, :], np.array([[ref.yy]])]])
+    sd = np.sqrt(np.diag(R))
+    assert np.all(np.abs(M - R) <= tol * np.outer(sd, sd))
+    means = np.append(mom.f_mean, mom.y_mean)
+    ref_means = np.append(ref.f_mean, ref.y_mean)
+    assert np.all(np.abs(means - ref_means) <= tol * (np.abs(ref_means) + sd))
 
 
 def path_kkt_violation(mom, grid, coefs):
@@ -375,6 +426,16 @@ class TestCvSelect:
         F, y, _ = random_instance(5, 2, seed=79)
         with pytest.raises(ValueError, match="folds"):
             fm.cv_select(F, y, k_folds=6)
+
+    def test_feature_names_length_checked_before_fitting(self, monkeypatch):
+        F, y, _ = random_instance(100, 4, seed=80)
+
+        def no_fit(mom, grid):
+            raise AssertionError("a path was fitted")
+
+        monkeypatch.setattr(select, "_fit_path", no_fit)
+        with pytest.raises(ValueError, match="feature_names"):
+            fm.cv_select(F, y, k_folds=5, feature_names=("a", "b", "c"))
 
     def test_role_fragment(self):
         F, y, _ = random_instance(100, 4, seed=80, noise=0.2)
