@@ -10,7 +10,7 @@ import numpy as np
 
 from .data import group_codes, write_table
 from .model import MimicModel, _covariate_matrix, to_json
-from .score import fair_score, naive_score
+from .score import _predictors
 
 
 @dataclass(frozen=True)
@@ -25,12 +25,17 @@ class ParityReport:
         return to_json(self)
 
 
+def _binary(values) -> bool:
+    """Whether every entry equals 0 or 1."""
+    return bool(((values == 0) | (values == 1)).all())
+
+
 def statistical_parity(decisions, sensitive, levels=None) -> ParityReport:
     """Selection rate P(d=1 | group) per group and the max pairwise gap."""
     d = np.asarray(decisions)
     if d.size == 0:
         raise ValueError("decisions must be nonempty")
-    if not np.isin(d, (0, 1)).all():
+    if not _binary(d):
         raise ValueError("decisions must be binary 0/1")
     names, codes = group_codes(sensitive)
     if codes.shape[0] != d.shape[0]:
@@ -117,7 +122,8 @@ def conditional_parity_curve(scores, sensitive, proxy_values, n_bins: int = 10) 
     falls in bin ceil(c * n_bins / n) - 1; tied scores share a bin.  The bins
     are cut at order statistics: with the scores sorted, row i is in bin b or
     above exactly when its score is at least the sorted score at index
-    (b * n) // n_bins, for b = 1 .. n_bins - 1.  Counts and proxy sums per
+    (b * n) // n_bins, for b = 1 .. n_bins - 1, so a row's bin is the number
+    of those cuts at or below its score.  Counts and proxy sums per
     (bin, group) cell come from one ``np.bincount`` each.  Empty group-bins
     are reported with count 0 and a null mean; bins where any group is empty
     contribute no gap.  A NaN or infinite score or proxy value raises
@@ -139,7 +145,11 @@ def conditional_parity_curve(scores, sensitive, proxy_values, n_bins: int = 10) 
 
     n_groups = len(levels)
     cuts = np.sort(scores)[np.arange(1, n_bins) * n // n_bins]
-    cell = np.searchsorted(cuts, scores, side="right") * n_groups + codes
+    cell = np.zeros(n, dtype=np.intp)
+    for cut in cuts:
+        cell += scores >= cut
+    cell *= n_groups
+    cell += codes
     shape = (n_bins, n_groups)
     counts = np.bincount(cell, minlength=n_bins * n_groups).reshape(shape).tolist()
     sums = np.bincount(cell, weights=proxy, minlength=n_bins * n_groups).reshape(shape).tolist()
@@ -208,7 +218,7 @@ def predictive_parity(decisions, outcome_binary, sensitive) -> PpvReport:
     levels, codes = group_codes(sensitive)
     if not (d.shape == y.shape == codes.shape):
         raise ValueError("decisions, outcome and sensitive must have equal length")
-    if not np.isin(d, (0, 1)).all() or not np.isin(y, (0, 1)).all():
+    if not (_binary(d) and _binary(y)):
         raise ValueError("decisions and outcome must be binary 0/1")
     n_selected = np.bincount(codes, weights=d, minlength=len(levels)).tolist()
     n_hits = np.bincount(codes, weights=d * y, minlength=len(levels)).tolist()
@@ -249,12 +259,9 @@ def counterfactual_check(model: MimicModel, covariates, reference_level=None, sc
     if score not in ("fair", "naive"):
         raise ValueError("score must be 'fair' or 'naive'")
     X = _covariate_matrix(model, covariates)
-    per_level = []
-    for level in sorted(model.sensitive_coding):
-        if score == "fair":
-            per_level.append(fair_score(model, X, reference_level))
-        else:
-            forced = np.full(X.shape[0], model.level_code(level))
-            per_level.append(naive_score(model, X, forced))
-    stacked = np.stack(per_level)
+    codes = [model.level_code(level) for level in sorted(model.sensitive_coding)]
+    if score == "fair":  # the blocked path pins every intervention at the reference
+        reference = model.reference_level if reference_level is None else reference_level
+        codes = [model.level_code(reference)] * len(codes)
+    stacked = np.stack(_predictors(model, X, codes))
     return float(np.max(stacked.max(axis=0) - stacked.min(axis=0)))

@@ -96,7 +96,7 @@ class Dataset:
 
     def indicator_matrix(self, names=None) -> np.ndarray:
         names = self.indicator_names if names is None else names
-        return np.column_stack(self.role_columns(names, "indicator"))
+        return _matrix(self.role_columns(names, "indicator"), self.n)
 
     def covariate_matrix(self, names=None) -> np.ndarray:
         names = self.covariate_names if names is None else names

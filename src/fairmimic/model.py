@@ -473,7 +473,7 @@ def implied_moments(model: MimicModel, covariates, sensitive) -> ImpliedMoments:
     """
     X, s = _check_regressors(model, covariates, sensitive)
     Bt, sigma, _ = _mean_cov(vars(model))
-    mu = Bt[0] + np.column_stack([X, s]) @ Bt[1:]
+    mu = Bt[0] + _matrix([*X.T, s], len(s)) @ Bt[1:]
     return ImpliedMoments(cond_mean=mu, cond_cov=sigma)
 
 
@@ -558,8 +558,16 @@ def _columns(model: MimicModel, data):
 
 
 def _matrix(columns, n: int) -> np.ndarray:
-    """Equal-length columns of ``n`` rows side by side, as an n x d matrix."""
-    return np.column_stack(columns) if columns else np.empty((n, 0))
+    """Equal-length columns of ``n`` rows side by side, as a C-ordered n x d
+    float64 matrix; it is filled one block of rows at a time, so each block
+    is written while it sits in cache rather than one strided column after
+    another.  Every n x d stack of columns in the package is made here."""
+    out = np.empty((n, len(columns)))
+    for a in range(0, n, GRAM_CHUNK_ROWS):
+        b = min(a + GRAM_CHUNK_ROWS, n)
+        for j, col in enumerate(columns):
+            out[a:b, j] = col[a:b]
+    return out
 
 
 def data_moments(model: MimicModel, data) -> SampleMoments:
@@ -593,7 +601,7 @@ def data_moments(model: MimicModel, data) -> SampleMoments:
 def _extract_arrays(model: MimicModel, data):
     """Row-wise (Y, X, s) arrays of the model's columns in ``data``."""
     cov, s, ind = _columns(model, data)
-    Y, X = np.column_stack(ind), _matrix(cov, len(s))
+    Y, X = _matrix(ind, len(s)), _matrix(cov, len(s))
     if not (np.all(np.isfinite(Y)) and np.all(np.isfinite(X))):
         raise ValueError("data contains missing or non-finite values")
     return Y, X, s

@@ -31,15 +31,24 @@ def fair_score(model: MimicModel, covariates, reference_level=None) -> np.ndarra
     if reference_level is None:
         reference_level = model.reference_level
     code = model.level_code(reference_level)
-    X = _covariate_matrix(model, covariates)
-    return X @ model.struct_coefs + model.sens_coef * code
+    (fair,) = _predictors(model, _covariate_matrix(model, covariates), [code])
+    return fair
 
 
 def naive_score(model: MimicModel, covariates, sensitive) -> np.ndarray:
     """Open-path risk score beta' x + gamma * s using each row's own group."""
     s = as_codes(model, sensitive)
     X, s = _check_regressors(model, covariates, s)
-    return X @ model.struct_coefs + model.sens_coef * s
+    (naive,) = _predictors(model, X, [s])
+    return naive
+
+
+def _predictors(model: MimicModel, X, codes) -> list:
+    """The linear predictor beta' x + gamma * code of every row of ``X``,
+    once per entry of ``codes`` (one code for all rows, or one per row);
+    ``X @ beta`` is computed once and shared."""
+    xb = X @ model.struct_coefs
+    return [xb + model.sens_coef * code for code in codes]
 
 
 def as_codes(model: MimicModel, sensitive) -> np.ndarray:
@@ -59,14 +68,17 @@ def as_codes(model: MimicModel, sensitive) -> np.ndarray:
 def nearest_rank_percentile(values, percentile: float) -> float:
     """Smallest sample value with at least ``percentile`` percent of the
     sample at or below it; the rank is exact for the decimal ``percentile``
-    prints as (16.1 percent of 1000 values is rank 161, not 162)."""
+    prints as (16.1 percent of 1000 values is rank 161, not 162).  A NaN or
+    infinite value raises ValueError."""
     values = np.asarray(values, dtype=np.float64)
     if values.size == 0:
         raise ValueError("cannot take a percentile of an empty sample")
     if not 0.0 < percentile < 100.0:
         raise ValueError("percentile must be strictly between 0 and 100")
+    if not np.isfinite(values).all():
+        raise ValueError("values must be finite")
     rank = math.ceil(Fraction(repr(float(percentile))) * values.size / 100)
-    return float(np.sort(values)[rank - 1])
+    return float(np.partition(values, rank - 1)[rank - 1])
 
 
 def decide(scores, percentile: float, reference_scores=None):
@@ -74,11 +86,14 @@ def decide(scores, percentile: float, reference_scores=None):
 
     Returns ``(decisions, threshold_value)``; a decision is 1 exactly when
     the score is strictly greater than the threshold.  The reference set
-    (training scores) defaults to ``scores`` itself.
+    (training scores) defaults to ``scores`` itself.  A NaN or infinite
+    score, or reference score, raises ValueError.
     """
     scores = np.asarray(scores, dtype=np.float64)
     if scores.size == 0:
         raise ValueError("scores must be nonempty")
+    if not np.isfinite(scores).all():
+        raise ValueError("scores must be finite")
     ref = scores if reference_scores is None else reference_scores
     threshold = nearest_rank_percentile(ref, percentile)
     return (scores > threshold).astype(np.int64), threshold
@@ -89,7 +104,7 @@ def factor_score(model: MimicModel, data) -> np.ndarray:
     and group (regression factor scores); diagnostic use only."""
     Y, X, s = _extract_arrays(model, data)
     implied = implied_moments(model, X, s)
-    m = X @ model.struct_coefs + model.sens_coef * s
+    (m,) = _predictors(model, X, [s])
     weights = model.latent_var * np.linalg.solve(implied.cond_cov, model.loadings)
     return m + (Y - implied.cond_mean) @ weights
 
@@ -150,8 +165,8 @@ def score_dataset(
         reference_level = model.reference_level
     cov, s, _ = _columns(model, data)
     X = _matrix(cov, len(s))  # the covariates alone are stacked
-    fair = fair_score(model, X, reference_level)
-    naive = naive_score(model, X, s)
+    # the dataset's codes are 0/1 under the model's coding, checked by _columns
+    fair, naive = _predictors(model, X, [model.level_code(reference_level), s])
     chosen = fair if decided_on == "fair" else naive
     decisions, threshold = decide(chosen, percentile, reference_scores)
     return ScoreSet(

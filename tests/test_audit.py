@@ -261,6 +261,44 @@ class TestAgainstMaskLoopOracle:
         assert json.dumps(rep) == json.dumps(str_loop_ppv(decisions, outcome, labels))
 
 
+@st.composite
+def tied_curve_cases(draw):
+    """Scores drawn from one to three distinct values, or all equal, so most
+    rows tie with a cut; integer proxy values make every proxy sum exact in
+    any order of addition."""
+    n = draw(st.integers(1, 200))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    distinct = rng.normal(size=draw(st.integers(1, 3)))
+    scores = distinct[rng.integers(0, distinct.size, size=n)]
+    labels = rng.choice(np.array(["a", "b", "c"])[: draw(st.integers(1, 3))], size=n)
+    proxy = rng.integers(-50, 51, size=n).astype(np.float64)
+    return scores, labels, proxy, draw(st.integers(2, 15))
+
+
+class TestTiedScoresAgainstOracle:
+    @given(tied_curve_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_counts_and_sums_match_oracle_exactly(self, case):
+        scores, labels, proxy, n_bins = case
+        curve = fm.conditional_parity_curve(scores, labels, proxy, n_bins=n_bins)
+        groups, cells = mask_loop_curve(scores, labels, proxy, n_bins)
+        assert curve.groups == groups
+        assert [(b.group, b.count) for b in curve.bins] == [(g, c) for g, c, _, _ in cells]
+        # exact sums over equal counts give equal means, bit for bit
+        assert [b.mean for b in curve.bins] == [mean for _, _, mean, _ in cells]
+
+    @pytest.mark.parametrize("n", [1, 2, 9, 10, 11, 1000])
+    def test_all_equal_scores_fill_the_top_bin(self, n):
+        rng = np.random.default_rng(n)
+        labels = rng.choice(["a", "b"], size=n)
+        proxy = rng.integers(-50, 51, size=n).astype(np.float64)
+        curve = fm.conditional_parity_curve(np.full(n, 0.25), labels, proxy)
+        groups, cells = mask_loop_curve(np.full(n, 0.25), labels, proxy, 10)
+        assert [(b.group, b.count, b.mean) for b in curve.bins] == [(g, c, m) for g, c, m, _ in cells]
+        # every row ties with every cut: all sit in the last bin
+        assert sum(b.count for b in curve.bins[-len(groups) :]) == n
+
+
 class TestPredictiveParity:
     def test_all_decisions_correct(self):
         outcome = np.array([1, 0, 1, 0, 1, 0])

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import fairmimic as fm
 from fairmimic import model as model_mod
-from fairmimic.model import GRAM_CHUNK_ROWS, _extract_arrays, _layout, _ll_value, _loglik, data_moments, n_free_params
+from fairmimic.model import GRAM_CHUNK_ROWS, _extract_arrays, _layout, _matrix, _ll_value, _loglik, data_moments, n_free_params
 
 from conftest import CODING, make_generator, simulate_from
 
@@ -295,6 +295,24 @@ def test_data_coded_the_other_way_rejected(generator, call):
         call(generator, data)
     with pytest.raises(ValueError, match="codes the sensitive levels"):
         call(generator, swapped)
+
+
+B = GRAM_CHUNK_ROWS
+
+
+@pytest.mark.parametrize("n", [0, 1, B - 1, B, B + 1, 3 * B + 5])
+@pytest.mark.parametrize("d", [0, 1, 6])
+def test_matrix_equals_column_stack(n, d):
+    """The blocked fill gives np.column_stack's array bit for bit, C-ordered,
+    on both sides of every block boundary."""
+    rng = np.random.default_rng(n * 7 + d)
+    columns = [rng.normal(size=n) * 10.0 ** rng.integers(-300, 300) for _ in range(d)]
+    out = _matrix(columns, n)
+    expected = np.column_stack(columns) if d else np.empty((n, 0))
+    assert out.shape == expected.shape == (n, d)
+    assert out.dtype == np.float64
+    assert out.flags.c_contiguous
+    assert out.tobytes() == expected.tobytes()
 
 
 @given(st.data())

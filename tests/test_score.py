@@ -1,6 +1,7 @@
 """Fair/naive scoring, percentile decisions, and factor scores."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fairmimic as fm
-from fairmimic.score import as_codes
+from fairmimic.score import as_codes, nearest_rank_percentile
 
 from conftest import CODING, make_generator, simulate_from
 
@@ -186,6 +187,42 @@ class TestDecide:
             fm.decide(np.array([1.0]), 0.0)
 
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_scores_or_reference_rejected(self, bad):
+        with pytest.raises(ValueError, match="must be finite"):
+            fm.decide([1.0, 2.0, 3.0], 50.0, reference_scores=[bad] * 3)
+        with pytest.raises(ValueError, match="must be finite"):
+            fm.decide([1.0, 2.0, 3.0], 50.0, reference_scores=[1.0, bad, 2.0])
+        with pytest.raises(ValueError, match="must be finite"):
+            fm.decide([1.0, bad, 3.0], 50.0, reference_scores=[1.0, 2.0, 3.0])
+        with pytest.raises(ValueError, match="must be finite"):
+            fm.decide([1.0, bad, 3.0], 50.0)
+        with pytest.raises(ValueError, match="must be finite"):
+            nearest_rank_percentile([1.0, bad, 2.0], 90.0)
+
+
+class TestNearestRankPercentile:
+    @given(
+        values=st.lists(
+            # a pool of a few values, so most draws hold many duplicates
+            st.sampled_from([-2.5, -1.0, 0.0, 0.125, 3.0, 1e300]) | st.floats(-1e6, 1e6).map(lambda v: v + 0.0),
+            min_size=1,
+            max_size=80,
+        ).map(np.array),
+        pct=st.floats(0.001, 99.999),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_equals_sorted_order_statistic(self, values, pct):
+        rank = math.ceil(Fraction(repr(pct)) * values.size / 100)
+        expected = np.sort(values)[rank - 1]
+        assert np.float64(nearest_rank_percentile(values, pct)).tobytes() == expected.tobytes()
+
+    def test_caller_array_left_in_place(self):
+        values = np.array([3.0, 1.0, 2.0, 1.0])
+        assert nearest_rank_percentile(values, 50.0) == 1.0
+        np.testing.assert_array_equal(values, [3.0, 1.0, 2.0, 1.0])
+
+
 class TestFactorScore:
     def test_noiseless_limit_pins_first_indicator(self):
         gen = make_generator().with_values(resid_vars=np.full(4, 1e-8))
@@ -241,6 +278,15 @@ class TestScoreSet:
         flipped = fm.naive_score(res.model, X, 1.0 - s)
         assert not np.array_equal(scores.naive, flipped)
         assert np.array_equal(scores.fair, fm.fair_score(res.model, X))
+
+    def test_scores_equal_public_scorers_bitwise(self, fitted_example):
+        res, data = fitted_example
+        X = data.covariate_matrix(res.model.covariate_names)
+        s = data.sensitive_codes()
+        for level in (None, "a", "b"):
+            scores = fm.score_dataset(res.model, data, reference_level=level)
+            assert scores.fair.tobytes() == fm.fair_score(res.model, X, level).tobytes()
+            assert scores.naive.tobytes() == fm.naive_score(res.model, X, s).tobytes()
 
     def test_row_ids_lazy_without_id_column(self, tmp_path):
         gen = make_generator()
