@@ -10,7 +10,7 @@ import numpy as np
 
 from .data import group_codes, write_table
 from .model import MimicModel, _covariate_matrix, to_json
-from .score import _predictors
+from .score import _blocks, _linear_blocks
 
 
 @dataclass(frozen=True)
@@ -42,8 +42,12 @@ def statistical_parity(decisions, sensitive, levels=None) -> ParityReport:
         raise ValueError("decisions and sensitive must have equal length")
     levels = names if levels is None else [str(v) for v in levels]
     index = {g: i for i, g in enumerate(names)}
-    n_rows = np.bincount(codes, minlength=len(names)).tolist()
-    n_selected = np.bincount(codes, weights=d, minlength=len(names)).tolist()
+    # one integer tally per (group, selected) cell, at 2 * code + selected
+    cell = 2 * codes
+    cell += d != 0
+    tally = np.bincount(cell, minlength=2 * len(names))
+    n_rows = (tally[0::2] + tally[1::2]).tolist()
+    n_selected = tally[1::2].tolist()
     rates, counts = {}, {}
     for g in levels:
         i = index.get(g)
@@ -123,8 +127,11 @@ def conditional_parity_curve(scores, sensitive, proxy_values, n_bins: int = 10) 
     are cut at order statistics: with the scores sorted, row i is in bin b or
     above exactly when its score is at least the sorted score at index
     (b * n) // n_bins, for b = 1 .. n_bins - 1, so a row's bin is the number
-    of those cuts at or below its score.  Counts and proxy sums per
-    (bin, group) cell come from one ``np.bincount`` each.  Empty group-bins
+    of those cuts at or below its score, counted in the smallest unsigned
+    integer type that holds n_bins - 1 (one byte a row for up to 256 bins).
+    Counts and proxy sums per (bin, group) cell come from one
+    ``np.bincount`` each, on the bin widened to ``intp`` before it is
+    combined with the group.  Empty group-bins
     are reported with count 0 and a null mean; bins where any group is empty
     contribute no gap.  A NaN or infinite score or proxy value raises
     ValueError: it has no percentile rank, or no mean.
@@ -145,9 +152,11 @@ def conditional_parity_curve(scores, sensitive, proxy_values, n_bins: int = 10) 
 
     n_groups = len(levels)
     cuts = np.sort(scores)[np.arange(1, n_bins) * n // n_bins]
-    cell = np.zeros(n, dtype=np.intp)
+    row_bin = np.zeros(n, dtype=np.min_scalar_type(n_bins - 1))
     for cut in cuts:
-        cell += scores >= cut
+        row_bin += scores >= cut
+    # widened before the product, which would wrap in a byte once n_bins * n_groups > 256
+    cell = row_bin.astype(np.intp)
     cell *= n_groups
     cell += codes
     shape = (n_bins, n_groups)
@@ -220,13 +229,19 @@ def predictive_parity(decisions, outcome_binary, sensitive) -> PpvReport:
         raise ValueError("decisions, outcome and sensitive must have equal length")
     if not (_binary(d) and _binary(y)):
         raise ValueError("decisions and outcome must be binary 0/1")
-    n_selected = np.bincount(codes, weights=d, minlength=len(levels)).tolist()
-    n_hits = np.bincount(codes, weights=d * y, minlength=len(levels)).tolist()
+    # one integer tally per (group, selected, hit) cell, at 4 * code + 2 * selected + hit
+    flags = (d != 0).view(np.uint8) * np.uint8(2)
+    flags |= (y != 0).view(np.uint8)
+    cell = 4 * codes
+    cell += flags
+    tally = np.bincount(cell, minlength=4 * len(levels))
+    n_selected = (tally[2::4] + tally[3::4]).tolist()
+    n_hits = tally[3::4].tolist()
     ppv, npos = {}, {}
     undefined = []
     for g, sel, hits in zip(levels, n_selected, n_hits):
-        npos[g] = int(sel)
-        if npos[g] == 0:
+        npos[g] = sel
+        if sel == 0:
             ppv[g] = None
             undefined.append(g)
         else:
@@ -247,7 +262,7 @@ def counterfactual_check(model: MimicModel, covariates, reference_level=None, sc
     Scores every row once per declared sensitive level, with the level
     forced on all rows, and returns max_i (max_level - min_level).  For the
     fair score this is exactly 0; for the naive score it equals |gamma|
-    times the coding span.
+    times the coding span.  A row whose covariates are not finite gives NaN.
 
     It cannot detect a fair score that depends on the group.  The fair path
     is handed only the covariates, never the rows' sensitive labels, so it
@@ -255,13 +270,26 @@ def counterfactual_check(model: MimicModel, covariates, reference_level=None, sc
     group.  A check that can fail intervenes on the labels of a
     :class:`~fairmimic.data.Dataset` (``replace_columns`` with every label
     flipped) and scores both through ``score_dataset``.
+
+    Cost: one predictor per distinct intervention, formed a block of rows at
+    a time and reduced while the block is in cache.  The fair path pins
+    every level at the reference, so it forms one predictor and takes its
+    spread with itself; the naive path keeps a running maximum and minimum
+    over the distinct level codes.
     """
     if score not in ("fair", "naive"):
         raise ValueError("score must be 'fair' or 'naive'")
     X = _covariate_matrix(model, covariates)
-    codes = [model.level_code(level) for level in sorted(model.sensitive_coding)]
     if score == "fair":  # the blocked path pins every intervention at the reference
         reference = model.reference_level if reference_level is None else reference_level
-        codes = [model.level_code(reference)] * len(codes)
-    stacked = np.stack(_predictors(model, X, codes))
-    return float(np.max(stacked.max(axis=0) - stacked.min(axis=0)))
+        codes = [model.level_code(reference)]
+    else:
+        codes = sorted({model.level_code(level) for level in model.sensitive_coding})
+    spans = []
+    for _, _, xb in _linear_blocks(model, _blocks(X)):
+        hi = lo = xb + model.sens_coef * codes[0]
+        for code in codes[1:]:
+            pred = xb + model.sens_coef * code
+            hi, lo = np.maximum(hi, pred), np.minimum(lo, pred)
+        spans.append(np.max(hi - lo))
+    return float(np.max(spans))

@@ -557,16 +557,37 @@ def _columns(model: MimicModel, data):
     )
 
 
+def _row_blocks(n: int):
+    """The row ranges ``(a, b)`` of ``GRAM_CHUNK_ROWS`` rows, the last one
+    shorter, that cover rows 0 .. n-1 in order: the one block loop of every
+    row-wise pass that works a cache-sized block at a time."""
+    return ((a, min(a + GRAM_CHUNK_ROWS, n)) for a in range(0, n, GRAM_CHUNK_ROWS))
+
+
+def _column_blocks(columns, n: int, out=None):
+    """Equal-length columns of ``n`` rows side by side, one block of rows at
+    a time: yields ``(a, b, block)`` with ``block`` holding rows a .. b-1 as
+    a C-ordered float64 array.  Each block is written while it sits in cache
+    rather than one strided column after another.  Given an n x d ``out``,
+    the blocks are its rows; otherwise they share one ``GRAM_CHUNK_ROWS``
+    x d buffer, so no more than one block is ever held.  Every stack of
+    columns in the package is made here."""
+    reuse = out is None
+    if reuse:
+        out = np.empty((min(n, GRAM_CHUNK_ROWS), len(columns)))
+    for a, b in _row_blocks(n):
+        block = out[: b - a] if reuse else out[a:b]
+        for j, col in enumerate(columns):
+            block[:, j] = col[a:b]
+        yield a, b, block
+
+
 def _matrix(columns, n: int) -> np.ndarray:
     """Equal-length columns of ``n`` rows side by side, as a C-ordered n x d
-    float64 matrix; it is filled one block of rows at a time, so each block
-    is written while it sits in cache rather than one strided column after
-    another.  Every n x d stack of columns in the package is made here."""
+    float64 matrix filled by :func:`_column_blocks`."""
     out = np.empty((n, len(columns)))
-    for a in range(0, n, GRAM_CHUNK_ROWS):
-        b = min(a + GRAM_CHUNK_ROWS, n)
-        for j, col in enumerate(columns):
-            out[a:b, j] = col[a:b]
+    for _ in _column_blocks(columns, n, out):
+        pass
     return out
 
 

@@ -17,7 +17,15 @@ import numpy as np
 
 from .data import group_codes, write_table
 from .model import (
-    MimicModel, _check_regressors, _columns, _covariate_matrix, _extract_arrays, _matrix, implied_moments
+    GRAM_CHUNK_ROWS,
+    MimicModel,
+    _check_regressors,
+    _column_blocks,
+    _columns,
+    _covariate_matrix,
+    _extract_arrays,
+    _row_blocks,
+    implied_moments,
 )
 
 
@@ -31,7 +39,8 @@ def fair_score(model: MimicModel, covariates, reference_level=None) -> np.ndarra
     if reference_level is None:
         reference_level = model.reference_level
     code = model.level_code(reference_level)
-    (fair,) = _predictors(model, _covariate_matrix(model, covariates), [code])
+    X = _covariate_matrix(model, covariates)
+    (fair,) = _predictors(model, _blocks(X), len(X), [code])
     return fair
 
 
@@ -39,16 +48,37 @@ def naive_score(model: MimicModel, covariates, sensitive) -> np.ndarray:
     """Open-path risk score beta' x + gamma * s using each row's own group."""
     s = as_codes(model, sensitive)
     X, s = _check_regressors(model, covariates, s)
-    (naive,) = _predictors(model, X, [s])
+    (naive,) = _predictors(model, _blocks(X), len(X), [s])
     return naive
 
 
-def _predictors(model: MimicModel, X, codes) -> list:
-    """The linear predictor beta' x + gamma * code of every row of ``X``,
-    once per entry of ``codes`` (one code for all rows, or one per row);
-    ``X @ beta`` is computed once and shared."""
-    xb = X @ model.struct_coefs
-    return [xb + model.sens_coef * code for code in codes]
+def _blocks(X):
+    """The row blocks ``(a, b, X[a:b])`` of a matrix, as
+    :func:`~fairmimic.model._column_blocks` yields those of columns."""
+    return ((a, b, X[a:b]) for a, b in _row_blocks(len(X)))
+
+
+def _linear_blocks(model: MimicModel, blocks):
+    """``beta' x`` of each block of covariate rows: yields ``(a, b, xb)``,
+    with ``xb`` one ``np.matmul`` of the block into a buffer of
+    ``GRAM_CHUNK_ROWS`` values that every block reuses.  Each row's value is
+    the dot product of that row with ``beta``, as in ``X @ beta``."""
+    buffer = np.empty(GRAM_CHUNK_ROWS)
+    for a, b, rows in blocks:
+        yield a, b, np.matmul(rows, model.struct_coefs, out=buffer[: b - a])
+
+
+def _predictors(model: MimicModel, blocks, n: int, codes) -> list:
+    """The linear predictor beta' x + gamma * code of each of the ``n`` rows
+    that ``blocks`` yields (:func:`_blocks` or ``_column_blocks``), once per
+    entry of ``codes`` (one code for all rows, or one per row).  ``beta' x``
+    is formed once per block and read by every code while it is in cache,
+    so no n-row array is made beyond the results."""
+    out = [np.empty(n) for _ in codes]
+    for a, b, xb in _linear_blocks(model, blocks):
+        for pred, code in zip(out, codes):
+            np.add(xb, model.sens_coef * (code if np.ndim(code) == 0 else code[a:b]), out=pred[a:b])
+    return out
 
 
 def as_codes(model: MimicModel, sensitive) -> np.ndarray:
@@ -73,10 +103,16 @@ def nearest_rank_percentile(values, percentile: float) -> float:
     values = np.asarray(values, dtype=np.float64)
     if values.size == 0:
         raise ValueError("cannot take a percentile of an empty sample")
-    if not 0.0 < percentile < 100.0:
-        raise ValueError("percentile must be strictly between 0 and 100")
     if not np.isfinite(values).all():
         raise ValueError("values must be finite")
+    return _order_statistic(values, percentile)
+
+
+def _order_statistic(values: np.ndarray, percentile: float) -> float:
+    """:func:`nearest_rank_percentile` of nonempty float64 ``values`` already
+    checked finite."""
+    if not 0.0 < percentile < 100.0:
+        raise ValueError("percentile must be strictly between 0 and 100")
     rank = math.ceil(Fraction(repr(float(percentile))) * values.size / 100)
     return float(np.partition(values, rank - 1)[rank - 1])
 
@@ -87,15 +123,17 @@ def decide(scores, percentile: float, reference_scores=None):
     Returns ``(decisions, threshold_value)``; a decision is 1 exactly when
     the score is strictly greater than the threshold.  The reference set
     (training scores) defaults to ``scores`` itself.  A NaN or infinite
-    score, or reference score, raises ValueError.
+    score, or reference score, raises ValueError; each array is checked once.
     """
     scores = np.asarray(scores, dtype=np.float64)
     if scores.size == 0:
         raise ValueError("scores must be nonempty")
     if not np.isfinite(scores).all():
         raise ValueError("scores must be finite")
-    ref = scores if reference_scores is None else reference_scores
-    threshold = nearest_rank_percentile(ref, percentile)
+    if reference_scores is None:
+        threshold = _order_statistic(scores, percentile)
+    else:
+        threshold = nearest_rank_percentile(reference_scores, percentile)
     return (scores > threshold).astype(np.int64), threshold
 
 
@@ -104,7 +142,7 @@ def factor_score(model: MimicModel, data) -> np.ndarray:
     and group (regression factor scores); diagnostic use only."""
     Y, X, s = _extract_arrays(model, data)
     implied = implied_moments(model, X, s)
-    (m,) = _predictors(model, X, [s])
+    (m,) = _predictors(model, _blocks(X), len(X), [s])
     weights = model.latent_var * np.linalg.solve(implied.cond_cov, model.loadings)
     return m + (Y - implied.cond_mean) @ weights
 
@@ -158,15 +196,21 @@ def score_dataset(
     ``reference_scores`` (training-set scores) define the threshold; they
     default to the scores of ``data`` itself.  Decisions are taken on the
     fair score unless ``decided_on="naive"``.
+
+    The covariate columns are read one block of ``GRAM_CHUNK_ROWS`` rows at
+    a time into one reused buffer, and both scores are written from that
+    block's ``beta' x``, so the n x q covariate matrix is never formed; the
+    scores equal :func:`fair_score` and :func:`naive_score` of that matrix
+    bit for bit.
     """
     if decided_on not in ("fair", "naive"):
         raise ValueError("decided_on must be 'fair' or 'naive'")
     if reference_level is None:
         reference_level = model.reference_level
     cov, s, _ = _columns(model, data)
-    X = _matrix(cov, len(s))  # the covariates alone are stacked
     # the dataset's codes are 0/1 under the model's coding, checked by _columns
-    fair, naive = _predictors(model, X, [model.level_code(reference_level), s])
+    codes = [model.level_code(reference_level), s]
+    fair, naive = _predictors(model, _column_blocks(cov, len(s)), len(s), codes)
     chosen = fair if decided_on == "fair" else naive
     decisions, threshold = decide(chosen, percentile, reference_scores)
     return ScoreSet(

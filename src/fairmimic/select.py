@@ -27,11 +27,12 @@ and each violator added with the sign of its gradient.  Only when that
 fails too does the point run cyclic coordinate descent from the previous
 solution, followed by the same two tries on the support the descent found.
 
-:func:`lasso_fit` is the descent alone: cyclic coordinate descent with
-soft-thresholding and the covariance updates of Friedman, Hastie & Tibshirani
-(2010, JSS 33(1)), so each coordinate step costs O(q) instead of O(n).  It
-carries g = c - G w, which is Fc'r/n for the centred residual r, and after
-each change of w[j] updates it with the row G[j].
+The descent is cyclic coordinate descent with soft-thresholding and the
+covariance updates of Friedman, Hastie & Tibshirani (2010, JSS 33(1)), so
+each coordinate step costs O(q) instead of O(n).  It carries g = c - G w,
+which is Fc'r/n for the centred residual r, and after each change of w[j]
+updates it with the row G[j].  :func:`lasso_fit` is the same path, walked
+down to the one penalty it is asked for.
 """
 
 from __future__ import annotations
@@ -230,11 +231,19 @@ def _penalty_max(mom: _Moments) -> float:
     return float(np.max(np.abs(mom.c)))
 
 
-def lasso_fit(features, target, penalty_weight: float, w0=None, trace=None):
-    """Cyclic coordinate descent for the LASSO with covariance updates.
+def lasso_fit(features, target, penalty_weight: float, w0=None):
+    """The LASSO solution at one penalty, as the end point of the exact path.
 
-    Computes the centred moments of (features, target) once and descends on
-    them (see the module docstring), so each coordinate step costs O(q).
+    Computes the centred moments of (features, target) once and solves on
+    them (see the module docstring).  Given ``w0``, the support and signs
+    of ``w0`` are tried first; when they do not hold at the penalty, or
+    without ``w0``, the solution is the last point of :func:`_fit_path`
+    over the default grid's points above the penalty followed by the
+    penalty itself.  Warm starts along a path are what keeps the descent
+    fallback short at small penalties (Friedman, Hastie, Hoefling &
+    Tibshirani 2007, Ann. Appl. Stat. 1(2)); a cold descent there can need
+    more than ``MAX_SWEEPS`` sweeps.  A penalty of 0 is a valid end point,
+    and one at or above :func:`penalty_max` gives all-zero coefficients.
 
     Parameters
     ----------
@@ -242,8 +251,6 @@ def lasso_fit(features, target, penalty_weight: float, w0=None, trace=None):
     target : (n,) array
     penalty_weight : float, finite and >= 0
     w0 : optional warm-start coefficients, q finite values.
-    trace : optional list; if given, the objective value after each sweep is
-        appended (used to check that sweeps never increase the objective).
 
     Returns
     -------
@@ -254,17 +261,29 @@ def lasso_fit(features, target, penalty_weight: float, w0=None, trace=None):
     ValueError
         If the inputs are malformed or ``w0`` is not q finite values.
     ConvergenceError
-        If the maximum coefficient change is still above 1e-7 after 10^4
-        sweeps.
+        If a fallback descent on the path still moves a coefficient by more
+        than 1e-7 after 10^4 sweeps.
     """
     F, y = _arrays(features, target)
     _check_penalties(penalty_weight, "penalty_weight")
     q = F.shape[1]
-    w = np.zeros(q) if w0 is None else np.array(w0, dtype=np.float64)
-    if w.shape != (q,) or not np.isfinite(w).all():
-        raise ValueError(f"w0 must hold {q} finite values")
+    if w0 is not None:
+        w0 = np.array(w0, dtype=np.float64)
+        if w0.shape != (q,) or not np.isfinite(w0).all():
+            raise ValueError(f"w0 must hold {q} finite values")
     mom = _moments(F, y)
-    _descend(mom.G, mom.c, mom.yy, penalty_weight, w, trace)
+    pen = float(penalty_weight)
+    held = np.empty((0, q))
+    if w0 is not None:
+        held, _ = _settle(mom.G, mom.c, np.array([pen]), np.sign(w0))
+    pmax = _penalty_max(mom)
+    if len(held):
+        w = held[0]
+    elif pen >= pmax:
+        w = np.zeros(q)
+    else:
+        grid = _penalty_grid(pmax, GRID_POINTS, GRID_RATIO)
+        w = _fit_path(mom, np.append(grid[grid > pen], pen))[0][-1]
     return w, float(mom.y_mean - mom.f_mean @ w)
 
 

@@ -1,6 +1,7 @@
 """Parity reports, conditional parity curves, PPV, counterfactual check."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fairmimic as fm
+from fairmimic.model import GRAM_CHUNK_ROWS
 
 from conftest import make_generator, simulate_from
 
@@ -299,6 +301,39 @@ class TestTiedScoresAgainstOracle:
         assert sum(b.count for b in curve.bins[-len(groups) :]) == n
 
 
+class TestWideCountingPaths:
+    """Bin counters one or two bytes wide, and integer tallies over 0/1
+    flags, against the mask-loop oracles."""
+
+    @pytest.mark.parametrize("n_bins,groups", [(300, ("a", "b", "c")), (200, ("a", "b"))])
+    def test_many_bins_match_oracle_exactly(self, n_bins, groups):
+        # 300 bins need a two-byte counter; 200 bins fit a byte, but bin * 2
+        # groups does not
+        rng = np.random.default_rng(n_bins)
+        n = 3000
+        scores = rng.normal(size=n)
+        labels = rng.choice(groups, size=n)
+        proxy = rng.integers(-50, 51, size=n).astype(np.float64)
+        curve = fm.conditional_parity_curve(scores, labels, proxy, n_bins=n_bins)
+        levels, cells = mask_loop_curve(scores, labels, proxy, n_bins)
+        assert curve.groups == levels
+        # integer proxy values: exact sums, so equal counts give equal means
+        assert [(b.group, b.count, b.mean) for b in curve.bins] == [(g, c, m) for g, c, m, _ in cells]
+
+    @pytest.mark.parametrize("outcome_dtype", [bool, np.float64, np.int64])
+    @pytest.mark.parametrize("decision_dtype", [bool, np.float64, np.int64])
+    def test_parity_reports_match_oracle_for_each_dtype(self, decision_dtype, outcome_dtype):
+        # cmd_audit passes decisions read from a CSV and outcomes as floats
+        rng = np.random.default_rng(58)
+        labels = rng.choice(["c", "a", "b"], size=500)
+        decisions = rng.integers(0, 2, size=500).astype(decision_dtype)
+        outcome = rng.integers(0, 2, size=500).astype(outcome_dtype)
+        rep = fm.statistical_parity(decisions, labels).to_dict()
+        assert json.dumps(rep) == json.dumps(str_loop_parity(decisions, labels))
+        rep = fm.predictive_parity(decisions, outcome, labels).to_dict()
+        assert json.dumps(rep) == json.dumps(str_loop_ppv(decisions, outcome, labels))
+
+
 class TestPredictiveParity:
     def test_all_decisions_correct(self):
         outcome = np.array([1, 0, 1, 0, 1, 0])
@@ -362,3 +397,17 @@ class TestCounterfactualCheck:
         X = data.covariate_matrix(res.model.covariate_names)
         disc = fm.counterfactual_check(res.model, X, score="naive")
         assert disc == pytest.approx(abs(res.model.sens_coef), abs=1e-12)
+
+    @pytest.mark.parametrize("row", [0, GRAM_CHUNK_ROWS + 3, -1], ids=["first", "middle", "last"])
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_covariate_row_gives_nan(self, bad, row):
+        # each level's score of that row is not finite, and so is their spread,
+        # wherever the row sits among the blocks of GRAM_CHUNK_ROWS rows
+        gen = make_generator(gamma=3.0)
+        X = np.random.default_rng(59).normal(size=(2 * GRAM_CHUNK_ROWS + 5, 3))
+        assert fm.counterfactual_check(gen, X, score="naive") == pytest.approx(3.0, abs=1e-12)
+        assert fm.counterfactual_check(gen, X, score="fair") == 0.0
+        X[row, 1] = bad
+        with np.errstate(invalid="ignore"):  # inf - inf is NaN, which is the point
+            assert math.isnan(fm.counterfactual_check(gen, X, score="naive"))
+            assert math.isnan(fm.counterfactual_check(gen, X, score="fair"))

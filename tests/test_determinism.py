@@ -34,3 +34,44 @@ def test_demo_outputs_identical_across_blas_thread_counts(tmp_path):
     assert one.keys() == two.keys() and len(one) > 0
     differing = sorted(k for k in one if one[k] != two[k])
     assert not differing, f"outputs differ between 1 and 2 BLAS threads: {differing}"
+
+
+# Scores a dataset of 3 blocks of GRAM_CHUNK_ROWS rows plus 7, so the
+# blocked product meets full blocks and a short last one, and prints the
+# SHA-256 of the scores and decisions.
+BLOCK_EDGE_SCORES = """
+import hashlib
+import sys
+sys.path.insert(0, sys.argv[1])
+from conftest import make_generator, simulate_from
+import fairmimic as fm
+from fairmimic.model import GRAM_CHUNK_ROWS
+gen = make_generator()
+data, _ = simulate_from(gen, n=3 * GRAM_CHUNK_ROWS + 7, seed=5)
+scores = fm.score_dataset(gen, data)
+digest = hashlib.sha256()
+for array in (scores.fair, scores.naive, scores.decision):
+    digest.update(array.tobytes())
+print(digest.hexdigest())
+"""
+
+
+def _block_edge_digest(threads):
+    env = dict(os.environ)
+    env["OPENBLAS_NUM_THREADS"] = env["OMP_NUM_THREADS"] = str(threads)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", BLOCK_EDGE_SCORES, str(REPO / "tests")],
+        capture_output=True,
+        text=True,
+        cwd=REPO,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
+def test_block_edge_scores_identical_across_blas_thread_counts():
+    one = _block_edge_digest(1)
+    assert len(one) == 64
+    assert _block_edge_digest(2) == one

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fairmimic as fm
+from fairmimic.model import GRAM_CHUNK_ROWS
 from fairmimic.score import as_codes, nearest_rank_percentile
 
 from conftest import CODING, make_generator, simulate_from
@@ -200,6 +201,15 @@ class TestDecide:
         with pytest.raises(ValueError, match="must be finite"):
             nearest_rank_percentile([1.0, bad, 2.0], 90.0)
 
+    def test_scores_checked_once_when_they_are_the_reference(self, monkeypatch):
+        checked = []
+        isfinite = np.isfinite
+        monkeypatch.setattr(np, "isfinite", lambda a: checked.append(len(a)) or isfinite(a))
+        fm.decide(np.arange(5.0), 50.0)
+        assert checked == [5]
+        fm.decide(np.arange(5.0), 50.0, reference_scores=np.arange(3.0))
+        assert checked == [5, 5, 3]
+
 
 class TestNearestRankPercentile:
     @given(
@@ -313,3 +323,39 @@ class TestScoreSet:
         assert len(lines) == data.n + 1
         first = lines[1].split(",")
         assert float(first[1]) == scores.fair[0]
+
+
+B = GRAM_CHUNK_ROWS
+
+
+def block_edge_case(n, q):
+    """A model with ``q`` covariates and a dataset of ``n`` rows in two
+    groups, with shifted and scaled covariate columns."""
+    rng = np.random.default_rng(1000 * q + n)
+    model = score_model(beta=tuple(rng.normal(size=q)), gamma=-0.7)
+    names = model.covariate_names
+    X = rng.normal(size=(n, q)) * rng.uniform(0.5, 20.0, q) + rng.uniform(-50.0, 50.0, q)
+    values = {"g": rng.choice(["a", "b"], size=n), "y1": rng.normal(size=n), "y2": rng.normal(size=n)}
+    values.update({name: X[:, j].copy() for j, name in enumerate(names)})
+    roles = {"g": "sensitive", "y1": "indicator", "y2": "indicator", **{name: "covariate" for name in names}}
+    data = fm.Dataset(("g", "y1", "y2", *names), roles, values, CODING)
+    return model, data
+
+
+class TestBlockedPredictor:
+    """Scores are formed a block of GRAM_CHUNK_ROWS rows at a time; every
+    row of every block, the short last one included, must be scored."""
+
+    @pytest.mark.parametrize("q", [1, 6])
+    @pytest.mark.parametrize("n", [1, B - 1, B, B + 1, 3 * B + 7])
+    def test_dataset_scores_equal_matrix_scores_and_oracle(self, n, q):
+        model, data = block_edge_case(n, q)
+        X = data.covariate_matrix(model.covariate_names)
+        s = data.sensitive_codes()
+        scores = fm.score_dataset(model, data)
+        assert scores.fair.tobytes() == fm.fair_score(model, X).tobytes()
+        assert scores.naive.tobytes() == fm.naive_score(model, X, s).tobytes()
+        beta, gamma = np.asarray(model.struct_coefs), model.sens_coef
+        scale = np.abs(X) @ np.abs(beta) + abs(gamma)
+        assert np.all(np.abs(scores.fair - X @ beta) <= 1e-12 * scale)
+        assert np.all(np.abs(scores.naive - (X @ beta + gamma * s)) <= 1e-12 * scale)
