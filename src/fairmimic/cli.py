@@ -156,6 +156,8 @@ def _read_scores(path) -> dict:
 
 
 def cmd_audit(args) -> int:
+    if args.reference_level is not None and args.model is None:
+        raise FairMimicError("--reference-level sets the counterfactual check's level; it needs --model")
     dataset, _ = _load_dataset(args)
     scores = _read_scores(args.scores)
     if len(scores["row_id"]) != dataset.n:
@@ -283,6 +285,10 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--data", required=True, help="input CSV")
             p.add_argument("--roles", required=True, help="role-config JSON")
 
+    def add_solver(p):
+        p.add_argument("--max-iter", type=int, default=OptimOptions.max_iter)
+        p.add_argument("--tol", type=float, default=OptimOptions.grad_tol, help="converged: gradient norm below this")
+
     p = sub.add_parser("simulate", help="draw a synthetic dataset from a SimSpec")
     p.add_argument("--spec", required=True, help="SimSpec JSON")
     p.add_argument("--seed", type=int, default=None, help="override the SimSpec seed")
@@ -293,8 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--train-frac", type=float, default=0.7)
     p.add_argument("--seed", type=int, default=0, help="split seed")
-    p.add_argument("--max-iter", type=int, default=500)
-    p.add_argument("--tol", type=float, default=1e-6, help="gradient norm tolerance")
+    add_solver(p)
     p.add_argument("--free-dif", nargs="*", default=None, help="indicators with a free dif offset")
     p.set_defaults(func=cmd_fit)
 
@@ -319,8 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dif", help="scan indicators for differential item functioning")
     add_common(p)
-    p.add_argument("--max-iter", type=int, default=500)
-    p.add_argument("--tol", type=float, default=1e-6)
+    add_solver(p)
     p.set_defaults(func=cmd_dif)
 
     p = sub.add_parser("select", help="LASSO feature selection with cross-validation")

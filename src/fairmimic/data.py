@@ -10,9 +10,7 @@ string labels read from disk so that CSV round trips are exact.
 from __future__ import annotations
 
 import csv
-import hashlib
 import itertools
-import json
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
@@ -94,10 +92,6 @@ class Dataset:
     def column(self, name: str) -> np.ndarray:
         return self.values[name]
 
-    def indicator_matrix(self, names=None) -> np.ndarray:
-        names = self.indicator_names if names is None else names
-        return _matrix(self.role_columns(names, "indicator"), self.n)
-
     def covariate_matrix(self, names=None) -> np.ndarray:
         names = self.covariate_names if names is None else names
         return _matrix(self.role_columns(names, "covariate"), self.n)
@@ -124,27 +118,6 @@ class Dataset:
     def replace_columns(self, new_values: dict, log_scale=None) -> "Dataset":
         values = {c: new_values.get(c, v) for c, v in self.values.items()}
         return replace(self, values=values, log_scale=self.log_scale if log_scale is None else log_scale)
-
-    def fingerprint(self) -> str:
-        """SHA-256 over a canonical text serialization of the table and its
-        role metadata: equal fingerprints mean the same table.  Fits identify
-        their data by the cheaper digest of the sample moments instead
-        (``model.data_moments``)."""
-        h = hashlib.sha256()
-        meta = {
-            "columns": list(self.column_order),
-            "roles": {c: self.roles[c] for c in self.column_order},
-            "coding": dict(sorted(self.sensitive_coding.items())),
-            "log_scale": sorted(self.log_scale),
-        }
-        h.update(json.dumps(meta, sort_keys=True).encode())
-        for c in self.column_order:
-            col = np.asarray(self.values[c])  # Labels iterate about 3x slower than their plain view
-            if col.dtype == np.float64:
-                h.update(col.tobytes())
-            else:
-                h.update("\x1f".join(str(v) for v in col).encode())
-        return h.hexdigest()
 
 
 def _validate_dataset(ds: Dataset):
@@ -517,30 +490,23 @@ def transform(data: Dataset, log1p=(), standardize=()):
     """Apply ln(1+x) and standardization, recording the statistics.
 
     Returns ``(transformed, record)``.  Standardization statistics are
-    computed on ``data`` after any log1p step; apply ``record`` to a test
-    split instead of calling transform on it.
+    computed after :meth:`TransformRecord.apply`'s log1p step; apply
+    ``record`` to a test split instead of calling transform on it.
     """
-    log1p = tuple(log1p)
-    standardize = tuple(standardize)
+    log1p, standardize = tuple(log1p), tuple(standardize)
     for c in log1p + standardize:
         if data.roles.get(c) not in _NUMERIC_ROLES:
             raise DataValidationError(f"cannot transform non-numeric column {c!r}")
+    logged = TransformRecord(log1p, {}).apply(data)
     stats = {}
-    logged = {}
-    for c in log1p:
-        col = data.values[c]
-        if np.any(col < 0):
-            raise DataValidationError(f"column {c!r} has negative values, cannot log1p")
-        logged[c] = np.log1p(col)
     for c in standardize:
-        col = logged.get(c, data.values[c])
-        mean = float(col.mean())
+        col = logged.values[c]
         std = float(col.std(ddof=0))
         if std == 0.0:
             raise DataValidationError(f"column {c!r} is constant, cannot standardize")
-        stats[c] = Standardization(mean, std)
+        stats[c] = Standardization(float(col.mean()), std)
     record = TransformRecord(log1p=log1p, standardize=stats)
-    return record.apply(data), record
+    return TransformRecord((), stats).apply(logged), record
 
 
 # ---------------------------------------------------------------------------

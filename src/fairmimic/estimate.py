@@ -24,10 +24,6 @@ from .model import (
     unpack,
 )
 
-# A fit is declared converged when the Euclidean gradient norm at the
-# returned point is below this, independent of why the optimizer stopped.
-CONVERGED_GRAD_NORM = 1e-5
-
 # observed_information warns when the gradient norm at its point is at
 # least this: the information is then not taken at a stationary point.
 STATIONARY_GRAD_NORM = 1e-3
@@ -41,12 +37,13 @@ _EPS = np.finfo(float).eps
 class OptimOptions:
     """Trust-region Newton optimizer settings.
 
-    The optimizer stops when the gradient 2-norm falls below ``grad_tol``,
-    after ``max_iter`` accepted Newton iterates, or when no step within the
-    trust radius improves the log-likelihood.  ``init="auto"`` computes
-    deterministic, scale-aware starting values from the data;
-    ``init="model"`` starts from the parameter values of the spec model
-    (used e.g. to refit from a previous optimum).
+    The optimizer stops when the gradient 2-norm falls below ``grad_tol``
+    (convergence; finite, > 0), after ``max_iter`` accepted Newton iterates
+    (an integer >= 0), or when no step within the trust radius improves the
+    log-likelihood.  ``init="auto"`` computes deterministic, scale-aware
+    starting values from the data; ``init="model"`` starts from the
+    parameter values of the spec model (used e.g. to refit from a previous
+    optimum).
     """
 
     max_iter: int = 500
@@ -54,6 +51,10 @@ class OptimOptions:
     init: str = "auto"
 
     def __post_init__(self):
+        if not (isinstance(self.grad_tol, numbers.Real) and 0 < self.grad_tol < math.inf):
+            raise ValueError(f"grad_tol must be finite and positive, got {self.grad_tol!r}")
+        if isinstance(self.max_iter, bool) or not isinstance(self.max_iter, numbers.Integral) or self.max_iter < 0:
+            raise ValueError(f"max_iter must be a nonnegative integer, got {self.max_iter!r}")
         if self.init not in ("auto", "model"):
             raise ValueError("init must be 'auto' or 'model'")
 
@@ -163,11 +164,13 @@ def fit(spec: MimicModel, data, options: OptimOptions | None = None, callback=No
 
     Deterministic given (spec, data, options): starting values are fixed
     functions of the data, the optimizer uses no randomness, and the
-    sensitive effect gamma is always estimated freely.  Non-convergence does
-    not raise; it is reported through ``converged=False``.  The standard
-    errors and ``vcov`` come from the solver's eigendecomposition of the
-    information -H at the returned point; they are all NaN, with a warning,
-    unless -H is positive definite with condition number below 1e12.
+    sensitive effect gamma is always estimated freely.  The fit has
+    converged when its gradient norm is below ``options.grad_tol``, the
+    tolerance the optimizer stops on; otherwise ``converged=False``, which
+    does not raise.  The standard errors and ``vcov`` come from the solver's
+    eigendecomposition of the information -H at the returned point; they
+    are all NaN, with a warning, unless -H is positive definite with
+    condition number below 1e12.
 
     Parameters
     ----------
@@ -262,7 +265,7 @@ def fit_stack(specs, data, options: OptimOptions | None = None, callback=None) -
         # a member stops when no step the floats can represent improves
         size = _norms(x[rows])
         live = [i for i, s in zip(live, size) if radius[i] > _EPS * (1.0 + s)]
-    return tuple(_result(*a, mom) for a in zip(specs, x, ll, norm, w, v, n_iter))
+    return tuple(_result(*a, mom, options.grad_tol) for a in zip(specs, x, ll, norm, w, v, n_iter))
 
 
 def _norms(a) -> list:
@@ -287,9 +290,10 @@ def _trial_loglik(x, specs, mom):
     return sum(ll, []), np.concatenate(grad), np.concatenate(hess)
 
 
-def _result(spec, x, ll, grad_norm, w, v, n_iter, mom) -> FitResult:
+def _result(spec, x, ll, grad_norm, w, v, n_iter, mom, grad_tol) -> FitResult:
     """The FitResult of one member at its returned point, with the SEs from
-    its eigendecomposition ``w, v`` of the information -H."""
+    its eigendecomposition ``w, v`` of the information -H; it has converged
+    when its gradient norm is below ``grad_tol``."""
     if w[0] > 1e-12 * w[-1]:  # -H positive definite, condition number below 1e12
         root = v / np.sqrt(w)
         vcov = root @ root.T
@@ -308,7 +312,7 @@ def _result(spec, x, ll, grad_norm, w, v, n_iter, mom) -> FitResult:
         vcov=vcov,
         param_names=param_names(spec),
         n_iter=n_iter,
-        converged=grad_norm < CONVERGED_GRAD_NORM,
+        converged=grad_norm < grad_tol,
         grad_norm=grad_norm,
         n_obs=mom.n,
         data_fingerprint=mom.fingerprint,

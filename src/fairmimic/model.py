@@ -522,18 +522,14 @@ class SampleMoments:
 
 def sample_moments(columns) -> SampleMoments:
     """Means and centred Gram matrix of equal-length 1-D columns, built one
-    block of rows at a time without stacking the columns into one array."""
+    block of rows of :func:`_column_blocks` at a time, centred in place,
+    without stacking the columns into one array."""
     n = len(columns[0])
-    d = len(columns)
     mean = np.array([np.mean(c) for c in columns])
-    gram = np.zeros((d, d))
-    block = np.empty((min(n, GRAM_CHUNK_ROWS), d))
-    for a in range(0, n, GRAM_CHUNK_ROWS):
-        b = min(a + GRAM_CHUNK_ROWS, n)
-        rows = block[: b - a]
-        for j, col in enumerate(columns):
-            np.subtract(col[a:b], mean[j], out=rows[:, j])
-        gram += rows.T @ rows
+    gram = np.zeros((len(columns), len(columns)))
+    for _, _, block in _column_blocks(columns, n):
+        block -= mean
+        gram += block.T @ block
     if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(gram))):
         raise ValueError("data contains missing or non-finite values")
     return SampleMoments(n=n, mean=mean, gram=gram)
@@ -560,7 +556,8 @@ def _columns(model: MimicModel, data):
 def _row_blocks(n: int):
     """The row ranges ``(a, b)`` of ``GRAM_CHUNK_ROWS`` rows, the last one
     shorter, that cover rows 0 .. n-1 in order: the one block loop of every
-    row-wise pass that works a cache-sized block at a time."""
+    row-wise pass that works a cache-sized block at a time, the Gram
+    accumulation of :func:`sample_moments` included."""
     return ((a, min(a + GRAM_CHUNK_ROWS, n)) for a in range(0, n, GRAM_CHUNK_ROWS))
 
 

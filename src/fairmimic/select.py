@@ -231,26 +231,24 @@ def _penalty_max(mom: _Moments) -> float:
     return float(np.max(np.abs(mom.c)))
 
 
-def lasso_fit(features, target, penalty_weight: float, w0=None):
+def lasso_fit(features, target, penalty_weight: float):
     """The LASSO solution at one penalty, as the end point of the exact path.
 
     Computes the centred moments of (features, target) once and solves on
-    them (see the module docstring).  Given ``w0``, the support and signs
-    of ``w0`` are tried first; when they do not hold at the penalty, or
-    without ``w0``, the solution is the last point of :func:`_fit_path`
-    over the default grid's points above the penalty followed by the
-    penalty itself.  Warm starts along a path are what keeps the descent
-    fallback short at small penalties (Friedman, Hastie, Hoefling &
-    Tibshirani 2007, Ann. Appl. Stat. 1(2)); a cold descent there can need
-    more than ``MAX_SWEEPS`` sweeps.  A penalty of 0 is a valid end point,
-    and one at or above :func:`penalty_max` gives all-zero coefficients.
+    them (see the module docstring): the solution is the last point of
+    :func:`_fit_path` over the default grid's points above the penalty
+    followed by the penalty itself.  Warm starts along a path are what
+    keeps the descent fallback short at small penalties (Friedman, Hastie,
+    Hoefling & Tibshirani 2007, Ann. Appl. Stat. 1(2)); a cold descent
+    there can need more than ``MAX_SWEEPS`` sweeps.  A penalty of 0 is a
+    valid end point, and one at or above :func:`penalty_max` gives all-zero
+    coefficients.
 
     Parameters
     ----------
     features : (n, q) array
     target : (n,) array
     penalty_weight : float, finite and >= 0
-    w0 : optional warm-start coefficients, q finite values.
 
     Returns
     -------
@@ -259,28 +257,18 @@ def lasso_fit(features, target, penalty_weight: float, w0=None):
     Raises
     ------
     ValueError
-        If the inputs are malformed or ``w0`` is not q finite values.
+        If the inputs are malformed.
     ConvergenceError
         If a fallback descent on the path still moves a coefficient by more
         than 1e-7 after 10^4 sweeps.
     """
     F, y = _arrays(features, target)
     _check_penalties(penalty_weight, "penalty_weight")
-    q = F.shape[1]
-    if w0 is not None:
-        w0 = np.array(w0, dtype=np.float64)
-        if w0.shape != (q,) or not np.isfinite(w0).all():
-            raise ValueError(f"w0 must hold {q} finite values")
     mom = _moments(F, y)
     pen = float(penalty_weight)
-    held = np.empty((0, q))
-    if w0 is not None:
-        held, _ = _settle(mom.G, mom.c, np.array([pen]), np.sign(w0))
     pmax = _penalty_max(mom)
-    if len(held):
-        w = held[0]
-    elif pen >= pmax:
-        w = np.zeros(q)
+    if pen >= pmax:
+        w = np.zeros(F.shape[1])
     else:
         grid = _penalty_grid(pmax, GRID_POINTS, GRID_RATIO)
         w = _fit_path(mom, np.append(grid[grid > pen], pen))[0][-1]

@@ -39,6 +39,17 @@ def simulate_from(gen, n, seed, **kwargs):
     return data, latent
 
 
+def same_table(a, b) -> bool:
+    """Whether two datasets hold the same table: the same column order,
+    roles, sensitive coding and log-scale flags, and every column equal
+    value for value, with the same kind of dtype."""
+    meta = lambda d: (d.column_order, d.roles, d.sensitive_coding, d.log_scale)
+    return meta(a) == meta(b) and all(
+        a.values[c].dtype.kind == b.values[c].dtype.kind and np.array_equal(a.values[c], b.values[c])
+        for c in a.column_order
+    )
+
+
 def base_template(gen=None, free_dif=()):
     gen = gen or make_generator()
     return fm.template(gen.indicator_names, gen.covariate_names, gen.sensitive_coding, free_dif)

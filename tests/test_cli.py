@@ -1,6 +1,8 @@
 """Subcommand behavior: files, exit codes, determinism."""
 
 import csv
+import dataclasses
+import inspect
 import io
 import json
 import os
@@ -11,7 +13,8 @@ from pathlib import Path
 import pytest
 
 import fairmimic as fm
-from fairmimic.cli import main
+from fairmimic import data as data_mod
+from fairmimic.cli import build_parser, main
 
 from conftest import make_generator
 
@@ -119,6 +122,32 @@ class TestFit:
         report = json.loads((tmp_path / "fit_report.json").read_text())
         assert report["converged"] is False  # diagnostics still written
 
+    def test_loose_tolerance_met_exits_0(self, tmp_path):
+        # The exit code reads the same threshold the optimizer stops on: a
+        # fit that met --tol 1e-3 has converged, whatever its gradient norm
+        # against the default tolerance.
+        data, _ = fm.simulate(fm.SimSpec(n=400, model=make_generator(), group_prob=0.5, seed=0))
+        fm.write_csv(data, tmp_path / "data.csv")
+        (tmp_path / "roles.json").write_text(json.dumps(data_mod.role_config_of(data)))
+        code = main(
+            ["fit", "--data", str(tmp_path / "data.csv"), "--roles", str(tmp_path / "roles.json"),
+             "--train-frac", "1.0", "--tol", "1e-3", "--out-dir", str(tmp_path / "fit")]
+        )
+        assert code == 0
+        report = json.loads((tmp_path / "fit" / "fit_report.json").read_text())
+        assert report["converged"] is True
+        assert 1e-5 < report["grad_norm"] < 1e-3
+
+    @pytest.mark.parametrize("flag, value", [("--tol", "0"), ("--tol", "nan"), ("--max-iter", "-1")])
+    def test_meaningless_solver_setting_exits_1(self, sim_dir, tmp_path, capsys, flag, value):
+        code = main(
+            ["fit", "--data", str(sim_dir / "data.csv"), "--roles", str(sim_dir / "roles.json"),
+             flag, value, "--out-dir", str(tmp_path / "out")]
+        )
+        assert code == 1
+        assert "must be" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_free_dif_flag(self, sim_dir, tmp_path):
         code = main(
             [
@@ -220,6 +249,22 @@ class TestScoreAuditDif:
             for lo, hi, group, mean, count in curve.to_rows():
                 writer.writerow([name, lo, hi, group, "" if mean is None else repr(mean), count])
         assert (audit_dir / "parity_curve.csv").read_bytes().decode() == expected.getvalue()
+
+    def test_audit_reference_level_needs_model(self, sim_dir, fit_dir, tmp_path, capsys):
+        # --reference-level only sets the counterfactual check's level, which
+        # runs with --model; alone it would do nothing
+        main(
+            ["score", "--model", str(fit_dir / "model.json"), "--data", str(sim_dir / "data.csv"),
+             "--roles", str(sim_dir / "roles.json"), "--out-dir", str(tmp_path)]
+        )
+        code = main(
+            ["audit", "--scores", str(tmp_path / "scores.csv"), "--data", str(sim_dir / "data.csv"),
+             "--roles", str(sim_dir / "roles.json"), "--reference-level", "b",
+             "--out-dir", str(tmp_path / "audit")]
+        )
+        assert code == 1
+        assert "--model" in capsys.readouterr().err
+        assert not (tmp_path / "audit").exists()
 
     def test_audit_rejects_scores_of_other_rows(self, sim_dir, fit_dir, tmp_path, capsys):
         main(
@@ -355,6 +400,42 @@ class TestScoreAuditDif:
              "--roles", str(sim_dir / "roles.json"), "--out-dir", str(tmp_path / "o")]
         )
         assert code == 1
+
+
+def test_flag_defaults_equal_the_library_defaults():
+    # Each flag below mirrors a library default; parsing a subcommand with
+    # only its required flags must give that default, so editing one copy
+    # alone fails here.
+    solver = {f.name: f.default for f in dataclasses.fields(fm.OptimOptions)}
+
+    def default(fn, name):
+        return inspect.signature(fn).parameters[name].default
+
+    mirrored = {
+        "fit": {"max_iter": solver["max_iter"], "tol": solver["grad_tol"]},
+        "dif": {"max_iter": solver["max_iter"], "tol": solver["grad_tol"]},
+        "score": {
+            "percentile": default(fm.score_dataset, "percentile"),
+            "reference_level": default(fm.score_dataset, "reference_level"),
+        },
+        "audit": {"bins": default(fm.conditional_parity_curve, "n_bins")},
+        "select": {
+            "folds": default(fm.cv_select, "k_folds"),
+            "seed": default(fm.cv_select, "seed"),
+            "rule": default(fm.cv_select, "rule"),
+        },
+    }
+    required = {
+        "fit": [],
+        "dif": [],
+        "score": ["--model", "m"],
+        "audit": ["--scores", "s"],
+        "select": [],
+    }
+    parser = build_parser()
+    for command, flags in mirrored.items():
+        args = parser.parse_args([command, "--out-dir", "o", "--data", "d", "--roles", "r", *required[command]])
+        assert {k: getattr(args, k) for k in flags} == flags, command
 
 
 def _run_python(code: str, *args: str) -> subprocess.CompletedProcess:

@@ -1,6 +1,7 @@
 """Fitting, observed information, and likelihood-ratio tests."""
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from scipy.stats import chi2
 
 import fairmimic as fm
 from fairmimic import estimate as estimate_mod
-from fairmimic.estimate import CONVERGED_GRAD_NORM, _start_values, fit_stack
+from fairmimic.estimate import _start_values, fit_stack
 from fairmimic.model import _loglik, data_moments, sample_moments
 
 from conftest import CODING, base_template, make_generator, simulate_from
@@ -138,7 +139,51 @@ class TestFit:
             res = fm.fit(base_template(generator), data, fm.OptimOptions(max_iter=0))
         assert not res.converged
         assert np.isfinite(res.loglik)
-        assert res.grad_norm > CONVERGED_GRAD_NORM
+        assert res.grad_norm > fm.OptimOptions().grad_tol
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"grad_tol": 0.0},
+            {"grad_tol": -1e-6},
+            {"grad_tol": float("nan")},
+            {"grad_tol": float("inf")},
+            {"grad_tol": "1e-6"},
+            {"max_iter": -1},
+            {"max_iter": 2.5},
+            {"max_iter": True},
+        ],
+        ids=["tol-0", "tol-negative", "tol-nan", "tol-inf", "tol-str", "iter-negative", "iter-float", "iter-bool"],
+    )
+    def test_meaningless_solver_settings_refused(self, kwargs):
+        # converged reads grad_norm < grad_tol, so a tolerance that no norm
+        # can be below would report every fit as not converged.
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
+            fm.OptimOptions(**kwargs)
+
+    def test_solver_settings_at_their_limits_accepted(self):
+        assert fm.OptimOptions(max_iter=0).max_iter == 0
+        assert fm.OptimOptions(max_iter=np.int64(3), grad_tol=np.float64(1e-300)).grad_tol == 1e-300
+
+    def test_converged_means_below_the_given_tolerance(self, generator):
+        # The optimizer stops on grad_tol, and that is the threshold the
+        # verdict reads: a fit that met a loose tolerance has converged.
+        data, _ = simulate_from(generator, n=400, seed=0)
+        res = fm.fit(base_template(generator), data, fm.OptimOptions(grad_tol=1e-3))
+        assert res.converged
+        assert 1e-5 < res.grad_norm < 1e-3
+
+    @pytest.mark.parametrize("seed", [8, 19, 56, 76])
+    def test_converges_at_a_near_heywood_boundary(self, seed):
+        # theta_3 = 1e-9 puts one residual variance next to 0; the precision
+        # of Sigma then needs a factorization that keeps its accuracy there
+        # (a Sherman-Morrison closed form loses the gradient to cancellation
+        # of two terms of size 1/theta_3, and these fits stall above 1e-6).
+        gen = replace(make_generator(), resid_vars=np.array([0.5, 0.4, 1e-9, 0.5]))
+        data, _ = simulate_from(gen, n=60, seed=seed)
+        res = fm.fit(base_template(gen), data)
+        assert res.converged and res.grad_norm < fm.OptimOptions().grad_tol
+        assert res.model.resid_vars[2] < 1e-8
 
     def test_deterministic(self, generator):
         data, _ = simulate_from(generator, n=700, seed=28)
@@ -191,7 +236,7 @@ class TestFitFromMoments:
         data, _ = simulate_from(generator, n=400, seed=48)
         spec = base_template(generator)
         bare = sample_moments(
-            [*data.covariate_matrix().T, data.sensitive_codes(), *data.indicator_matrix().T]
+            [*data.covariate_matrix().T, data.sensitive_codes(), *(data.column(c) for c in data.indicator_names)]
         )
         reordered = fm.template(("y2", "y1", "y3", "y4"), generator.covariate_names, CODING)
         fewer = fm.template(generator.indicator_names, ("x1", "x2"), CODING)

@@ -247,7 +247,7 @@ class TestFactorScore:
         fs = fm.factor_score(gen, data)
 
         # direct conditional-Gaussian formula with explicit inverse
-        Y = data.indicator_matrix()
+        Y = np.column_stack([data.column(c) for c in data.indicator_names])
         X = data.covariate_matrix()
         s = data.sensitive_codes()
         lam, psi = gen.loadings, gen.latent_var
@@ -264,7 +264,7 @@ class TestFactorScore:
         data, eta = simulate_from(gen, n=20_000, seed=42)
         fs = fm.factor_score(gen, data)
         r_fs = np.corrcoef(fs, eta)[0, 1]
-        Y = data.indicator_matrix()
+        Y = np.column_stack([data.column(c) for c in data.indicator_names])
         r_single = max(abs(np.corrcoef(Y[:, j], eta)[0, 1]) for j in range(Y.shape[1]))
         assert r_fs > r_single
 

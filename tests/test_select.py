@@ -117,17 +117,6 @@ class TestLassoFit:
         diffs = np.diff(np.asarray(trace))
         assert np.all(diffs <= 1e-12)
 
-    def test_warm_start_agrees_with_cold_start(self):
-        from fairmimic.select import default_penalty_grid
-
-        F, y, _ = random_instance(120, 6, seed=74)
-        grid = default_penalty_grid(F, y, n_points=20)
-        w = np.zeros(6)
-        for pen in grid:
-            w, _ = fm.lasso_fit(F, y, pen, w0=w)
-            w_cold, _ = fm.lasso_fit(F, y, pen)
-            np.testing.assert_allclose(w, w_cold, atol=1e-6)
-
     @given(
         seed=st.integers(0, 2**32 - 1),
         n=st.integers(5, 60),
@@ -155,16 +144,6 @@ class TestLassoFit:
         pen = frac * fm.penalty_max(F, y)
         w, b0 = fm.lasso_fit(F, y, pen)
         assert kkt_violation(F, y, pen, w, b0) <= 1e-5
-
-    @pytest.mark.parametrize(
-        "w0", [[np.nan, 0.0, 0.0], [0.0, np.inf, 0.0], [0.0, 0.0], [[0.0], [0.0], [0.0]]], ids=["nan", "inf", "short", "2-D"]
-    )
-    def test_bad_warm_start_rejected(self, w0):
-        # a NaN warm start used to stop the sweep at once with all-zero
-        # coefficients, at a penalty whose solution is nonzero
-        F, y, _ = random_instance(50, 3, seed=82)
-        with pytest.raises(ValueError, match="w0"):
-            fm.lasso_fit(F, y, 0.1 * fm.penalty_max(F, y), w0=w0)
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
