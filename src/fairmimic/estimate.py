@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import statistics
 import warnings
 from dataclasses import dataclass
 
@@ -40,14 +41,19 @@ class OptimOptions:
     The optimizer stops when the gradient 2-norm falls below ``grad_tol``
     (convergence; finite, > 0), after ``max_iter`` accepted Newton iterates
     (an integer >= 0), or when no step within the trust radius improves the
-    log-likelihood.  ``init="auto"`` computes deterministic, scale-aware
-    starting values from the data; ``init="model"`` starts from the
-    parameter values of the spec model (used e.g. to refit from a previous
-    optimum).
+    log-likelihood.  The default 1e-8 lets a fit that has reached the
+    quadratic phase of Newton's method take its last step, so two fits
+    whose gradients differ only in scale (the same rows once and twice)
+    stop at the same point.  The smallest gradient norm the floats allow
+    grows about linearly in n, to about 1e-9 at a million rows, so a fit
+    of well over ten million rows may need a looser ``grad_tol``.
+    ``init="auto"`` starts from the moment estimate of
+    :func:`_start_values`; ``init="model"`` starts from the parameter values
+    of the spec model (used e.g. to refit from a previous optimum).
     """
 
     max_iter: int = 500
-    grad_tol: float = 1e-6
+    grad_tol: float = 1e-8
     init: str = "auto"
 
     def __post_init__(self):
@@ -121,7 +127,69 @@ class LrTestResult:
 
 
 def _start_values(spec: MimicModel, mom) -> np.ndarray:
-    """Deterministic scale-aware starting point.
+    """Deterministic starting point: the one-factor model's noniterative
+    moment estimate (Hägglund 1982; Bollen 1996).
+
+    The reduced-form regression of the indicators on [1, x, s], one solve
+    of the centred normal equations, gives the coefficients B and the
+    residual covariance S.  Spearman's triads on S, the median over pairs
+    (j, k) of S_1j S_1k / S_jk, give psi; then lambda_j = S_1j / psi and
+    theta_j = S_jj - psi lambda_j^2, at least 5% of S_jj.  Each row of B is
+    a multiple of lambda: weighted least squares with weights lambda/theta
+    gives beta from the covariate rows and gamma from the group row on the
+    items whose offset is fixed, and a free offset is what gamma lambda_j
+    leaves of its item's group coefficient.
+
+    A triad counts only where its three residual correlations all exceed
+    2 / sqrt(n), about twice the standard error of a correlation that is 0:
+    where the factor barely shows in the residuals, the ratios are noise,
+    and their loadings can start the solver in the basin of a worse local
+    maximum.  Where no triad counts (two indicators, or a weak factor),
+    where the triads give no positive psi, or where the covariates are
+    collinear, it returns :func:`_guess_values` instead.
+    """
+    p, q = spec.n_indicators, spec.n_covariates
+    czz, czy = mom.gram[: q + 1, : q + 1], mom.gram[: q + 1, q + 1 :]
+    try:
+        slopes = np.linalg.solve(czz, czy)  # (q+1) x p: the rows of beta lambda' and gamma lambda + delta
+    except np.linalg.LinAlgError:  # collinear covariates
+        return _guess_values(spec, mom)
+    S = (mom.gram[q + 1 :, q + 1 :] - czy.T @ slopes) / mom.n
+    var = np.diag(S)
+    if not (np.isfinite(S).all() and (var > 0.0).all()):
+        return _guess_values(spec, mom)
+    c, r = S.tolist(), np.abs(S / np.sqrt(np.outer(var, var))).tolist()
+    noise = 2.0 / math.sqrt(mom.n)
+    triads = [
+        c[0][j] * c[0][k] / c[j][k]
+        for j in range(1, p)
+        for k in range(j + 1, p)
+        if min(r[0][j], r[0][k], r[j][k]) > noise
+    ]
+    psi = statistics.median(triads) if triads else 0.0
+    if not 0.0 < psi < math.inf:
+        return _guess_values(spec, mom)
+    lam = S[0] / psi
+    lam[0] = 1.0  # the anchor's loading is pinned
+    theta = np.maximum(var - psi * lam * lam, 0.05 * var)
+    w = lam / theta
+    beta = slopes[:q] @ w / (lam @ w)
+    fixed = ~spec.free_mask
+    gamma = float(slopes[q, fixed] @ w[fixed] / (lam[fixed] @ w[fixed])) if fixed.any() else 0.0
+    start = dict(
+        loadings=lam,
+        intercepts=mom.mean[q + 1 :] - mom.mean[: q + 1] @ slopes,
+        struct_coefs=beta,
+        sens_coef=gamma,
+        dif_offsets=slopes[q] - gamma * lam,
+        resid_vars=theta,
+        latent_var=psi,
+    )
+    return _pack_fields(_layout(spec)[0], start)
+
+
+def _guess_values(spec: MimicModel, mom) -> np.ndarray:
+    """A scale-aware starting point where the moment estimate is undefined.
 
     Indicator means seed the intercepts, half the indicator variances seed
     the residual variances, half the first indicator's variance seeds the
@@ -148,13 +216,17 @@ def fit(spec: MimicModel, data, options: OptimOptions | None = None, callback=No
     """Maximize the model log-likelihood by trust-region Newton steps on the
     exact Hessian.
 
-    Each step maximizes the exact quadratic model within a trust radius
-    (:func:`_trust_step`): shifted where the Hessian is indefinite, as it
-    often is at the starting values, and plain Newton near the optimum.  A
-    step is accepted only if it raises the log-likelihood, or, because the
-    summed log-likelihood runs out of float resolution before the gradient
-    does, lowers it by at most ``1e-12 * |ll|`` while the gradient norm
-    falls.  The radius follows the ratio of actual to predicted gain.
+    It starts at the moment estimate of :func:`_start_values`, where the
+    information -H is usually already positive definite.  Each step
+    maximizes the exact quadratic model within a trust radius
+    (:func:`_step`): the plain Newton step, by a Cholesky factorization of
+    -H, wherever -H is positive definite and that step fits the radius, and
+    the shifted step of :func:`_trust_step`, through an eigendecomposition,
+    otherwise.  A step is accepted only if it raises the log-likelihood,
+    or, because the summed log-likelihood runs out of float resolution
+    before the gradient does, lowers it by at most ``1e-12 * |ll|`` while
+    the gradient norm falls.  The radius follows the ratio of actual to
+    predicted gain.
 
     The data enter once, through their sample moments; a caller that fits
     several specs with the same columns to one dataset can build those once
@@ -167,7 +239,7 @@ def fit(spec: MimicModel, data, options: OptimOptions | None = None, callback=No
     sensitive effect gamma is always estimated freely.  The fit has
     converged when its gradient norm is below ``options.grad_tol``, the
     tolerance the optimizer stops on; otherwise ``converged=False``, which
-    does not raise.  The standard errors and ``vcov`` come from the solver's
+    does not raise.  The standard errors and ``vcov`` come from one
     eigendecomposition of the information -H at the returned point; they
     are all NaN, with a warning, unless -H is positive definite with
     condition number below 1e12.
@@ -198,10 +270,12 @@ def fit_stack(specs, data, options: OptimOptions | None = None, callback=None) -
     iteration :func:`fit` describes on its own: its own iterate, trust
     radius, acceptance and stopping; only the evaluations of the members
     still running are batched into one call.  A trial point outside the
-    model rejects that member's step only.  Returns one :class:`FitResult`
-    per spec, in order, each equal to ``fit(spec, data, options)``;
-    ``callback`` is invoked with a member's packed vector after each of its
-    accepted iterates.
+    model rejects that member's step only, and the step route (Cholesky or
+    eigendecomposition) is chosen member by member.  One batched
+    eigendecomposition at the returned points gives every member's SEs.
+    Returns one :class:`FitResult` per spec, in order, each equal to
+    ``fit(spec, data, options)``; ``callback`` is invoked with a member's
+    packed vector after each of its accepted iterates.
     """
     options = options or OptimOptions()
     specs = tuple(specs)
@@ -227,8 +301,7 @@ def fit_stack(specs, data, options: OptimOptions | None = None, callback=None) -
     start = pack if options.init == "model" else (lambda s: _start_values(s, mom))
     x = np.array([start(s) for s in specs])
     ll, grad, hess = _loglik(x, specs, mom, order=2)
-    ll = ll.tolist()
-    w, v = np.linalg.eigh(-hess)
+    ll, info = ll.tolist(), -hess
     norm = _norms(grad)
     radius, n_iter = [1.0] * len(specs), [0] * len(specs)
     live = list(range(len(specs)))  # the members still running
@@ -237,7 +310,7 @@ def fit_stack(specs, data, options: OptimOptions | None = None, callback=None) -
         if not live:
             break
         rows = live if len(live) < len(specs) else slice(None)
-        step, predicted = _trust_step(grad[rows], w[rows], v[rows], np.array([radius[i] for i in live]))
+        step, predicted = _step(grad[rows], info[rows], np.array([radius[i] for i in live]))
         trial = x[rows] + step
         ll_try, grad_try, hess_try = _trial_loglik(trial, [specs[i] for i in live], mom)
         norm_try, length = _norms(grad_try), _norms(step)
@@ -257,14 +330,14 @@ def fit_stack(specs, data, options: OptimOptions | None = None, callback=None) -
         if accepted:
             every = len(accepted) == len(live)
             took, moved = (slice(None), rows) if every else (accepted, [live[j] for j in accepted])
-            x[moved], grad[moved] = trial[took], grad_try[took]
-            w[moved], v[moved] = np.linalg.eigh(-hess_try[took])
+            x[moved], grad[moved], info[moved] = trial[took], grad_try[took], -hess_try[took]
             if callback is not None:
                 for j in accepted:
                     callback(trial[j].copy())
         # a member stops when no step the floats can represent improves
         size = _norms(x[rows])
         live = [i for i, s in zip(live, size) if radius[i] > _EPS * (1.0 + s)]
+    w, v = np.linalg.eigh(info)
     return tuple(_result(*a, mom, options.grad_tol) for a in zip(specs, x, ll, norm, w, v, n_iter))
 
 
@@ -317,6 +390,48 @@ def _result(spec, x, ll, grad_norm, w, v, n_iter, mom, grad_tol) -> FitResult:
         n_obs=mom.n,
         data_fingerprint=mom.fingerprint,
     )
+
+
+def _step(grad, info, radius):
+    """The trust-region steps of :func:`_trust_step` for a stack of
+    gradients, informations ``info = -H`` and radii, and the list of gains
+    the quadratic model predicts, without an eigendecomposition where it is
+    not needed.
+
+    Where ``info`` is positive definite, which its Cholesky factorization
+    tells, and the Newton step ``info^-1 grad`` fits the radius, that step
+    is the solution and its predicted gain is ``grad @ step / 2``.  Only the
+    other members are eigendecomposed for the shifted step.  The route is
+    chosen member by member, so a member's step does not depend on the rest
+    of the stack.
+    """
+    try:
+        np.linalg.cholesky(info)
+    except np.linalg.LinAlgError:  # some member is not definite: find which, and solve for the others
+        definite = np.array([_is_definite(a) for a in info])
+        step = np.zeros(grad.shape)
+        if definite.any():
+            step[definite] = np.linalg.solve(info[definite], grad[definite][:, :, None])[:, :, 0]
+    else:
+        definite = True
+        step = np.linalg.solve(info, grad[:, :, None])[:, :, 0]
+    newton = definite & (np.sqrt((step * step).sum(1)) <= radius)
+    predicted = 0.5 * (grad * step).sum(1)
+    if not newton.all():
+        other = ~newton
+        w, v = np.linalg.eigh(info[other])
+        step[other], predicted[other] = _trust_step(grad[other], w, v, radius[other])
+    return step, predicted.tolist()
+
+
+def _is_definite(a) -> bool:
+    """Whether the symmetric matrix ``a`` is positive definite in floats:
+    its Cholesky factorization succeeds."""
+    try:
+        np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def _trust_step(grad, w, v, radius):

@@ -42,6 +42,8 @@ _FLOAT_FIELDS = (
     "resid_vars",
     "latent_var",
 )
+_SCALAR_FIELDS = ("sens_coef", "latent_var")
+_ARRAY_FIELDS = tuple(name for name in _FLOAT_FIELDS if name not in _SCALAR_FIELDS)
 
 
 @dataclass(frozen=True)
@@ -92,15 +94,14 @@ class MimicModel:
     SCHEMA_VERSION = 1
 
     def __post_init__(self):
-        arr = lambda v, dt=np.float64: np.array(v, dtype=dt, copy=True)
-        object.__setattr__(self, "loadings", arr(self.loadings))
-        object.__setattr__(self, "intercepts", arr(self.intercepts))
-        object.__setattr__(self, "struct_coefs", arr(self.struct_coefs))
-        object.__setattr__(self, "sens_coef", float(self.sens_coef))
-        object.__setattr__(self, "dif_offsets", arr(self.dif_offsets))
-        object.__setattr__(self, "resid_vars", arr(self.resid_vars))
-        object.__setattr__(self, "latent_var", float(self.latent_var))
-        object.__setattr__(self, "free_mask", arr(self.free_mask, np.bool_))
+        # Every field is converted once and checked with as few numpy calls
+        # as the checks allow: a model is built per fit result and per
+        # nested spec, so this runs several times in every DIF scan.
+        fixed = {name: float(getattr(self, name)) for name in _SCALAR_FIELDS}
+        arrays = {name: np.array(getattr(self, name), dtype=np.float64) for name in _ARRAY_FIELDS}
+        arrays["free_mask"] = np.array(self.free_mask, dtype=np.bool_)
+        for name, value in (*fixed.items(), *arrays.items()):
+            object.__setattr__(self, name, value)
         object.__setattr__(self, "indicator_names", tuple(self.indicator_names))
         object.__setattr__(self, "covariate_names", tuple(self.covariate_names))
         object.__setattr__(
@@ -113,42 +114,30 @@ class MimicModel:
         q = self.struct_coefs.shape[0]
         if self.loadings.ndim != 1 or p < 2:
             raise ValueError("loadings must be a vector with at least 2 entries")
-        for name, vec in (
-            ("intercepts", self.intercepts),
-            ("dif_offsets", self.dif_offsets),
-            ("resid_vars", self.resid_vars),
-            ("free_mask", self.free_mask),
-        ):
-            if vec.shape != (p,):
-                raise ValueError(f"{name} must have length {p}, got {vec.shape}")
+        for name in ("intercepts", "dif_offsets", "resid_vars", "free_mask"):
+            if arrays[name].shape != (p,):
+                raise ValueError(f"{name} must have length {p}, got {arrays[name].shape}")
         if len(self.indicator_names) != p:
             raise ValueError("indicator_names must match the number of loadings")
         if len(self.covariate_names) != q:
             raise ValueError("covariate_names must match struct_coefs")
-        values = [getattr(self, name) for name in _FLOAT_FIELDS]
-        if not np.isfinite(np.hstack(values)).all():
-            name, v = next((n, v) for n, v in zip(_FLOAT_FIELDS, values) if not np.isfinite(v).all())
-            raise ValueError(f"{name} must be finite, got {v!r}")
+        if not np.isfinite(np.concatenate([arrays[name] for name in _ARRAY_FIELDS] + [list(fixed.values())])).all():
+            values = {**arrays, **fixed}
+            name = next(n for n in _FLOAT_FIELDS if not np.isfinite(values[n]).all())
+            raise ValueError(f"{name} must be finite, got {values[name]!r}")
         if self.loadings[0] != 1.0:
             raise ValueError("loadings[0] must be exactly 1 (identification)")
-        if np.any(self.resid_vars <= 0.0):
+        if not self.resid_vars.min() > 0.0:
             raise ValueError("resid_vars must all be strictly positive")
         if self.latent_var <= 0.0:
             raise ValueError("latent_var must be strictly positive")
-        if np.any(self.dif_offsets[~self.free_mask] != 0.0):
+        if self.dif_offsets[~self.free_mask].any():
             raise ValueError("constrained dif_offsets entries must be exactly 0")
         codes = sorted(self.sensitive_coding.values())
         if codes != [0, 1]:
             raise ValueError("sensitive_coding must map exactly two levels to {0, 1}")
-        for a in (
-            self.loadings,
-            self.intercepts,
-            self.struct_coefs,
-            self.dif_offsets,
-            self.resid_vars,
-            self.free_mask,
-        ):
-            a.flags.writeable = False
+        for a in arrays.values():
+            a.setflags(write=False)
 
     @property
     def n_indicators(self):
@@ -284,11 +273,12 @@ def _layout(spec: MimicModel):
     """The packed vector of ``spec``'s free parameters: its blocks by name,
     in packing order, and its length.  Built once per structure and shared,
     so the mapping and its index arrays are read-only."""
-    return _layout_of(spec.indicator_names, spec.covariate_names, spec.free_mask.tobytes())
+    return _layout_of(spec.indicator_names, spec.covariate_names, spec.free_mask.tobytes())[:2]
 
 
 @functools.lru_cache(maxsize=128)
 def _layout_of(ind, cov, free_mask):
+    """The layout of a structure, its length and its :class:`_Scatter`."""
     every = np.arange(len(ind))
     rows = (  # name, field, packed entries, names of the field's entries, log scale
         ("lambda", "loadings", every[1:], ind, False),
@@ -304,32 +294,74 @@ def _layout_of(ind, cov, free_mask):
         size = 1 if index is None else len(index)
         layout[name] = _Block(field, index, names, log, np.arange(k, k + size), slice(k, k + size))
         k += size
-    for b in layout.values():
-        for a in (b.index, b.at):
-            if a is not None:
-                a.flags.writeable = False
-    return MappingProxyType(layout), k
+    scatter = _scatter(layout, k, len(ind), len(cov))
+    for a in (*(a for b in layout.values() for a in (b.index, b.at)), *scatter):
+        if a is not None:
+            a.flags.writeable = False
+    return MappingProxyType(layout), k, scatter
+
+
+class _Scatter(NamedTuple):
+    """Where the entries of the Jacobians of Bt and Sigma come from.
+
+    ``bt`` gives, for each entry of the (k, q+2, p) Jacobian of Bt in
+    row-major order, its position in the source vector
+    ``[0, 1, beta, gamma, lambda, E]``, where ``E`` is the rows of ``eye``
+    at the free offsets; ``sigma`` does the same for the (k, p, p)
+    Jacobian of Sigma and the source
+    ``[0, psi lambda, 2 psi lambda, theta, psi lambda lambda']``.  They
+    depend only on the layout, so :func:`_jacobians` builds the two
+    sources and fills each Jacobian with one gather.
+    """
+
+    bt: np.ndarray
+    sigma: np.ndarray
+    eye: np.ndarray
+
+
+def _scatter(layout, k, p, q) -> _Scatter:
+    """The :class:`_Scatter` of a layout with p indicators and q covariates."""
+    lo, th, delta = layout["lambda"], layout["log_theta"], layout["delta"]
+    one, beta, gamma, lam, rows = 1, 2, 2 + q, 3 + q, 3 + q + p  # offsets in the source of Bt
+    every, d = np.arange(p), len(delta.index)
+    bt = np.zeros((k, q + 2, p), dtype=np.intp)  # 0 picks the source's 0
+    bt[lo.at, 1 : q + 1, lo.index] = beta + np.arange(q)  # loading x beta
+    bt[lo.at, q + 1, lo.index] = gamma  # loading x gamma
+    bt[layout["nu"].at, 0, layout["nu"].index] = one
+    bt[layout["beta"].at, 1 + layout["beta"].index, :] = lam + every
+    bt[layout["gamma"].at, q + 1, :] = lam + every
+    bt[delta.at, q + 1, :] = rows + np.arange(d * p).reshape(d, p)
+    scaled, doubled, theta, outer = 1, 1 + p, 1 + 2 * p, 1 + 3 * p  # offsets in the source of Sigma
+    sigma = np.zeros((k, p, p), dtype=np.intp)
+    sigma[lo.at, lo.index, :] = scaled + every  # d Sigma / d lambda_a = e_a (psi lambda)' + its transpose
+    sigma[lo.at, :, lo.index] = scaled + every
+    sigma[lo.at, lo.index, lo.index] = doubled + lo.index
+    sigma[th.at, th.index, th.index] = theta + every
+    sigma[layout["log_psi"].at[0]] = outer + np.arange(p * p).reshape(p, p)
+    return _Scatter(bt.ravel(), sigma.ravel(), np.eye(p))
 
 
 def _stack_layout(spec):
-    """The layout of ``spec``, its length and its free-offset mask.
+    """The layout of ``spec``, its length, its free-offset mask and its
+    :class:`_Scatter`.
 
     ``spec`` may also be a sequence of B specs with the same names and
     packed length.  They then differ at most in which offsets are free, so
     every block sits at the same positions, and the mask is (B, p): row b
     marks the offsets member b's delta block holds.
     """
-    if isinstance(spec, MimicModel):
-        return (*_layout(spec), spec.free_mask)
-    layout, k = _layout(spec[0])
-    names = (spec[0].indicator_names, spec[0].covariate_names)
+    first = spec if isinstance(spec, MimicModel) else spec[0]
+    layout, k, scatter = _layout_of(first.indicator_names, first.covariate_names, first.free_mask.tobytes())
+    if first is spec:
+        return layout, k, spec.free_mask, scatter
+    names = (first.indicator_names, first.covariate_names)
     for s in spec:
         if (s.indicator_names, s.covariate_names) != names or _layout(s)[1] != k:
             raise ValueError(
                 "the specs of a stack must share their indicators and covariates "
                 "and have the same number of free parameters"
             )
-    return layout, k, np.array([s.free_mask for s in spec])
+    return layout, k, np.array([s.free_mask for s in spec]), scatter
 
 
 def param_names(model: MimicModel):
@@ -363,7 +395,7 @@ def unpack(spec: MimicModel, x: np.ndarray) -> MimicModel:
     """Rebuild a model from a packed free-parameter vector, keeping the
     structure (names, free_mask, coding) of ``spec``."""
     x = np.asarray(x, dtype=np.float64)
-    layout, k, free = _stack_layout(spec)
+    layout, k, free, _ = _stack_layout(spec)
     if x.shape != (k,):
         raise ValueError(f"expected {k} free parameters, got {x.shape}")
     return spec.with_values(**_field_values(layout, free, x))
@@ -661,29 +693,32 @@ def _extract_arrays(model: MimicModel, data):
 # ---------------------------------------------------------------------------
 
 
-def _jacobians(layout, k, free, values):
+def _jacobians(scatter, free, values):
     """Derivatives of Bt and of Sigma with respect to every packed
     parameter, as (..., k, q+2, p) and (..., k, p, p) arrays with the
-    leading axes of ``values``; ``free`` is the free-offset mask of
+    leading axes of ``values``, each gathered from its source vector by
+    the layout's :class:`_Scatter`; ``free`` is the free-offset mask of
     :func:`_stack_layout`."""
     lam, beta, gamma = values["loadings"], values["struct_coefs"], values["sens_coef"]
-    theta, psi = values["resid_vars"], values["latent_var"]
     p, q = lam.shape[-1], beta.shape[-1]
     lead = lam.shape[:-1]
-    lo, th = layout["lambda"], layout["log_theta"]
-    jb = np.zeros(lead + (k, q + 2, p))
-    jb[..., lo.at, 1 : q + 1, lo.index] = beta
-    jb[..., lo.at, q + 1, lo.index] = gamma[..., None]
-    jb[..., layout["nu"].at, 0, layout["nu"].index] = 1.0
-    jb[..., layout["beta"].at, 1 + layout["beta"].index, :] = lam[..., None, :]
-    jb[..., layout["gamma"].at, q + 1, :] = lam[..., None, :]
-    jb[..., layout["delta"].at, q + 1, :] = np.eye(p)[np.nonzero(free)[-1]].reshape(lead + (-1, p))
-    js = np.zeros(lead + (k, p, p))
-    js[..., lo.at, lo.index, :] = (psi[..., None] * lam)[..., None, :]
-    js[..., lo.span, :, :] += js[..., lo.span, :, :].swapaxes(-1, -2)
-    js[..., th.at, th.index, th.index] = theta
-    js[..., layout["log_psi"].at[0], :, :] = psi[..., None, None] * (lam[..., :, None] * lam[..., None, :])
-    return jb, js
+    rows = scatter.eye[np.nonzero(free)[-1]].reshape(lead + (-1,))  # the free offsets' rows of eye
+    src = np.empty(lead + (3 + q + p + rows.shape[-1],))
+    src[..., 0] = 0.0
+    src[..., 1] = 1.0
+    src[..., 2 : 2 + q] = beta
+    src[..., 2 + q] = gamma
+    src[..., 3 + q : 3 + q + p] = lam
+    src[..., 3 + q + p :] = rows
+    scaled = values["latent_var"][..., None] * lam
+    src_s = np.empty(lead + (1 + 3 * p + p * p,))
+    src_s[..., 0] = 0.0
+    src_s[..., 1 : 1 + p] = scaled
+    src_s[..., 1 + p : 1 + 2 * p] = 2.0 * scaled
+    src_s[..., 1 + 2 * p : 1 + 3 * p] = values["resid_vars"]
+    src_s[..., 1 + 3 * p :] = (scaled[..., :, None] * lam[..., None, :]).reshape(lead + (p * p,))
+    jb = src.take(scatter.bt, axis=-1).reshape(lead + (-1, q + 2, p))
+    return jb, src_s.take(scatter.sigma, axis=-1).reshape(lead + (-1, p, p))
 
 
 def _second_differential(jb, js, n, szz, G, P, Q):
@@ -722,7 +757,7 @@ def _loglik(x, spec, mom: SampleMoments, order: int = 0):
     (B, k) and Hessians (B, k, k) then come from the same formulas, member
     by member, in one batched product per step.
     """
-    layout, k, free = _stack_layout(spec)
+    layout, k, free, scatter = _stack_layout(spec)
     values = _field_values(layout, free, x)
     Bt, _, chol = _mean_cov(values)
     p, q = Bt.shape[-1], Bt.shape[-2] - 2
@@ -749,7 +784,7 @@ def _loglik(x, spec, mom: SampleMoments, order: int = 0):
     G = F @ P
     Q = P @ W @ P
     M = 0.5 * (Q + Q.swapaxes(-1, -2)) - n * P
-    jb, js = _jacobians(layout, k, free, values)
+    jb, js = _jacobians(scatter, free, values)
     grad = (
         jb.reshape(lead + (k, -1)) @ G.reshape(lead + (-1, 1))
         + 0.5 * (js.reshape(lead + (k, -1)) @ M.reshape(lead + (-1, 1)))

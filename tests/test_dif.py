@@ -10,9 +10,25 @@ from hypothesis import strategies as st
 
 import fairmimic as fm
 from fairmimic import dif as dif_mod
+from fairmimic import estimate as estimate_mod
 from fairmimic.model import data_moments
 
 from conftest import CODING, base_template, make_generator, simulate_from
+
+
+def counting(monkeypatch, *targets):
+    """Patch each ``(owner, name)`` to count its calls; returns the counter,
+    keyed by name."""
+    calls = collections.Counter()
+    for owner, name in targets:
+        real = getattr(owner, name)
+
+        def counted(*args, _real=real, _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+    return calls
 
 
 class TestPercentEffect:
@@ -228,25 +244,28 @@ class TestDifScan:
 
     def test_moments_and_fingerprint_built_once_per_scan(self, generator, monkeypatch):
         data, _ = simulate_from(generator, n=500, seed=66)
-        calls = collections.Counter()
-
-        def count(owner, name):
-            real = getattr(owner, name)
-
-            def counted(*args, **kwargs):
-                calls[name] += 1
-                return real(*args, **kwargs)
-
-            monkeypatch.setattr(owner, name, counted)
-
-        count(fm.Dataset, "sensitive_codes")
-        count(dif_mod, "fit")
-        count(dif_mod, "fit_stack")
+        calls = counting(monkeypatch, (fm.Dataset, "sensitive_codes"), (dif_mod, "fit"), (dif_mod, "fit_stack"))
         report = fm.dif_scan(base_template(generator), data)
         assert all(r.error is None for r in report.rows)
         # one base fit, then one stacked solve for the four nested fits; the
         # fits' fingerprint is a digest of the moments, built with them
         assert calls == {"sensitive_codes": 1, "fit": 1, "fit_stack": 1}
+
+    def test_one_eigendecomposition_per_stacked_solve(self, generator, monkeypatch):
+        # Near the optimum each step is a Cholesky Newton step, so the only
+        # eigendecomposition of a solve is the one for the SEs at its end,
+        # and the moment start leaves few iterates to evaluate.
+        data, _ = simulate_from(generator, n=400, seed=50_001)
+        calls = counting(
+            monkeypatch,
+            (estimate_mod, "fit_stack"),  # the base fit's
+            (dif_mod, "fit_stack"),  # the nested refits'
+            (estimate_mod, "_loglik"),
+            (np.linalg, "eigh"),
+        )
+        fm.dif_scan(base_template(generator), data)
+        assert calls["fit_stack"] == 2 and calls["eigh"] == 2
+        assert calls["_loglik"] <= 10
 
     def test_text_table_mirrors_report(self, generator):
         data, _ = simulate_from(generator, n=600, seed=66)

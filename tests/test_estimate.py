@@ -9,10 +9,17 @@ from scipy.stats import chi2
 
 import fairmimic as fm
 from fairmimic import estimate as estimate_mod
-from fairmimic.estimate import _start_values, fit_stack
+from fairmimic.estimate import _guess_values, _start_values, _step, _trust_step, fit_stack
 from fairmimic.model import _loglik, data_moments, sample_moments
 
 from conftest import CODING, base_template, make_generator, simulate_from
+
+
+def assert_indefinite_at(spec, data):
+    """-H is indefinite at the parameter values of ``spec``."""
+    mom = data_moments(spec, data)
+    _, _, hess = _loglik(fm.pack(spec), spec, mom, order=2)
+    assert np.linalg.eigvalsh(-hess).min() < 0.0
 
 
 class TestFit:
@@ -52,21 +59,20 @@ class TestFit:
         "n, seed, dif", [(400, 41, 0.0), (400, 42, 0.2), (5000, 43, 0.0), (5000, 44, 0.2)]
     )
     def test_converges_from_indefinite_start(self, n, seed, dif):
-        # The Hessian at the starting values is indefinite on the suite
-        # generator, so a plain Newton step there need not go uphill; the
-        # shifted trust-region step still reaches the optimum.
+        # The Hessian at the template's neutral values is indefinite on the
+        # suite generator, so a plain Newton step there need not go uphill;
+        # the shifted trust-region step still reaches the optimum.
         gen = make_generator(dif=(0.0, 0.0, dif, 0.0))
         data, _ = simulate_from(gen, n=n, seed=seed)
         spec = base_template(gen)
-        mom = data_moments(spec, data)
-        _, _, hess = _loglik(_start_values(spec, mom), spec, mom, order=2)
-        assert np.linalg.eigvalsh(-hess).min() < 0.0
-        res = fm.fit(spec, data, fm.OptimOptions(grad_tol=1e-8))
+        assert_indefinite_at(spec, data)
+        from_template = fm.OptimOptions(grad_tol=1e-8, init="model")
+        res = fm.fit(spec, data, from_template)
         assert res.converged and res.grad_norm < 1e-8
         # Stopped at that start, the fit is at no maximum and reports no SE.
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            start = fm.fit(spec, data, fm.OptimOptions(max_iter=0))
+            start = fm.fit(spec, data, replace(from_template, max_iter=0))
         assert [w.category for w in caught] == [UserWarning]
         assert np.all(np.isnan(start.std_errors)) and np.all(np.isnan(start.vcov))
 
@@ -135,8 +141,10 @@ class TestFit:
 
     def test_non_convergence_reported_not_raised(self, generator):
         data, _ = simulate_from(generator, n=600, seed=27)
+        spec = base_template(generator)
+        assert_indefinite_at(spec, data)
         with pytest.warns(UserWarning):  # SEs are unreliable away from the optimum
-            res = fm.fit(base_template(generator), data, fm.OptimOptions(max_iter=0))
+            res = fm.fit(spec, data, fm.OptimOptions(max_iter=0, init="model"))
         assert not res.converged
         assert np.isfinite(res.loglik)
         assert res.grad_norm > fm.OptimOptions().grad_tol
@@ -222,6 +230,54 @@ class TestFit:
             np.testing.assert_allclose(twice.std_errors * np.sqrt(2.0), once.std_errors, rtol=1e-11)
 
 
+class TestStartValues:
+    @pytest.mark.parametrize("seed", range(10))
+    def test_moment_start_is_closer_to_the_optimum_than_the_guess(self, generator, seed):
+        data, _ = simulate_from(generator, n=2000, seed=seed)
+        spec = base_template(generator)
+        mom = data_moments(spec, data)
+        res = fm.fit(spec, mom)
+        optimum = fm.pack(res.model)
+        distance = lambda x: np.linalg.norm(x - optimum)
+        assert distance(_start_values(spec, mom)) < distance(_guess_values(spec, mom))
+        assert res.converged and res.n_iter <= 4
+
+    def test_free_offset_starts_at_the_group_coefficient_gamma_leaves(self):
+        gen = make_generator(dif=(0.0, 0.0, 0.3, 0.0))
+        data, _ = simulate_from(gen, n=20_000, seed=3)
+        spec = base_template(gen, free_dif=("y3",))
+        start = fm.unpack(spec, _start_values(spec, data_moments(spec, data)))
+        assert start.dif_offsets[2] == pytest.approx(0.3, abs=0.05)
+        assert start.sens_coef == pytest.approx(0.4, abs=0.05)
+
+    @pytest.mark.parametrize("seed", [10, 16, 20])
+    def test_weak_factor_starts_from_the_guess(self, seed):
+        # The loadings of y2..y4 are near 0, so the residual correlations
+        # are within noise of 0 at n = 100 and every triad is a ratio of
+        # noise.  Started from those triads, these fits ended in a local
+        # maximum below the generating model's log-likelihood.
+        gen = replace(make_generator(), loadings=np.array([1.0, 0.04, 0.06, -0.03]))
+        data, _ = simulate_from(gen, n=100, seed=seed)
+        spec = base_template(gen)
+        mom = data_moments(spec, data)
+        np.testing.assert_array_equal(_start_values(spec, mom), _guess_values(spec, mom))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # a Heywood maximum: NaN SEs
+            res = fm.fit(spec, mom)
+        assert res.converged and res.loglik > fm.log_likelihood(gen, data)
+
+    @pytest.mark.parametrize("case", ["two indicators", "collinear covariates"])
+    def test_guess_where_the_moment_estimate_is_undefined(self, generator, case):
+        data, _ = simulate_from(generator, n=2000, seed=30)
+        if case == "two indicators":
+            spec = fm.template(("y1", "y2"), generator.covariate_names, CODING)
+        else:
+            data = data.replace_columns({"x3": 2.0 * data.column("x1")})
+            spec = base_template(generator)
+        mom = data_moments(spec, data)
+        np.testing.assert_array_equal(_start_values(spec, mom), _guess_values(spec, mom))
+
+
 class TestFitFromMoments:
     def test_matches_fit_from_dataset(self, generator):
         data, _ = simulate_from(generator, n=800, seed=47)
@@ -278,6 +334,40 @@ class TestFitStack:
         specs = [base_template(generator), base_template(generator, free_dif=("y2",))]
         with pytest.raises(ValueError, match="same number of free parameters"):
             fit_stack(specs, data)
+
+    def test_indefinite_member_does_not_change_the_others(self):
+        # Member y3 starts at the template's neutral values, where -H is
+        # indefinite; the others start at the base optimum, where it is
+        # positive definite, so the stack mixes the two step routes.
+        gen = make_generator(dif=(0.0, 0.0, 0.3, 0.0))
+        data, _ = simulate_from(gen, n=3000, seed=49)
+        mom = data_moments(base_template(gen), data)
+        specs = self.nested_specs(data, gen)
+        specs[2] = base_template(gen, free_dif=("y3",))
+        assert_indefinite_at(specs[2], data)
+        warm = fm.OptimOptions(init="model")
+        for spec, res in zip(specs, fit_stack(specs, mom, warm)):
+            self.assert_same_fit(res, fm.fit(spec, mom, warm))
+
+    def test_cholesky_step_is_the_trust_region_step_where_newton_fits(self, generator, monkeypatch):
+        data, _ = simulate_from(generator, n=2000, seed=52)
+        spec = base_template(generator)
+        mom = data_moments(spec, data)
+        near = fm.fit(spec, mom, fm.OptimOptions(max_iter=2))  # -H is positive definite, |g| is not 0
+        _, grad, hess = _loglik(fm.pack(near.model)[None], (spec,), mom, order=2)
+        info, radius = -hess, np.array([10.0])
+        w, v = np.linalg.eigh(info)
+        assert w.min() > 0.0
+        expected, gain = _trust_step(grad, w, v, radius)
+        assert np.linalg.norm(expected) < radius[0]
+
+        def no_eigh(a):
+            raise AssertionError("the Newton step needs no eigendecomposition")
+
+        monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+        step, predicted = _step(grad, info, radius)
+        np.testing.assert_allclose(step, expected, rtol=0, atol=1e-12 * np.abs(expected).max())
+        assert predicted[0] == pytest.approx(gain[0], rel=1e-12)
 
     def test_failed_trial_point_rejects_that_members_step_only(self, monkeypatch):
         gen = make_generator(dif=(0.0, 0.0, 0.3, 0.0))

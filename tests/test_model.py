@@ -121,6 +121,18 @@ class TestValidation:
         with pytest.raises(ValueError):
             tiny_model(intercepts=[0.0])
 
+    def test_array_fields_are_read_only_copies(self):
+        given = {name: np.array(value) for name, value in
+                 dict(loadings=[1.0, 0.5], resid_vars=[0.5, 0.5], free_mask=[False, True]).items()}
+        model = tiny_model(**given)
+        for value in given.values():
+            value[1] = 0
+        np.testing.assert_array_equal(model.loadings, [1.0, 0.5])
+        np.testing.assert_array_equal(model.resid_vars, [0.5, 0.5])
+        np.testing.assert_array_equal(model.free_mask, [False, True])
+        for name in ("loadings", "intercepts", "struct_coefs", "dif_offsets", "resid_vars", "free_mask"):
+            assert not getattr(model, name).flags.writeable, name
+
     @pytest.mark.parametrize(
         "field, value",
         [
