@@ -68,6 +68,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_fit(args) -> int:
+    if not 0.0 < args.train_frac <= 1.0:
+        raise ValueError(f"--train-frac must be in (0, 1], got {args.train_frac}")
     dataset, roles_config = _load_dataset(args)
 
     if args.train_frac < 1.0:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import itertools
+import numbers
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
@@ -568,6 +569,10 @@ class SimSpec:
     def __post_init__(self):
         if not 0.0 < self.group_prob < 1.0:
             raise ValueError("group_prob must be strictly between 0 and 1")
+        for name in ("n", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.n <= 0:
             raise ValueError("n must be positive")
         if self.group_shift is not None:

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._special import chi2_sf
-from .exceptions import NotPositiveDefiniteError
 from .model import (
     MimicModel,
     _layout,
@@ -350,12 +349,13 @@ def _trial_loglik(x, specs, mom):
     """The order-2 log-likelihood of a stack at trial points, the values as
     a list.  A member whose point lies outside the model gets log-likelihood
     -inf (a rejected step); when one does, the members are evaluated one at
-    a time to find it."""
+    a time to find it.  A point is outside the model when its evaluation
+    overflows or divides by zero, as where a variance underflows to 0."""
     try:
-        with np.errstate(over="raise", invalid="raise"):
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
             ll, grad, hess = _loglik(x, specs, mom, order=2)
             return ll.tolist(), grad, hess
-    except (FloatingPointError, NotPositiveDefiniteError):
+    except FloatingPointError:
         if len(specs) == 1:
             k = x.shape[1]
             return [-np.inf], np.full((1, k), np.nan), np.full((1, k, k), np.nan)

@@ -9,10 +9,6 @@ class DataValidationError(FairMimicError, ValueError):
     """Raised when tabular input fails ingestion validation."""
 
 
-class NotPositiveDefiniteError(FairMimicError, ValueError):
-    """Raised when an implied covariance matrix is not positive definite."""
-
-
 class ConvergenceError(FairMimicError, RuntimeError):
     """Raised when an iterative solver exhausts its iteration budget."""
 

@@ -29,9 +29,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .exceptions import NotPositiveDefiniteError, SchemaVersionError
+from .exceptions import SchemaVersionError
 
 LOG_2PI = math.log(2.0 * math.pi)
+_TINY = float(np.finfo(np.float64).tiny)
 
 _FLOAT_FIELDS = (
     "loadings",
@@ -67,7 +68,9 @@ class MimicModel:
         Per-indicator group offsets delta (differential item functioning).
         Entries where ``free_mask`` is False are constrained to exactly 0.
     resid_vars : (p,) array
-        Indicator residual variances theta, all strictly positive.
+        Indicator residual variances theta, all at least the smallest
+        normal float (``np.finfo(float).tiny``), so that ``lambda / theta``
+        in the closed-form precision does not overflow at a subnormal one.
     latent_var : float
         Residual variance psi of the latent variable, strictly positive.
     free_mask : (p,) bool array
@@ -127,8 +130,8 @@ class MimicModel:
             raise ValueError(f"{name} must be finite, got {values[name]!r}")
         if self.loadings[0] != 1.0:
             raise ValueError("loadings[0] must be exactly 1 (identification)")
-        if not self.resid_vars.min() > 0.0:
-            raise ValueError("resid_vars must all be strictly positive")
+        if not self.resid_vars.min() >= _TINY:
+            raise ValueError(f"resid_vars must all be at least the smallest normal float {_TINY!r}")
         if self.latent_var <= 0.0:
             raise ValueError("latent_var must be strictly positive")
         if self.dif_offsets[~self.free_mask].any():
@@ -458,32 +461,50 @@ def _check_regressors(model, covariates, sensitive):
     return X, s
 
 
-def _mean_cov(values):
-    """Conditional mean coefficients, covariance and its Cholesky factor.
-
-    ``values`` maps the MimicModel fields to their values, or to stacks of
-    them with a leading member axis.  Returns the (q+2) x p matrix
-    ``Bt = [nu'; beta lambda'; (gamma lambda + delta)']``, so that the mean
-    of a row is ``[1, x, s] @ Bt``, the covariance
-    ``Sigma = psi lambda lambda' + diag(theta)`` and its lower Cholesky
-    factor, each with that leading axis.
+def _mean_coefs(values):
+    """The conditional mean coefficients: ``values`` maps the MimicModel
+    fields to their values, or to stacks of them with a leading member
+    axis, and the result is the (q+2) x p matrix
+    ``Bt = [nu'; beta lambda'; (gamma lambda + delta)']``, with that leading
+    axis, so that the mean of a row is ``[1, x, s] @ Bt``.
     """
     lam, beta = values["loadings"], values["struct_coefs"]
-    gamma, psi = np.asarray(values["sens_coef"]), np.asarray(values["latent_var"])
+    gamma = np.asarray(values["sens_coef"])
     p, q = lam.shape[-1], beta.shape[-1]
     Bt = np.empty(lam.shape[:-1] + (q + 2, p))
     Bt[..., 0, :] = values["intercepts"]
     Bt[..., 1 : q + 1, :] = beta[..., :, None] * lam[..., None, :]
     Bt[..., q + 1, :] = gamma[..., None] * lam + values["dif_offsets"]
-    sigma = psi[..., None, None] * (lam[..., :, None] * lam[..., None, :])
-    sigma.reshape(lam.shape[:-1] + (p * p,))[..., :: p + 1] += values["resid_vars"]
-    try:
-        chol = np.linalg.cholesky(sigma)
-    except np.linalg.LinAlgError:
-        raise NotPositiveDefiniteError(
-            "implied indicator covariance is not positive definite"
-        ) from None
-    return Bt, sigma, chol
+    return Bt
+
+
+def _precision(values):
+    """``P = Sigma^-1`` and ``log|Sigma|`` of the one-factor covariance
+    ``Sigma = psi lambda lambda' + diag(theta)`` in closed form, for
+    ``values`` as :func:`_mean_coefs` takes them.
+
+    Sigma is diagonal plus rank one.  With ``u = lambda / theta`` and
+    ``t_j = psi lambda_j u_j >= 0``, Sherman-Morrison and the matrix
+    determinant lemma give ``P = -psi / (1 + sum t) u u'`` off the diagonal,
+    ``P_jj = (1 + sum_{k != j} t_k) / (theta_j (1 + sum t))`` on it and
+    ``log|Sigma| = sum log theta + log(1 + sum t)``.  No sum has a negative
+    term, so nothing cancels next to a Heywood case (one tiny theta_j),
+    where ``1 / theta_j - psi u_j^2 / (1 + sum t)`` or ``sum t - t_j``
+    would cancel two terms of size ``1 / theta_j``.  The off-diagonal part
+    is ``-v v'`` with ``v = u sqrt(psi / (1 + sum t))``: symmetric to the
+    bit, and finite where ``u u'`` would overflow.
+    """
+    lam, theta = values["loadings"], values["resid_vars"]
+    psi = np.asarray(values["latent_var"])[..., None]
+    p = lam.shape[-1]
+    u = lam / theta
+    t = psi * lam * u
+    total = t.sum(-1, keepdims=True)
+    scale = 1.0 + total
+    v = u * np.sqrt(psi / scale)
+    P = v[..., :, None] * -v[..., None, :]
+    P.reshape(lam.shape[:-1] + (p * p,))[..., :: p + 1] = (1.0 + t @ (1.0 - np.eye(p))) / (theta * scale)
+    return P, np.log(theta).sum(-1) + np.log1p(total[..., 0])
 
 
 def implied_moments(model: MimicModel, covariates, sensitive) -> ImpliedMoments:
@@ -499,13 +520,11 @@ def implied_moments(model: MimicModel, covariates, sensitive) -> ImpliedMoments:
     ------
     ValueError
         On dimension mismatch.
-    NotPositiveDefiniteError
-        If the implied covariance fails a Cholesky factorization, which
-        signals invalid variance parameters.
     """
     X, s = _check_regressors(model, covariates, sensitive)
-    Bt, sigma, _ = _mean_cov(vars(model))
+    Bt = _mean_coefs(vars(model))
     mu = Bt[0] + _matrix([*X.T, s], len(s)) @ Bt[1:]
+    sigma = model.latent_var * np.outer(model.loadings, model.loadings) + np.diag(model.resid_vars)
     return ImpliedMoments(cond_mean=mu, cond_cov=sigma)
 
 
@@ -759,7 +778,8 @@ def _loglik(x, spec, mom: SampleMoments, order: int = 0):
     """
     layout, k, free, scatter = _stack_layout(spec)
     values = _field_values(layout, free, x)
-    Bt, _, chol = _mean_cov(values)
+    Bt = _mean_coefs(values)
+    P, logdet = _precision(values)
     p, q = Bt.shape[-1], Bt.shape[-2] - 2
     lead = Bt.shape[:-2]
     n = mom.n
@@ -771,9 +791,6 @@ def _loglik(x, spec, mom: SampleMoments, order: int = 0):
     E = czy - czz @ B  # sum_i (z_i - zbar) r_i'
     W = n * rbar[..., :, None] * rbar[..., None, :] + cyy - czy.T @ B - B.swapaxes(-1, -2) @ E
 
-    chol_inv = np.linalg.inv(chol)
-    P = chol_inv.swapaxes(-1, -2) @ chol_inv
-    logdet = 2.0 * np.log(chol.diagonal(0, -2, -1)).sum(-1)
     ll = -0.5 * (n * (p * LOG_2PI + logdet) + (P * W).sum((-2, -1)))
     if order == 0:
         return ll

@@ -24,6 +24,7 @@ from .model import (
     _columns,
     _covariate_matrix,
     _extract_arrays,
+    _precision,
     _row_blocks,
     implied_moments,
 )
@@ -143,7 +144,7 @@ def factor_score(model: MimicModel, data) -> np.ndarray:
     Y, X, s = _extract_arrays(model, data)
     implied = implied_moments(model, X, s)
     (m,) = _predictors(model, _blocks(X), len(X), [s])
-    weights = model.latent_var * np.linalg.solve(implied.cond_cov, model.loadings)
+    weights = model.latent_var * (_precision(vars(model))[0] @ model.loadings)
     return m + (Y - implied.cond_mean) @ weights
 
 

@@ -270,20 +270,17 @@ def lasso_fit(features, target, penalty_weight: float):
     if pen >= pmax:
         w = np.zeros(F.shape[1])
     else:
-        grid = _penalty_grid(pmax, GRID_POINTS, GRID_RATIO)
+        grid = _penalty_grid(pmax)
         w = _fit_path(mom, np.append(grid[grid > pen], pen))[0][-1]
     return w, float(mom.y_mean - mom.f_mean @ w)
 
 
-def default_penalty_grid(features, target, n_points: int = GRID_POINTS, ratio: float = GRID_RATIO):
-    """Log-spaced descending grid from penalty_max down to ratio * penalty_max."""
-    return _penalty_grid(penalty_max(features, target), n_points, ratio)
-
-
-def _penalty_grid(pmax: float, n_points: int, ratio: float):
+def _penalty_grid(pmax: float):
+    """The default grid: ``GRID_POINTS`` log-spaced penalties from ``pmax``
+    down to ``GRID_RATIO * pmax``."""
     if pmax == 0.0:
         raise ValueError("target is uncorrelated with every feature; empty grid")
-    return np.geomspace(pmax, ratio * pmax, n_points)
+    return np.geomspace(pmax, GRID_RATIO * pmax, GRID_POINTS)
 
 
 @dataclass(frozen=True)
@@ -403,7 +400,7 @@ def cv_select(
     full = _scaled(_pool(before[-1], parts[-1]))
 
     if penalty_grid is None:
-        grid = _penalty_grid(_penalty_max(full), GRID_POINTS, GRID_RATIO)
+        grid = _penalty_grid(_penalty_max(full))
     else:
         grid = np.asarray(penalty_grid, dtype=np.float64)
         if grid.ndim != 1 or grid.size == 0:

@@ -59,6 +59,16 @@ class TestSimulate:
         assert (tmp_path / "data.csv").read_bytes() == (sim_dir / "data.csv").read_bytes()
         assert (tmp_path / "latent.csv").read_bytes() == (sim_dir / "latent.csv").read_bytes()
 
+    @pytest.mark.parametrize("field, value", [("n", 2.5), ("n", 1000.0), ("n", True), ("seed", 1.5), ("seed", False)])
+    def test_non_integer_size_or_seed_exits_1(self, sim_dir, tmp_path, capsys, field, value):
+        spec = json.loads((sim_dir / "simspec.json").read_text())
+        path = tmp_path / "simspec.json"
+        path.write_text(json.dumps({**spec, field: value}))
+        code = main(["simulate", "--spec", str(path), "--out-dir", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"fairmimic simulate: error: {field} must be an integer")
+        assert not (tmp_path / "out").exists()
+
     def test_seed_override_changes_data(self, sim_dir, tmp_path):
         code = main(
             ["simulate", "--spec", str(sim_dir / "simspec.json"), "--seed", "123",
@@ -146,6 +156,16 @@ class TestFit:
         )
         assert code == 1
         assert "must be" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("value", ["1.5", "nan", "inf", "0", "-0.2"])
+    def test_train_frac_outside_unit_interval_exits_1(self, sim_dir, tmp_path, capsys, value):
+        code = main(
+            ["fit", "--data", str(sim_dir / "data.csv"), "--roles", str(sim_dir / "roles.json"),
+             "--train-frac", value, "--out-dir", str(tmp_path / "out")]
+        )
+        assert code == 1
+        assert capsys.readouterr().err.startswith("fairmimic fit: error: --train-frac must be in (0, 1]")
         assert not (tmp_path / "out").exists()
 
     def test_free_dif_flag(self, sim_dir, tmp_path):

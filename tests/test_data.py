@@ -353,3 +353,10 @@ class TestSimulate:
             fm.SimSpec(n=10, model=gen, group_prob=1.5, seed=0)
         with pytest.raises(ValueError):
             fm.SimSpec(n=10, model=gen, group_prob=0.5, seed=0, group_shift=np.zeros(2))
+
+    @pytest.mark.parametrize("field, value", [("n", 2.5), ("n", 1000.0), ("n", True), ("seed", 0.5), ("seed", True)])
+    def test_non_integer_size_or_seed_rejected(self, field, value):
+        kwargs = {"n": 10, "model": make_generator(), "group_prob": 0.5, "seed": 0, field: value}
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            fm.SimSpec(**kwargs)
+        fm.SimSpec(**{**kwargs, field: np.int64(7)})  # numpy integers are integers

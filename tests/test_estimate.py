@@ -9,7 +9,7 @@ from scipy.stats import chi2
 
 import fairmimic as fm
 from fairmimic import estimate as estimate_mod
-from fairmimic.estimate import _guess_values, _start_values, _step, _trust_step, fit_stack
+from fairmimic.estimate import _guess_values, _start_values, _step, _trial_loglik, _trust_step, fit_stack
 from fairmimic.model import _loglik, data_moments, sample_moments
 
 from conftest import CODING, base_template, make_generator, simulate_from
@@ -183,10 +183,11 @@ class TestFit:
 
     @pytest.mark.parametrize("seed", [8, 19, 56, 76])
     def test_converges_at_a_near_heywood_boundary(self, seed):
-        # theta_3 = 1e-9 puts one residual variance next to 0; the precision
-        # of Sigma then needs a factorization that keeps its accuracy there
-        # (a Sherman-Morrison closed form loses the gradient to cancellation
-        # of two terms of size 1/theta_3, and these fits stall above 1e-6).
+        # theta_3 = 1e-9 puts one residual variance next to 0.  Only the
+        # naive Sherman-Morrison diagonal 1/theta_3 - psi u_3^2 / (1 + sum t)
+        # loses these fits: it cancels two terms of size 1/theta_3, and they
+        # stall above grad_tol.  The closed form that sums the other
+        # indicators' terms keeps them, as a factorization of Sigma does.
         gen = replace(make_generator(), resid_vars=np.array([0.5, 0.4, 1e-9, 0.5]))
         data, _ = simulate_from(gen, n=60, seed=seed)
         res = fm.fit(base_template(gen), data)
@@ -405,6 +406,20 @@ class TestFitStack:
         assert abs(stacked[1].loglik - alone[1].loglik) <= 1e-9 * abs(alone[1].loglik)
         for j in (0, 2, 3):
             self.assert_same_fit(stacked[j], alone[j])
+
+    def test_underflowed_variance_is_outside_the_model(self, generator):
+        # exp(-800) underflows to theta_3 = 0, where the precision divides
+        # by zero: that member's trial point is rejected, not scored
+        data, _ = simulate_from(generator, n=500, seed=53)
+        spec = base_template(generator)
+        mom = data_moments(spec, data)
+        x = np.stack([fm.pack(generator)] * 2)
+        x[1, fm.param_names(spec).index("log_theta[y3]")] = -800.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ll, grad, _ = _trial_loglik(x, [spec, spec], mom)
+        assert ll[1] == -np.inf
+        assert ll[0] == _loglik(x[0], spec, mom) and np.isfinite(grad[0]).all()
 
 
 class TestObservedInformation:

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import warnings
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 
 import fairmimic as fm
 from fairmimic import model as model_mod
-from fairmimic.model import GRAM_CHUNK_ROWS, _extract_arrays, _layout, _matrix, _ll_value, _loglik, data_moments, n_free_params
+from fairmimic.model import GRAM_CHUNK_ROWS, _extract_arrays, _layout, _matrix, _ll_value, _loglik, _precision, data_moments, n_free_params
 
 from conftest import CODING, make_generator, simulate_from
 
@@ -106,6 +107,14 @@ class TestValidation:
             tiny_model(resid_vars=[0.5, 0.0])
         with pytest.raises(ValueError):
             tiny_model(latent_var=-1.0)
+
+    def test_subnormal_residual_variance_rejected(self):
+        # lambda / theta would overflow in the closed-form precision
+        with pytest.raises(ValueError, match="resid_vars"):
+            tiny_model(resid_vars=[0.5, 1e-310])
+        model = tiny_model(resid_vars=[0.5, np.finfo(float).tiny])
+        data = _dataset_from_rows(model, np.array([[0.3, -0.2]]), np.zeros((1, 1)), ["a"])
+        assert np.isfinite(fm.log_likelihood(model, data))
 
     def test_constrained_dif_must_be_zero(self):
         with pytest.raises(ValueError, match="constrained"):
@@ -271,25 +280,83 @@ class TestGradient:
             np.testing.assert_array_equal(mom.cond_cov, expected)
 
 
+def _exact_precision(lam, theta, psi):
+    """``Sigma^-1`` and ``|Sigma|`` of ``psi lam lam' + diag(theta)`` in
+    exact rational arithmetic on the float inputs, by Gauss-Jordan
+    elimination; Sigma is positive definite, so no pivot is 0."""
+    p = len(lam)
+    a = [
+        [Fraction(psi) * Fraction(lam[j]) * Fraction(lam[k]) + (Fraction(theta[j]) if j == k else 0) for k in range(p)]
+        + [Fraction(int(j == k)) for k in range(p)]
+        for j in range(p)
+    ]
+    det = Fraction(1)
+    for c in range(p):
+        pivot = a[c][c]
+        det *= pivot
+        a[c] = [v / pivot for v in a[c]]
+        for r in range(p):
+            if r != c:
+                a[r] = [v - a[r][c] * w for v, w in zip(a[r], a[c])]
+    return [row[p:] for row in a], det
+
+
+def _assert_exact_precision(model, rel=1e-14):
+    P, logdet = _precision(vars(model))
+    exact, det = _exact_precision(model.loadings, model.resid_vars, model.latent_var)
+    p = model.n_indicators
+    for j in range(p):
+        for k in range(p):
+            err = abs(Fraction(P[j, k]) - exact[j][k]) / abs(exact[j][k])
+            assert err <= rel, (j, k, float(err))
+    assert logdet == pytest.approx(math.log(det), rel=rel, abs=0.0)
+
+
+class TestPrecision:
+    def test_exact_next_to_a_heywood_case(self):
+        # theta_3 = 1e-9: P_33 written as 1/theta_3 - psi u_3^2 / (1 + sum t)
+        # loses about 9 digits to cancellation
+        gen = dataclasses.replace(make_generator(), resid_vars=np.array([0.5, 0.4, 1e-9, 0.5]))
+        _assert_exact_precision(gen)
+
+    def test_agrees_with_inverse_and_slogdet_on_random_stacks(self):
+        rng = np.random.default_rng(24)
+        for p in range(2, 9):
+            lam = np.concatenate([np.ones((3, 1)), rng.uniform(-2.0, 2.0, size=(3, p - 1))], axis=1)
+            theta = rng.uniform(0.05, 2.0, size=(3, p))
+            psi = rng.uniform(0.1, 2.0, size=3)
+            P, logdet = _precision({"loadings": lam, "resid_vars": theta, "latent_var": psi})
+            sigma = psi[:, None, None] * lam[:, :, None] * lam[:, None, :] + theta[:, :, None] * np.eye(p)
+            inv = np.linalg.inv(sigma)
+            assert np.abs(P - inv).max() <= 1e-12 * np.abs(inv).max()
+            np.testing.assert_array_equal(P, P.swapaxes(-1, -2))
+            np.testing.assert_allclose(logdet, np.linalg.slogdet(sigma)[1], rtol=1e-12)
+
+
 class TestSingularCovariance:
-    # lambda = (1, 1), psi = 1 and theta = 1e-20 give a covariance that is
-    # rank 1 in floating point
+    # lambda = (1, 1), psi = 1 and theta = 1e-20 make the covariance rank 1
+    # in floating point, but not in exact arithmetic: P has entries of size
+    # 5e19 and log|Sigma| = log(2e-20 + 1e-40)
     MODEL = tiny_model(loadings=[1.0, 1.0], resid_vars=[1e-20, 1e-20], latent_var=1.0)
+
+    def test_precision_is_exact(self):
+        _assert_exact_precision(self.MODEL)
 
     @pytest.mark.parametrize(
         "call",
         [
-            lambda m, d: fm.implied_moments(m, np.zeros((1, 1)), np.zeros(1)),
+            lambda m, d: fm.implied_moments(m, np.zeros((1, 1)), np.zeros(1)).cond_cov,
             fm.log_likelihood,
             fm.log_likelihood_grad,
             fm.factor_score,
         ],
         ids=["implied_moments", "log_likelihood", "log_likelihood_grad", "factor_score"],
     )
-    def test_raises_one_error(self, call):
+    def test_returns_finite_values(self, call):
         data = _dataset_from_rows(self.MODEL, np.array([[0.0, 0.1], [0.3, 0.2]]), np.zeros((2, 1)), ["a", "b"])
-        with pytest.raises(fm.NotPositiveDefiniteError, match="covariance is not positive definite"):
-            call(self.MODEL, data)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.all(np.isfinite(call(self.MODEL, data)))
 
 
 @pytest.mark.parametrize(

@@ -280,6 +280,16 @@ class TestScoreSet:
         # decision rule: strictly above the threshold on the fair score
         np.testing.assert_array_equal(scores.decision, (scores.fair > scores.threshold_value).astype(int))
 
+    def test_decisions_on_the_naive_score(self, fitted_example):
+        res, data = fitted_example
+        reference = fm.score_dataset(res.model, data).naive[::3]
+        scores = fm.score_dataset(res.model, data, percentile=40.0, reference_scores=reference, decided_on="naive")
+        decisions, threshold = fm.decide(scores.naive, 40.0, reference)
+        assert scores.decision.tobytes() == decisions.tobytes()
+        assert scores.threshold_value == threshold
+        assert scores.summary_dict()["decided_on"] == "naive"
+        assert not np.array_equal(scores.decision, fm.decide(scores.fair, 40.0, reference)[0])
+
     def test_fair_invariant_naive_not(self, fitted_example):
         res, data = fitted_example
         scores = fm.score_dataset(res.model, data)
