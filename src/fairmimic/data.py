@@ -19,7 +19,7 @@ import numpy as np
 
 from ._special import ndtri
 from .exceptions import DataValidationError
-from .model import MimicModel, _matrix, to_json
+from .model import MimicModel, _column_blocks, _matrix, to_json
 
 ROLES = ("indicator", "covariate", "sensitive", "id", "ignore")
 
@@ -113,8 +113,16 @@ class Dataset:
         return self._codes
 
     def subset(self, indices) -> "Dataset":
+        """The rows at ``indices``, in that order.  The sensitive column
+        carries the parent's coding over, compacted to the levels still
+        present, so no label is coded afresh; a level keeps the parent's
+        name for it."""
         indices = np.asarray(indices, dtype=np.intp)
-        return replace(self, values={c: v[indices] for c, v in self.values.items()})
+        labels = self.sensitive_labels()
+        levels, index = labels.groups
+        carried = _labels_with_codes(np.asarray(labels)[indices], levels, index[indices])
+        values = {c: carried if v is labels else v[indices] for c, v in self.values.items()}
+        return replace(self, values=values)
 
     def replace_columns(self, new_values: dict, log_scale=None) -> "Dataset":
         values = {c: new_values.get(c, v) for c, v in self.values.items()}
@@ -151,11 +159,14 @@ def _validate_dataset(ds: Dataset):
 class Labels(np.ndarray):
     """A dataset's read-only sensitive column, carrying its coding.
 
-    ``groups`` is the ``(levels, index)`` pair :func:`group_codes` gave for
-    this very array, set by :class:`Dataset` on a view of its own read-only
-    copy, which cannot be made writeable again.  Every array derived from
-    it (a slice, a copy, a comparison) has ``groups`` None and is coded
-    afresh.
+    ``groups`` is the ``(levels, index)`` pair :func:`group_codes` gives
+    for this very array, set on a view of a read-only array, which cannot
+    be made writeable again.  :class:`Dataset` codes its own read-only copy
+    of the labels it is given; :func:`simulate` and :meth:`Dataset.subset`
+    hand over labels that already carry their coding, built from the group
+    code of each row they know (:func:`_labels_with_codes`).  Every array
+    derived from it (a slice, a copy, a comparison) has ``groups`` None and
+    is coded afresh.
     """
 
     def __array_finalize__(self, obj):
@@ -173,6 +184,26 @@ def _coded_labels(values) -> Labels:
         labels.flags.writeable = False  # before the view, so it stays read-only
         labels = labels.view(Labels)
     labels.groups = group_codes(labels)
+    return labels
+
+
+def _labels_with_codes(labels, names, index) -> Labels:
+    """The fresh array ``labels``, made read-only, as a :class:`Labels`
+    carrying its coding, where row i is known to hold level
+    ``names[index[i]]`` of the distinct ``str`` ``names``: the levels
+    present, sorted, and each row's index into them, the pair
+    :func:`group_codes` gives, from one count of ``index`` and no pass over
+    the labels.  ``index`` is a fresh intp array."""
+    present = np.flatnonzero(np.bincount(index, minlength=len(names))).tolist()
+    order = sorted(present, key=names.__getitem__)
+    if order != list(range(len(names))):
+        remap = np.zeros(len(names), dtype=np.intp)
+        remap[order] = np.arange(len(order))
+        index = remap[index]
+    index.flags.writeable = False
+    labels.flags.writeable = False  # before the view, so it stays read-only
+    labels = labels.view(Labels)
+    labels.groups = tuple(names[i] for i in order), index
     return labels
 
 
@@ -628,40 +659,54 @@ def simulate(spec: SimSpec):
     """Draw a dataset from the generating model.
 
     Returns ``(dataset, latent)`` with the true latent value per row.  Draw
-    order is fixed (group, covariates, latent noise, indicator noise) so a
-    given seed always produces the identical table.
+    order is fixed (group, the covariates row by row, the latent noise, the
+    indicator noise row by row) so a given seed always produces the
+    identical table.  The normal stream is drawn ``GAUSS_BLOCK`` entries at
+    a time by :func:`_gauss`, and each block goes straight into the table's
+    columns and the latent array, so the draw holds one block beyond the
+    table it returns.  The sensitive column is handed to :class:`Dataset`
+    with its coding, since each row's group code is known.
     """
     model = spec.model
     n, p, q = spec.n, model.n_indicators, model.n_covariates
     rng = np.random.default_rng(spec.seed)
 
-    s = (rng.random(n) < spec.group_prob).astype(np.float64)
-    # One quantile pass for every normal draw: the uniforms are the same
-    # stream as drawing the covariates, the latent noise and the indicator
-    # noise in turn.
-    z = _gauss(rng, n * (q + 1 + p))
-    X = z[: n * q].reshape(n, q)
-    if spec.group_shift is not None:
-        X = X + s[:, None] * spec.group_shift[None, :]
-    zeta = z[n * q : n * (q + 1)]
-    zeta *= np.sqrt(model.latent_var)
-    eps = z[n * (q + 1) :].reshape(n, p)
-    eps *= np.sqrt(model.resid_vars)[None, :]
-
-    eta = X @ model.struct_coefs + model.sens_coef * s + zeta
-    Y = (
-        model.intercepts[None, :]
-        + eta[:, None] * model.loadings[None, :]
-        + s[:, None] * model.dif_offsets[None, :]
-        + eps
-    )
+    drawn = rng.random(n) < spec.group_prob
+    s = drawn.astype(np.float64)
+    X = [np.empty(n) for _ in range(q)]
+    Y = [np.empty(n) for _ in range(p)]
+    eta = np.empty(n)
+    sd_latent, sd_resid = np.sqrt(model.latent_var), np.sqrt(model.resid_vars)
+    latent_at, total = n * q, n * (q + 1 + p)  # where the latent and the indicator noise start
+    structural = False
+    for a in range(0, total, GAUSS_BLOCK):
+        z = _gauss(rng, min(GAUSS_BLOCK, total - a))
+        for j, r0, r1, x in _segment(z, a, 0, q, n):
+            X[j][r0:r1] = x
+            if spec.group_shift is not None:
+                X[j][r0:r1] += s[r0:r1] * spec.group_shift[j]
+        if not structural and a + z.size >= latent_at:  # every covariate is drawn
+            for r0, r1, xb in _row_products(X, n, model.struct_coefs):
+                eta[r0:r1] = xb
+                eta[r0:r1] += model.sens_coef * s[r0:r1]
+            structural = True
+        for _, r0, r1, zeta in _segment(z, a, latent_at, 1, n):
+            eta[r0:r1] += sd_latent * zeta
+        for j, r0, r1, eps in _segment(z, a, latent_at + n, p, n):
+            y = Y[j][r0:r1]
+            y[:] = model.intercepts[j] + eta[r0:r1] * model.loadings[j]
+            y += s[r0:r1] * model.dif_offsets[j]
+            y += eps * sd_resid[j]
     if spec.cross_loadings is not None:
-        Y = Y + X @ spec.cross_loadings.T
+        for r0, r1, direct in _row_products(X, n, spec.cross_loadings.T):
+            for j, y in enumerate(Y):
+                y[r0:r1] += direct[:, j]
 
-    level_of_code = np.empty(2, dtype=object)
+    level_of_code = [None, None]
     for label, code in model.sensitive_coding.items():
         level_of_code[code] = label
-    labels = level_of_code[s.astype(np.intp)]
+    code = drawn.astype(np.intp)
+    labels = _labels_with_codes(np.array(level_of_code, dtype=object)[code], level_of_code, code)
 
     column_order = (
         (spec.id_column, spec.sensitive_column)
@@ -672,14 +717,11 @@ def simulate(spec: SimSpec):
     roles.update({c: "covariate" for c in model.covariate_names})
     roles.update({c: "indicator" for c in model.indicator_names})
     values = {
-        spec.id_column: np.array(list(map(str, range(n))), dtype=object),
+        spec.id_column: np.fromiter(map(str, range(n)), dtype=object, count=n),
         spec.sensitive_column: labels,
+        **dict(zip(model.covariate_names, X)),
+        **dict(zip(model.indicator_names, Y)),
     }
-    for j, c in enumerate(model.covariate_names):
-        values[c] = X[:, j].copy()
-    for j, c in enumerate(model.indicator_names):
-        values[c] = Y[:, j].copy()
-
     dataset = Dataset(
         column_order=column_order,
         roles=roles,
@@ -687,3 +729,33 @@ def simulate(spec: SimSpec):
         sensitive_coding=dict(model.sensitive_coding),
     )
     return dataset, eta
+
+
+def _row_products(columns, n: int, coefs):
+    """The rows of ``[columns] @ coefs`` a block of rows of
+    :func:`~fairmimic.model._column_blocks` at a time: yields ``(r0, r1,
+    product)``.  Each row is bit for bit that row of one product of the
+    whole n-row matrix, so a short last block of one row is multiplied
+    together with the row before it: numpy sends a one-row product down
+    another BLAS route, which rounds otherwise."""
+    for r0, r1, block in _column_blocks(columns, n):
+        if r1 - r0 == 1 and n > 1:
+            yield r0, r1, (_matrix([c[r0 - 1 : r1] for c in columns], 2) @ coefs)[1:]
+        else:
+            yield r0, r1, block @ coefs
+
+
+def _segment(z, a, start, width, n):
+    """Where the stream entries ``a .. a + len(z) - 1``, held in ``z``, go
+    in the segment of the stream that starts at entry ``start`` and holds an
+    n x ``width`` matrix row by row: yields ``(j, r0, r1, piece)`` for each
+    column j the block reaches, ``piece`` being the strided view of ``z``
+    that holds that column's rows r0 .. r1-1."""
+    lo = max(a, start) - start
+    hi = min(a + len(z), start + n * width) - start
+    for j in range(width):
+        first = lo + (j - lo) % width
+        if first < hi:
+            piece = z[first + start - a : hi + start - a : width]
+            r0 = first // width
+            yield j, r0, r0 + len(piece), piece

@@ -16,7 +16,7 @@ from .model import (
     _layout,
     _loglik,
     _pack_fields,
-    _stack_layout,
+    _Stack,
     data_moments,
     pack,
     param_names,
@@ -280,7 +280,8 @@ def fit_stack(specs, data, options: OptimOptions | None = None, callback=None) -
     specs = tuple(specs)
     if not specs:
         raise ValueError("fit_stack needs at least one spec")
-    k = _stack_layout(specs)[1]  # the specs share their names and length
+    specs = _Stack.of(specs)  # the specs share their names and length, resolved once
+    k = specs.k
     mom = data
     for s in specs:  # the moments are built for the first spec and checked against each
         mom = data_moments(s, mom)
@@ -308,10 +309,10 @@ def fit_stack(specs, data, options: OptimOptions | None = None, callback=None) -
         live = [i for i in live if n_iter[i] < options.max_iter and norm[i] >= options.grad_tol]
         if not live:
             break
-        rows = live if len(live) < len(specs) else slice(None)
+        rows, members = (live, specs.members(live)) if len(live) < len(specs) else (slice(None), specs)
         step, predicted = _step(grad[rows], info[rows], np.array([radius[i] for i in live]))
         trial = x[rows] + step
-        ll_try, grad_try, hess_try = _trial_loglik(trial, [specs[i] for i in live], mom)
+        ll_try, grad_try, hess_try = _trial_loglik(trial, members, mom)
         norm_try, length = _norms(grad_try), _norms(step)
         accepted = []
         for j, i in enumerate(live):
@@ -351,6 +352,7 @@ def _trial_loglik(x, specs, mom):
     -inf (a rejected step); when one does, the members are evaluated one at
     a time to find it.  A point is outside the model when its evaluation
     overflows or divides by zero, as where a variance underflows to 0."""
+    specs = _Stack.of(specs)
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             ll, grad, hess = _loglik(x, specs, mom, order=2)
@@ -359,7 +361,7 @@ def _trial_loglik(x, specs, mom):
         if len(specs) == 1:
             k = x.shape[1]
             return [-np.inf], np.full((1, k), np.nan), np.full((1, k, k), np.nan)
-    ll, grad, hess = zip(*(_trial_loglik(x[i : i + 1], specs[i : i + 1], mom) for i in range(len(specs))))
+    ll, grad, hess = zip(*(_trial_loglik(x[i : i + 1], specs.members([i]), mom) for i in range(len(specs))))
     return sum(ll, []), np.concatenate(grad), np.concatenate(hess)
 
 

@@ -70,7 +70,10 @@ class MimicModel:
     resid_vars : (p,) array
         Indicator residual variances theta, all at least the smallest
         normal float (``np.finfo(float).tiny``), so that ``lambda / theta``
-        in the closed-form precision does not overflow at a subnormal one.
+        in the closed-form precision does not overflow at a subnormal one,
+        and large enough that ``u_j = lambda_j / theta_j``,
+        ``t_j = psi lambda_j u_j`` and their sum over the indicators are
+        finite.
     latent_var : float
         Residual variance psi of the latent variable, strictly positive.
     free_mask : (p,) bool array
@@ -134,6 +137,16 @@ class MimicModel:
             raise ValueError(f"resid_vars must all be at least the smallest normal float {_TINY!r}")
         if self.latent_var <= 0.0:
             raise ValueError("latent_var must be strictly positive")
+        # the terms of the closed-form precision, u = lambda / theta and
+        # t = psi lambda u, as _precision forms them, in Python floats,
+        # which overflow to inf without a warning
+        psi = fixed["latent_var"]
+        t = [psi * lam * (lam / theta) for lam, theta in zip(self.loadings.tolist(), self.resid_vars.tolist())]
+        if not math.isfinite(sum(t)):
+            raise ValueError(
+                "resid_vars are too small for the loadings and latent_var: "
+                "psi lambda_j^2 / theta_j or its sum over the indicators overflows"
+            )
         if self.dif_offsets[~self.free_mask].any():
             raise ValueError("constrained dif_offsets entries must be exactly 0")
         codes = sorted(self.sensitive_coding.values())
@@ -351,8 +364,11 @@ def _stack_layout(spec):
     ``spec`` may also be a sequence of B specs with the same names and
     packed length.  They then differ at most in which offsets are free, so
     every block sits at the same positions, and the mask is (B, p): row b
-    marks the offsets member b's delta block holds.
+    marks the offsets member b's delta block holds.  A :class:`_Stack`
+    hands back what it resolved.
     """
+    if isinstance(spec, _Stack):
+        return spec.layout, spec.k, spec.free, spec.scatter
     first = spec if isinstance(spec, MimicModel) else spec[0]
     layout, k, scatter = _layout_of(first.indicator_names, first.covariate_names, first.free_mask.tobytes())
     if first is spec:
@@ -367,10 +383,41 @@ def _stack_layout(spec):
     return layout, k, np.array([s.free_mask for s in spec]), scatter
 
 
+class _Stack(tuple):
+    """A sequence of specs, as :func:`_stack_layout` takes them, that keeps
+    what it resolves: ``layout``, ``k``, the (B, p) mask ``free`` and
+    ``scatter``.  A solve resolves its stack once; :meth:`members` takes
+    some members with their rows of the mask and looks nothing up again."""
+
+    @classmethod
+    def of(cls, specs) -> "_Stack":
+        """``specs`` as a stack, resolved; a stack is handed back as it is."""
+        if isinstance(specs, cls):
+            return specs
+        specs = tuple(specs)
+        resolved = _stack_layout(specs)
+        stack = cls(specs)
+        stack.layout, stack.k, stack.free, stack.scatter = resolved
+        return stack
+
+    def members(self, rows) -> "_Stack":
+        """The members at the positions ``rows``, in that order."""
+        stack = _Stack(self[i] for i in rows)
+        stack.layout, stack.k, stack.scatter = self.layout, self.k, self.scatter
+        stack.free = self.free[rows]
+        return stack
+
+
 def param_names(model: MimicModel):
     """Names of the free parameters in packing order."""
+    return _names_of(model.indicator_names, model.covariate_names, model.free_mask.tobytes())
+
+
+@functools.lru_cache(maxsize=128)
+def _names_of(ind, cov, free_mask):
+    """The parameter names of a structure, built once, as :func:`_layout_of`."""
     names = []
-    for name, b in _layout(model)[0].items():
+    for name, b in _layout_of(ind, cov, free_mask)[0].items():
         names += [name] if b.index is None else [f"{name}[{b.names[i]}]" for i in b.index]
     return tuple(names)
 

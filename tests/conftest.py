@@ -50,6 +50,14 @@ def same_table(a, b) -> bool:
     )
 
 
+def same_bits(a, b) -> bool:
+    """Whether two float arrays have the same shape and dtype and hold the
+    same bits: unlike ``np.array_equal``, -0.0 differs from 0.0 and a NaN
+    equals the same NaN."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 def base_template(gen=None, free_dif=()):
     gen = gen or make_generator()
     return fm.template(gen.indicator_names, gen.covariate_names, gen.sensitive_coding, free_dif)

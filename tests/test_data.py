@@ -1,6 +1,9 @@
 """Ingestion, transforms, splitting and the synthetic generator."""
 
+import json
 import math
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +14,7 @@ from fairmimic import data as data_mod
 from fairmimic import score as score_mod
 from fairmimic.data import role_config_of
 
-from conftest import make_generator, same_table, simulate_from
+from conftest import CODING, make_generator, same_bits, same_table, simulate_from
 
 FIXTURE_CSV = """id,grp,x1,y1,y2
 r1,a,0.25,1.5,2.0
@@ -202,6 +205,28 @@ class TestSensitiveColumn:
             np.testing.assert_array_equal(ds.sensitive_codes(), [1.0, 0.0, 1.0])
             assert ds.sensitive_coding == {"0": 1, "1": 0}
 
+    @pytest.mark.parametrize("rows", ["one level", "permuted"])
+    def test_subset_carries_the_parents_coding(self, monkeypatch, rows):
+        data, _ = simulate_from(make_generator(), n=60, seed=7)
+        plain = np.array(data.sensitive_labels())  # coded by group_codes, not by simulate
+        parent = fm.Dataset(data.column_order, data.roles, {**data.values, "group": plain}, data.sensitive_coding)
+        if rows == "one level":
+            rows = np.flatnonzero(plain == "b")[::-1]
+        else:
+            rows = np.random.default_rng(3).permutation(parent.n)
+        passes = count_coding_passes(monkeypatch)
+        sub = parent.subset(rows)
+        assert passes == []
+        monkeypatch.undo()
+        levels, index = data_mod.group_codes(plain[rows])
+        assert sub.sensitive_labels().groups[0] == levels
+        assert same_bits(sub.sensitive_labels().groups[1], index)
+        assert sub.sensitive_labels().tolist() == plain[rows].tolist()
+        assert same_bits(sub.sensitive_codes(), parent.sensitive_codes()[rows])
+        with pytest.raises(ValueError):
+            sub.sensitive_labels().flags.writeable = True
+        assert not sub.sensitive_labels().groups[1].flags.writeable
+
     def test_label_without_code_rejected(self):
         with pytest.raises(fm.DataValidationError, match=r"without a code: \['c'\]"):
             three_row_dataset(np.array(["a", "c", "a"], dtype=object), {"a": 0, "b": 1})
@@ -301,7 +326,109 @@ class TestSplit:
                 fm.split(data, frac, seed=0)
 
 
+DEMO_MODEL = fm.SimSpec.from_dict(
+    json.loads((Path(__file__).resolve().parents[1] / "scripts" / "demo_simspec.json").read_text())
+).model
+
+
+def dense_simulate(spec):
+    """The group codes, covariates, indicators and latent of ``spec`` drawn
+    as ``simulate`` drew them before it wrote each block of draws into the
+    columns: one ``_gauss`` call for every normal draw after the group, then
+    the generating formulas on whole matrices."""
+    model = spec.model
+    n, p, q = spec.n, model.n_indicators, model.n_covariates
+    rng = np.random.default_rng(spec.seed)
+    s = (rng.random(n) < spec.group_prob).astype(np.float64)
+    z = data_mod._gauss(rng, n * (q + 1 + p))
+    X = z[: n * q].reshape(n, q)
+    if spec.group_shift is not None:
+        X = X + s[:, None] * spec.group_shift[None, :]
+    zeta = z[n * q : n * (q + 1)] * np.sqrt(model.latent_var)
+    eps = z[n * (q + 1) :].reshape(n, p) * np.sqrt(model.resid_vars)[None, :]
+    eta = X @ model.struct_coefs + model.sens_coef * s + zeta
+    Y = (
+        model.intercepts[None, :]
+        + eta[:, None] * model.loadings[None, :]
+        + s[:, None] * model.dif_offsets[None, :]
+        + eps
+    )
+    if spec.cross_loadings is not None:
+        Y = Y + X @ spec.cross_loadings.T
+    return s, X, Y, eta
+
+
 class TestSimulate:
+    # The suite generator draws 8 normals a row, so GAUSS_BLOCK entries are
+    # 2048 rows; the demo generator draws 11.  Every size sits next to the
+    # edge of a block of draws or of a GRAM_CHUNK_ROWS block of rows.
+    @pytest.mark.parametrize("options", ["plain", "group_shift", "cross_loadings", "both"])
+    @pytest.mark.parametrize(
+        "gen, n",
+        [("suite", n) for n in (1, 2047, 2048, 2049, 4095, 4096, 4097, 5000, 8193)]
+        + [("demo", 1490), ("demo", 4097)],
+    )
+    def test_bit_identical_to_the_dense_draw(self, gen, n, options):
+        model = make_generator(dif=(0.0, 0.3, 0.0, -0.2)) if gen == "suite" else DEMO_MODEL
+        p, q = model.n_indicators, model.n_covariates
+        kwargs = {}
+        if options in ("group_shift", "both"):
+            kwargs["group_shift"] = np.linspace(-1.5, 0.7, q)
+        if options in ("cross_loadings", "both"):
+            kwargs["cross_loadings"] = np.linspace(-0.9, 1.3, p * q).reshape(p, q) / 3.0
+        level = {code: label for label, code in model.sensitive_coding.items()}
+        # several seeds: a row block of one row rounds otherwise only now and then
+        for seed in range(4):
+            spec = fm.SimSpec(n=n, model=model, group_prob=0.45, seed=seed, **kwargs)
+            data, eta = fm.simulate(spec)
+            s, X, Y, dense_eta = dense_simulate(spec)
+            assert same_bits(eta, dense_eta)
+            assert same_bits(data.sensitive_codes(), s)
+            for j, c in enumerate(model.covariate_names):
+                assert same_bits(data.column(c), X[:, j]), c
+            for j, c in enumerate(model.indicator_names):
+                assert same_bits(data.column(c), Y[:, j]), c
+            assert data.sensitive_labels().tolist() == [level[code] for code in s.astype(int).tolist()]
+            assert data.column("id").tolist() == [str(i) for i in range(n)]
+
+    @pytest.mark.parametrize(
+        "n, group_prob, coding, present",
+        [
+            (1, 0.5, CODING, None),
+            (1, 0.5, {"b": 0, "a": 1}, None),
+            (300, 1e-9, CODING, ("a",)),  # one group only
+            (300, 1.0 - 1e-9, CODING, ("b",)),  # the other group only, the second level
+            (300, 0.5, {"b": 0, "a": 1}, ("a", "b")),  # the codes run against the sorted levels
+        ],
+    )
+    def test_carries_the_coding_group_codes_gives(self, monkeypatch, n, group_prob, coding, present):
+        gen = make_generator().with_values(sensitive_coding=coding)
+        group_codes = data_mod.group_codes
+        passes = count_coding_passes(monkeypatch)
+        for seed in range(3):
+            data, _ = fm.simulate(fm.SimSpec(n=n, model=gen, group_prob=group_prob, seed=seed))
+            assert passes == []  # the dataset kept the coding simulate handed over
+            labels = data.sensitive_labels()
+            levels, index = labels.groups
+            expected_levels, expected_index = group_codes(np.array(labels))  # a plain copy
+            assert levels == expected_levels
+            assert same_bits(index, expected_index) and not index.flags.writeable
+            assert present is None or levels == present
+
+    def test_draw_holds_one_block_beyond_the_table(self):
+        # At 200k rows the table is about 30 MB; the dense draw, which held
+        # every normal draw and the indicator matrix at once, peaked at 1.8
+        # times that.
+        spec = fm.SimSpec(n=200_000, model=make_generator(), group_prob=0.5, seed=1)
+        tracemalloc.start()
+        try:
+            table = fm.simulate(spec)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert table[0].n == 200_000
+        assert peak <= 1.3 * kept, f"peak {peak / 1e6:.1f} MB for {kept / 1e6:.1f} MB returned"
+
     def test_noiseless_degenerate(self):
         gen = make_generator(gamma=0.0).with_values(
             struct_coefs=np.zeros(3),

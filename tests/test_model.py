@@ -116,6 +116,21 @@ class TestValidation:
         data = _dataset_from_rows(model, np.array([[0.3, -0.2]]), np.zeros((1, 1)), ["a"])
         assert np.isfinite(fm.log_likelihood(model, data))
 
+    @pytest.mark.parametrize("loadings, resid_vars, latent_var", [
+        ([1.0, 4.0], [0.5, 3e-308], 10.0),  # t_2 = psi lambda_2 u_2 overflows
+        ([1.0, 5.0], [0.5, 2.5e-308], 1e-300),  # u_2 = lambda_2 / theta_2 overflows
+        ([1.0, 1.0], [1e-300, 1e-300], 1e8),  # each t_j is finite, their sum is not
+    ])
+    def test_overflowing_precision_terms_rejected(self, loadings, resid_vars, latent_var):
+        # the closed-form precision would be NaN, with only RuntimeWarnings
+        with pytest.raises(ValueError, match="resid_vars"):
+            tiny_model(loadings=loadings, resid_vars=resid_vars, latent_var=latent_var)
+        model = tiny_model(loadings=[1.0, 4.0], resid_vars=[0.5, 1e-300], latent_var=10.0)
+        data = _dataset_from_rows(model, np.array([[0.3, -0.2]]), np.zeros((1, 1)), ["a"])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.isfinite(fm.log_likelihood(model, data))
+
     def test_constrained_dif_must_be_zero(self):
         with pytest.raises(ValueError, match="constrained"):
             tiny_model(dif_offsets=[0.0, 0.1])
