@@ -9,8 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import group_codes, write_table
-from .model import MimicModel, _covariate_matrix, to_json
-from .score import _blocks, _linear_blocks
+from .model import MimicModel, _block_products, _covariate_matrix, to_json
 
 
 @dataclass(frozen=True)
@@ -286,7 +285,7 @@ def counterfactual_check(model: MimicModel, covariates, reference_level=None, sc
     else:
         codes = sorted({model.level_code(level) for level in model.sensitive_coding})
     spans = []
-    for _, _, xb in _linear_blocks(model, _blocks(X)):
+    for *_, xb in _block_products(X, len(X), model.struct_coefs):
         hi = lo = xb + model.sens_coef * codes[0]
         for code in codes[1:]:
             pred = xb + model.sens_coef * code

@@ -19,7 +19,7 @@ import numpy as np
 
 from ._special import ndtri
 from .exceptions import DataValidationError
-from .model import MimicModel, _column_blocks, _matrix, to_json
+from .model import MimicModel, _block_products, _matrix, to_json
 
 ROLES = ("indicator", "covariate", "sensitive", "id", "ignore")
 
@@ -116,8 +116,12 @@ class Dataset:
         """The rows at ``indices``, in that order.  The sensitive column
         carries the parent's coding over, compacted to the levels still
         present, so no label is coded afresh; a level keeps the parent's
-        name for it."""
-        indices = np.asarray(indices, dtype=np.intp)
+        name for it.  A boolean mask raises ValueError: pass
+        ``np.flatnonzero(mask)``."""
+        indices = np.asarray(indices)
+        if indices.dtype == bool:
+            raise ValueError("subset takes row numbers, not a boolean mask; pass np.flatnonzero(mask)")
+        indices = indices.astype(np.intp, copy=False)
         labels = self.sensitive_labels()
         levels, index = labels.groups
         carried = _labels_with_codes(np.asarray(labels)[indices], levels, index[indices])
@@ -686,7 +690,7 @@ def simulate(spec: SimSpec):
             if spec.group_shift is not None:
                 X[j][r0:r1] += s[r0:r1] * spec.group_shift[j]
         if not structural and a + z.size >= latent_at:  # every covariate is drawn
-            for r0, r1, xb in _row_products(X, n, model.struct_coefs):
+            for r0, r1, _, xb in _block_products(X, n, model.struct_coefs):
                 eta[r0:r1] = xb
                 eta[r0:r1] += model.sens_coef * s[r0:r1]
             structural = True
@@ -698,7 +702,7 @@ def simulate(spec: SimSpec):
             y += s[r0:r1] * model.dif_offsets[j]
             y += eps * sd_resid[j]
     if spec.cross_loadings is not None:
-        for r0, r1, direct in _row_products(X, n, spec.cross_loadings.T):
+        for r0, r1, _, direct in _block_products(X, n, spec.cross_loadings.T):
             for j, y in enumerate(Y):
                 y[r0:r1] += direct[:, j]
 
@@ -729,20 +733,6 @@ def simulate(spec: SimSpec):
         sensitive_coding=dict(model.sensitive_coding),
     )
     return dataset, eta
-
-
-def _row_products(columns, n: int, coefs):
-    """The rows of ``[columns] @ coefs`` a block of rows of
-    :func:`~fairmimic.model._column_blocks` at a time: yields ``(r0, r1,
-    product)``.  Each row is bit for bit that row of one product of the
-    whole n-row matrix, so a short last block of one row is multiplied
-    together with the row before it: numpy sends a one-row product down
-    another BLAS route, which rounds otherwise."""
-    for r0, r1, block in _column_blocks(columns, n):
-        if r1 - r0 == 1 and n > 1:
-            yield r0, r1, (_matrix([c[r0 - 1 : r1] for c in columns], 2) @ coefs)[1:]
-        else:
-            yield r0, r1, block @ coefs
 
 
 def _segment(z, a, start, width, n):

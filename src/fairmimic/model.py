@@ -652,11 +652,15 @@ def _columns(model: MimicModel, data):
 
 
 def _row_blocks(n: int):
-    """The row ranges ``(a, b)`` of ``GRAM_CHUNK_ROWS`` rows, the last one
-    shorter, that cover rows 0 .. n-1 in order: the one block loop of every
-    row-wise pass that works a cache-sized block at a time, the Gram
-    accumulation of :func:`sample_moments` included."""
-    return ((a, min(a + GRAM_CHUNK_ROWS, n)) for a in range(0, n, GRAM_CHUNK_ROWS))
+    """The row ranges ``(a, b)`` of ``GRAM_CHUNK_ROWS`` rows that cover rows
+    0 .. n-1 in order: the one block loop of every row-wise pass that works
+    a cache-sized block at a time, the Gram accumulation of
+    :func:`sample_moments` included.  The last block is shorter, but never
+    one row of several: numpy sends a one-row matmul down another BLAS
+    route, which rounds otherwise, so a lone last row joins the block before
+    it."""
+    stops = [*range(GRAM_CHUNK_ROWS, n - 1, GRAM_CHUNK_ROWS), n] if n else []
+    return zip([0, *stops], stops)
 
 
 def _column_blocks(columns, n: int, out=None):
@@ -664,17 +668,33 @@ def _column_blocks(columns, n: int, out=None):
     a time: yields ``(a, b, block)`` with ``block`` holding rows a .. b-1 as
     a C-ordered float64 array.  Each block is written while it sits in cache
     rather than one strided column after another.  Given an n x d ``out``,
-    the blocks are its rows; otherwise they share one ``GRAM_CHUNK_ROWS``
-    x d buffer, so no more than one block is ever held.  Every stack of
-    columns in the package is made here."""
+    the blocks are its rows; otherwise they share one buffer of at most
+    ``GRAM_CHUNK_ROWS + 1`` rows, so no more than one block is ever held.
+    Every stack of columns in the package is made here."""
     reuse = out is None
     if reuse:
-        out = np.empty((min(n, GRAM_CHUNK_ROWS), len(columns)))
+        out = np.empty((min(n, GRAM_CHUNK_ROWS + 1), len(columns)))
     for a, b in _row_blocks(n):
         block = out[: b - a] if reuse else out[a:b]
         for j, col in enumerate(columns):
             block[:, j] = col[a:b]
         yield a, b, block
+
+
+def _block_products(rows, n: int, coefs):
+    """The row blocks of an n-row matrix and their products with ``coefs``:
+    yields ``(a, b, block, block[:, :k] @ coefs)``, ``k = len(coefs)``, for
+    each range of :func:`_row_blocks`.  ``rows`` is an n x d array, read a
+    slice at a time, or d columns, stacked a block at a time by
+    :func:`_column_blocks`.  The products share one reused buffer, and each
+    row of them is bit for bit that row of ``rows[:, :k] @ coefs``: the one
+    blocked product that simulate, the scores, the counterfactual check and
+    the factor scores read their rows through."""
+    matrix = isinstance(rows, np.ndarray)
+    blocks = ((a, b, rows[a:b]) for a, b in _row_blocks(n)) if matrix else _column_blocks(rows, n)
+    buffer = np.empty((min(n, GRAM_CHUNK_ROWS + 1), *np.shape(coefs)[1:]))
+    for a, b, block in blocks:
+        yield a, b, block, np.matmul(block[:, : len(coefs)], coefs, out=buffer[: b - a])
 
 
 def _matrix(columns, n: int) -> np.ndarray:

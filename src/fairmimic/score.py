@@ -17,16 +17,13 @@ import numpy as np
 
 from .data import group_codes, write_table
 from .model import (
-    GRAM_CHUNK_ROWS,
     MimicModel,
+    _block_products,
     _check_regressors,
-    _column_blocks,
     _columns,
     _covariate_matrix,
-    _extract_arrays,
+    _mean_coefs,
     _precision,
-    _row_blocks,
-    implied_moments,
 )
 
 
@@ -41,7 +38,7 @@ def fair_score(model: MimicModel, covariates, reference_level=None) -> np.ndarra
         reference_level = model.reference_level
     code = model.level_code(reference_level)
     X = _covariate_matrix(model, covariates)
-    (fair,) = _predictors(model, _blocks(X), len(X), [code])
+    (fair,) = _predictors(model, X, len(X), [code])
     return fair
 
 
@@ -49,34 +46,18 @@ def naive_score(model: MimicModel, covariates, sensitive) -> np.ndarray:
     """Open-path risk score beta' x + gamma * s using each row's own group."""
     s = as_codes(model, sensitive)
     X, s = _check_regressors(model, covariates, s)
-    (naive,) = _predictors(model, _blocks(X), len(X), [s])
+    (naive,) = _predictors(model, X, len(X), [s])
     return naive
 
 
-def _blocks(X):
-    """The row blocks ``(a, b, X[a:b])`` of a matrix, as
-    :func:`~fairmimic.model._column_blocks` yields those of columns."""
-    return ((a, b, X[a:b]) for a, b in _row_blocks(len(X)))
-
-
-def _linear_blocks(model: MimicModel, blocks):
-    """``beta' x`` of each block of covariate rows: yields ``(a, b, xb)``,
-    with ``xb`` one ``np.matmul`` of the block into a buffer of
-    ``GRAM_CHUNK_ROWS`` values that every block reuses.  Each row's value is
-    the dot product of that row with ``beta``, as in ``X @ beta``."""
-    buffer = np.empty(GRAM_CHUNK_ROWS)
-    for a, b, rows in blocks:
-        yield a, b, np.matmul(rows, model.struct_coefs, out=buffer[: b - a])
-
-
-def _predictors(model: MimicModel, blocks, n: int, codes) -> list:
-    """The linear predictor beta' x + gamma * code of each of the ``n`` rows
-    that ``blocks`` yields (:func:`_blocks` or ``_column_blocks``), once per
-    entry of ``codes`` (one code for all rows, or one per row).  ``beta' x``
-    is formed once per block and read by every code while it is in cache,
-    so no n-row array is made beyond the results."""
+def _predictors(model: MimicModel, rows, n: int, codes) -> list:
+    """The linear predictor beta' x + gamma * code of each of the ``n``
+    covariate rows (an n x q matrix or q columns), once per entry of
+    ``codes`` (one code for all rows, or one per row).  ``beta' x`` is
+    formed once per block by ``_block_products`` and read by every code
+    while it is in cache, so no n-row array is made beyond the results."""
     out = [np.empty(n) for _ in codes]
-    for a, b, xb in _linear_blocks(model, blocks):
+    for a, b, _, xb in _block_products(rows, n, model.struct_coefs):
         for pred, code in zip(out, codes):
             np.add(xb, model.sens_coef * (code if np.ndim(code) == 0 else code[a:b]), out=pred[a:b])
     return out
@@ -140,12 +121,21 @@ def decide(scores, percentile: float, reference_scores=None):
 
 def factor_score(model: MimicModel, data) -> np.ndarray:
     """Posterior mean of the latent variable given indicators, covariates
-    and group (regression factor scores); diagnostic use only."""
-    Y, X, s = _extract_arrays(model, data)
-    implied = implied_moments(model, X, s)
-    (m,) = _predictors(model, _blocks(X), len(X), [s])
+    and group (regression factor scores); diagnostic use only.
+
+    With the conditional mean ``mu = Bt[0] + [x, s] Bt[1:]`` of the
+    indicators, the score of a row is ``beta' x + gamma s + (y - mu) w``,
+    ``w = psi Sigma^-1 lambda``.  It is formed one block of rows of
+    ``[x, s, y]`` at a time, so no n-row array is made beyond the result.
+    """
+    cov, s, ind = _columns(model, data)
+    q, Bt = len(cov), _mean_coefs(vars(model))
     weights = model.latent_var * (_precision(vars(model))[0] @ model.loadings)
-    return m + (Y - implied.cond_mean) @ weights
+    out = np.empty(len(s))
+    for a, b, block, xb in _block_products([*cov, s, *ind], len(s), model.struct_coefs):
+        resid = block[:, q + 1 :] - (Bt[0] + block[:, : q + 1] @ Bt[1:])
+        out[a:b] = xb + model.sens_coef * block[:, q] + resid @ weights
+    return out
 
 
 @dataclass(frozen=True)
@@ -198,11 +188,11 @@ def score_dataset(
     default to the scores of ``data`` itself.  Decisions are taken on the
     fair score unless ``decided_on="naive"``.
 
-    The covariate columns are read one block of ``GRAM_CHUNK_ROWS`` rows at
-    a time into one reused buffer, and both scores are written from that
-    block's ``beta' x``, so the n x q covariate matrix is never formed; the
-    scores equal :func:`fair_score` and :func:`naive_score` of that matrix
-    bit for bit.
+    The covariate columns are read one block of rows at a time into one
+    reused buffer, and both scores are written from that block's
+    ``beta' x``, so the n x q covariate matrix is never formed; the scores
+    equal :func:`fair_score` and :func:`naive_score` of that matrix bit for
+    bit.
     """
     if decided_on not in ("fair", "naive"):
         raise ValueError("decided_on must be 'fair' or 'naive'")
@@ -211,7 +201,7 @@ def score_dataset(
     cov, s, _ = _columns(model, data)
     # the dataset's codes are 0/1 under the model's coding, checked by _columns
     codes = [model.level_code(reference_level), s]
-    fair, naive = _predictors(model, _column_blocks(cov, len(s)), len(s), codes)
+    fair, naive = _predictors(model, cov, len(s), codes)
     chosen = fair if decided_on == "fair" else naive
     decisions, threshold = decide(chosen, percentile, reference_scores)
     return ScoreSet(

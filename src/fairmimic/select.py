@@ -460,10 +460,8 @@ def spearman(a, b) -> float:
 
 
 def _average_ranks(a: np.ndarray) -> np.ndarray:
-    """Ranks 1..n of ``a``, each tie group given the mean of its ranks; all
-    NaN when ``a`` holds a NaN."""
-    if np.isnan(a).any():
-        return np.full(a.shape, np.nan)
+    """Ranks 1..n of ``a``, which holds no NaN, each tie group given the
+    mean of its ranks."""
     order = np.argsort(a, kind="stable")
     ordered = a[order]
     first = np.concatenate(([True], ordered[1:] != ordered[:-1]))

@@ -16,7 +16,7 @@ import fairmimic as fm
 from fairmimic import data as data_mod
 from fairmimic.cli import build_parser, main
 
-from conftest import make_generator
+from conftest import CODING, make_generator
 
 
 @pytest.fixture(scope="module")
@@ -201,6 +201,24 @@ class TestScoreAuditDif:
         assert len(lines) == 601
         summary = json.loads((tmp_path / "score_summary.json").read_text())
         assert summary["threshold_percentile"] == 55.0
+
+    def test_score_thresholds_at_the_reference_scores(self, sim_dir, fit_dir, tmp_path):
+        # the reference set is the first 200 rows' scores, so its threshold
+        # differs from that of the scored rows themselves
+        argv = ["score", "--model", str(fit_dir / "model.json"), "--data", str(sim_dir / "data.csv"),
+                "--roles", str(sim_dir / "roles.json"), "--percentile", "30"]
+        assert main(argv + ["--out-dir", str(tmp_path / "own")]) == 0
+        lines = (tmp_path / "own" / "scores.csv").read_text().splitlines(keepends=True)
+        (tmp_path / "reference.csv").write_text("".join(lines[:201]), newline="")
+        assert main(argv + ["--reference-scores", str(tmp_path / "reference.csv"),
+                            "--out-dir", str(tmp_path / "ref")]) == 0
+        own = read_score_columns(tmp_path / "own" / "scores.csv")
+        scored = read_score_columns(tmp_path / "ref" / "scores.csv")
+        decisions, threshold = fm.decide(own["fair_score"], 30.0, reference_scores=own["fair_score"][:200])
+        assert threshold != fm.decide(own["fair_score"], 30.0)[1]
+        assert json.loads((tmp_path / "ref" / "score_summary.json").read_text())["threshold_value"] == threshold
+        assert scored["fair_score"] == own["fair_score"]
+        assert scored["decision"] == decisions.tolist()
 
     def test_score_of_transformed_roles_needs_the_record(self, sim_dir, tmp_path, capsys):
         # standardizing the scored rows with their own statistics would move
@@ -410,6 +428,23 @@ class TestScoreAuditDif:
         )
         assert code == 0
 
+    def test_select_1se_marks_a_pure_noise_covariate_ignore(self, tmp_path):
+        gen = fm.MimicModel(
+            loadings=[1.0, 0.8], intercepts=[0.0, 0.0], struct_coefs=[1.0, -0.5, 0.0], sens_coef=0.4,
+            dif_offsets=[0.0, 0.0], resid_vars=[0.5, 0.5], latent_var=0.8, free_mask=[False, False],
+            indicator_names=("y1", "y2"), covariate_names=("x1", "x2", "noise"), sensitive_coding=CODING,
+        )
+        spec = tmp_path / "simspec.json"
+        spec.write_text(json.dumps(fm.SimSpec(n=300, model=gen, group_prob=0.5, seed=0).to_dict()))
+        assert main(["simulate", "--spec", str(spec), "--out-dir", str(tmp_path)]) == 0
+        code = main(
+            ["select", "--data", str(tmp_path / "data.csv"), "--roles", str(tmp_path / "roles.json"),
+             "--target", "y1", "--folds", "5", "--rule", "1se", "--out-dir", str(tmp_path / "sel")]
+        )
+        assert code == 0
+        roles = json.loads((tmp_path / "sel" / "selected_roles.json").read_text())["roles"]
+        assert [roles[c] for c in ("x1", "x2", "noise")] == ["covariate", "covariate", "ignore"]
+
     def test_schema_version_mismatch_exits_1(self, sim_dir, fit_dir, tmp_path):
         model = json.loads((fit_dir / "model.json").read_text())
         model["schema_version"] = 99
@@ -420,6 +455,13 @@ class TestScoreAuditDif:
              "--roles", str(sim_dir / "roles.json"), "--out-dir", str(tmp_path / "o")]
         )
         assert code == 1
+
+
+def read_score_columns(path) -> dict:
+    """The fair scores and decisions of a scores.csv, as Python floats and ints."""
+    with open(path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    return {"fair_score": [float(r["fair_score"]) for r in rows], "decision": [int(r["decision"]) for r in rows]}
 
 
 def test_flag_defaults_equal_the_library_defaults():

@@ -227,6 +227,15 @@ class TestSensitiveColumn:
             sub.sensitive_labels().flags.writeable = True
         assert not sub.sensitive_labels().groups[1].flags.writeable
 
+    def test_subset_refuses_a_boolean_mask(self):
+        # cast to row numbers, the mask [F, F, T, T, T] would pick ids 0, 0, 1, 1, 1
+        data, _ = simulate_from(make_generator(), n=5, seed=7)
+        mask = [False, False, True, True, True]
+        for rows in (mask, np.array(mask)):
+            with pytest.raises(ValueError, match="flatnonzero"):
+                data.subset(rows)
+        assert data.subset(np.flatnonzero(mask)).column("id").tolist() == ["2", "3", "4"]
+
     def test_label_without_code_rejected(self):
         with pytest.raises(fm.DataValidationError, match=r"without a code: \['c'\]"):
             three_row_dataset(np.array(["a", "c", "a"], dtype=object), {"a": 0, "b": 1})

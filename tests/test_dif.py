@@ -241,6 +241,9 @@ class TestDifScan:
         assert np.isfinite(report.base_loglik)
         for row in report.rows:
             assert row.delta is None and not row.converged and "boom" in row.error
+        table = report.to_text_table().splitlines()
+        for row in report.rows:
+            assert [line.split() for line in table if line.split()[:1] == [row.indicator]] == [[row.indicator, "failed"]]
 
     def test_moments_and_fingerprint_built_once_per_scan(self, generator, monkeypatch):
         data, _ = simulate_from(generator, n=500, seed=66)

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fairmimic as fm
-from fairmimic.model import GRAM_CHUNK_ROWS
+from fairmimic.model import GRAM_CHUNK_ROWS, _precision
 from fairmimic.score import as_codes, nearest_rank_percentile
 
 from conftest import CODING, make_generator, simulate_from
@@ -357,7 +357,7 @@ class TestBlockedPredictor:
     row of every block, the short last one included, must be scored."""
 
     @pytest.mark.parametrize("q", [1, 6])
-    @pytest.mark.parametrize("n", [1, B - 1, B, B + 1, 3 * B + 7])
+    @pytest.mark.parametrize("n", [1, B - 1, B, B + 1, 2 * B + 1, 3 * B + 7])
     def test_dataset_scores_equal_matrix_scores_and_oracle(self, n, q):
         model, data = block_edge_case(n, q)
         X = data.covariate_matrix(model.covariate_names)
@@ -366,6 +366,23 @@ class TestBlockedPredictor:
         assert scores.fair.tobytes() == fm.fair_score(model, X).tobytes()
         assert scores.naive.tobytes() == fm.naive_score(model, X, s).tobytes()
         beta, gamma = np.asarray(model.struct_coefs), model.sens_coef
+        # whole-matrix products by bytes: at n = B + 1 the last row must not
+        # be a block of its own, which numpy's one-row matmul rounds otherwise
+        code = model.level_code(model.reference_level)
+        assert scores.fair.tobytes() == (X @ beta + gamma * code).tobytes()
+        assert scores.naive.tobytes() == (X @ beta + gamma * s).tobytes()
         scale = np.abs(X) @ np.abs(beta) + abs(gamma)
         assert np.all(np.abs(scores.fair - X @ beta) <= 1e-12 * scale)
         assert np.all(np.abs(scores.naive - (X @ beta + gamma * s)) <= 1e-12 * scale)
+
+    @pytest.mark.parametrize("q", [1, 6])
+    @pytest.mark.parametrize("n", [B - 1, B, B + 1, 3 * B + 7])
+    def test_factor_scores_equal_dense_formula_by_bytes(self, n, q):
+        model, data = block_edge_case(n, q)
+        X = data.covariate_matrix(model.covariate_names)
+        s = data.sensitive_codes()
+        Y = np.column_stack([data.column(c) for c in model.indicator_names])
+        mu = fm.implied_moments(model, X, s).cond_mean
+        m = X @ np.asarray(model.struct_coefs) + model.sens_coef * s
+        w = model.latent_var * (_precision(vars(model))[0] @ model.loadings)
+        assert fm.factor_score(model, data).tobytes() == (m + (Y - mu) @ w).tobytes()

@@ -477,7 +477,8 @@ class TestSpearman:
         b = rng.normal(size=9)
         assert fm.spearman(a, b) == pytest.approx(fm.spearman(b, a), abs=1e-15)
 
-    @given(st.lists(st.sampled_from([-np.inf, -1.5, -0.0, 0.0, 0.5, 2.0, np.inf, np.nan]), min_size=1, max_size=40))
+    # no NaN: spearman refuses one before it ranks
+    @given(st.lists(st.sampled_from([-np.inf, -1.5, -0.0, 0.0, 0.5, 2.0, np.inf]), min_size=1, max_size=40))
     @settings(max_examples=200, deadline=None)
     def test_average_ranks_match_scipy(self, values):
         a = np.array(values)
