@@ -37,10 +37,10 @@ _F = (2.04426310338993978564e-15, 1.42151175831644588870e-7, 1.84631831751005468
       5.99832206555887937690e-1, 1.0)
 
 
-def _horner(coefs, r):
+def _horner(coefs, r, out):
     """The polynomial with ``coefs`` (highest power first) at ``r``, by
-    Horner steps in place on one new array."""
-    out = r * coefs[0]
+    Horner steps in place in ``out``."""
+    np.multiply(r, coefs[0], out=out)
     for c in coefs[1:-1]:
         out += c
         out *= r
@@ -48,39 +48,55 @@ def _horner(coefs, r):
     return out
 
 
-def _rational(num, den, r):
-    top = _horner(num, r)
-    top /= _horner(den, r)
-    return top
+def _rational(num, den, r, out, work):
+    """``num(r) / den(r)`` in ``out``, the denominator evaluated in
+    ``work``; both have the size of ``r`` and neither is ``r``."""
+    _horner(num, r, out)
+    out /= _horner(den, r, work)
+    return out
 
 
-def ndtri(u) -> np.ndarray:
-    """Standard normal quantile of ``u``, every entry in the open (0, 1).
+def ndtri(u, out=None) -> np.ndarray:
+    """Standard normal quantile of ``u``, every entry in the open (0, 1),
+    written into ``out`` when given: a C-ordered float64 array of the shape
+    of ``u`` that shares no memory with it.
 
     Each entry's value depends on that entry alone, so the quantile of an
     array equals the concatenation of the quantiles of its pieces, bit for
     bit.  The central rational is evaluated in place over every entry with
     no masking, since its denominator stays above 2e-3 for every r there;
-    only the ~15% of entries in the tails are gathered.  The temporaries
-    are a few arrays of the size of ``u``: a caller with many entries passes
-    them in blocks that fit in cache.
+    only the ~15% of entries in the tails are gathered.  Besides the result
+    the evaluation holds three arrays of the size of ``u``: a caller with
+    many entries passes them in blocks that fit in cache.
     """
-    shape = np.shape(u)
-    u = np.asarray(u, dtype=np.float64).reshape(-1)
+    u = np.asarray(u, dtype=np.float64)
+    if out is None:
+        out = np.empty(u.shape)
+    elif out.shape != u.shape or out.dtype != np.float64 or not out.flags.c_contiguous:
+        raise ValueError(f"out must be a C-ordered float64 array of shape {u.shape}")
+    elif np.may_share_memory(u, out):
+        raise ValueError("out must not share memory with u")
+    u, res = u.reshape(-1), out.reshape(-1)
     q = u - 0.5
-    r = np.subtract(0.180625, q * q)
-    out = _rational(_A, _B, r)
-    out *= q
+    r = q * q
+    np.subtract(0.180625, r, out=r)
+    work = np.empty(u.size)
+    _rational(_A, _B, r, res, work)
+    res *= q
     tail = np.flatnonzero(np.abs(q, out=r) > 0.425)
     if tail.size:
         ut = u[tail]
-        t = np.sqrt(-np.log(np.minimum(ut, 1.0 - ut)))
-        z = _rational(_C, _D, t - 1.6)
+        t = np.subtract(1.0, ut)
+        np.minimum(ut, t, out=t)
+        np.log(t, out=t)
+        np.negative(t, out=t)
+        np.sqrt(t, out=t)
+        z = _rational(_C, _D, t - 1.6, ut, work[: t.size])
         far = np.flatnonzero(t > 5.0)
         if far.size:
-            z[far] = _rational(_E, _F, t[far] - 5.0)
-        out[tail] = np.copysign(z, q[tail])
-    return out.reshape(shape)
+            z[far] = _rational(_E, _F, t[far] - 5.0, np.empty(far.size), work[: far.size])
+        res[tail] = np.copysign(z, q[tail])
+    return out
 
 
 def chi2_sf(x: float, df: int) -> float:

@@ -648,15 +648,44 @@ def _gauss(rng, size):
     # (k + 0.5) * 2^-53 with k drawn as integers, so they lie strictly inside
     # (0, 1) and the output stream is reproducible bit-for-bit from the seed.
     # Successive integer draws continue one stream, so drawing block by
-    # block gives the same values as one draw of every entry.
+    # block gives the same values as one draw of every entry.  The uniforms
+    # of every block share one buffer, and the quantile is written straight
+    # into the output.
     out = np.empty(size)
     flat = out.reshape(-1)
+    u = np.empty(min(GAUSS_BLOCK, flat.size))
     for a in range(0, flat.size, GAUSS_BLOCK):
-        u = rng.integers(0, 1 << 53, size=min(GAUSS_BLOCK, flat.size - a)).astype(np.float64)
-        u += 0.5
-        u *= 2.0**-53
-        flat[a : a + u.size] = ndtri(u)
+        b = min(a + GAUSS_BLOCK, flat.size)
+        block = u[: b - a]
+        np.add(rng.integers(0, 1 << 53, size=b - a), 0.5, out=block)
+        block *= 2.0**-53
+        ndtri(block, out=flat[a:b])
     return out
+
+
+# Rows whose ids _row_ids writes at a time, so that its temporaries stay
+# small next to the column it returns.
+ID_BLOCK = 1 << 14
+
+
+def _row_ids(n: int) -> np.ndarray:
+    """``[str(i) for i in range(n)]`` as an object array, from one bulk
+    conversion per ``ID_BLOCK`` rows: the digits of the block's row numbers
+    are written at once as ASCII, right-aligned behind spaces in rows of
+    equal width, and one ``split`` of that text makes the strings."""
+    ids = np.empty(n, dtype=object)
+    for a in range(0, n, ID_BLOCK):
+        b = min(a + ID_BLOCK, n)
+        width = len(str(b - 1))
+        chars = np.full((b - a, width + 1), ord(" "), dtype=np.uint8)
+        rest, digit = np.arange(a, b), np.empty(b - a, dtype=np.intp)
+        for j in range(width - 1, -1, -1):
+            np.divmod(rest, 10, out=(rest, digit))
+            # the numbers below 10^(width-1-j) have no digit in column j
+            lead = min(max(10 ** (width - 1 - j) - a, 0), b - a) if j < width - 1 else 0
+            np.add(digit[lead:], ord("0"), out=chars[lead:, j], casting="unsafe")
+        ids[a:b] = str(memoryview(chars), "ascii").split()
+    return ids
 
 
 def simulate(spec: SimSpec):
@@ -721,7 +750,7 @@ def simulate(spec: SimSpec):
     roles.update({c: "covariate" for c in model.covariate_names})
     roles.update({c: "indicator" for c in model.indicator_names})
     values = {
-        spec.id_column: np.fromiter(map(str, range(n)), dtype=object, count=n),
+        spec.id_column: _row_ids(n),
         spec.sensitive_column: labels,
         **dict(zip(model.covariate_names, X)),
         **dict(zip(model.indicator_names, Y)),

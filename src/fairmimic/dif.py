@@ -74,7 +74,9 @@ class DifReport:
         return to_json(self)
 
     def to_text_table(self) -> str:
-        """Aligned table with the estimate and 95% interval per indicator."""
+        """Aligned table with the estimate and 95% interval per indicator.
+        A row whose refit or test failed reads ``failed``, and its error is
+        listed below the table."""
         header = ("Indicator", "delta", "2.5%", "97.5%", "LR", "p")
         body = []
         for r in self.rows:
@@ -100,7 +102,11 @@ class DifReport:
         widths = [max(len(str(row[i])) for row in [header] + body) for i in range(len(header))]
         fmt = "  ".join("{:>%d}" % w for w in widths)
         lines.append(fmt.format(*header))
-        lines += [fmt.format(*row) for row in body]
+        lines += [fmt.format(*row).rstrip() for row in body]
+        failed = [r for r in self.rows if r.error is not None]
+        if failed:
+            lines.append("Failed rows:")
+            lines += [f"  {r.indicator}: {r.error}" for r in failed]
         return "\n".join(lines) + "\n"
 
 
@@ -143,7 +149,10 @@ def dif_scan(
         )
     base_fit = fit(base_spec, mom, options)
     columns = [base_spec.indicator_names.index(name) for name in indicators_to_test]
-    specs = [base_fit.model.with_values(free_mask=np.arange(base_spec.n_indicators) == j) for j in columns]
+    # the base optimum with one offset freed: its offsets are all 0, so every
+    # mask leaves a valid model
+    fields = vars(base_fit.model)
+    specs = [MimicModel._trusted(**{**fields, "free_mask": np.arange(base_spec.n_indicators) == j}) for j in columns]
     try:
         nested = fit_stack(specs, mom, replace(options, init="model")) if specs else ()
     except Exception as exc:  # the stacked refit failed: every row records it

@@ -100,9 +100,8 @@ class MimicModel:
     SCHEMA_VERSION = 1
 
     def __post_init__(self):
-        # Every field is converted once and checked with as few numpy calls
-        # as the checks allow: a model is built per fit result and per
-        # nested spec, so this runs several times in every DIF scan.
+        # Every field is converted once and checked.  The models a solve
+        # builds from its own values skip this through _trusted.
         fixed = {name: float(getattr(self, name)) for name in _SCALAR_FIELDS}
         arrays = {name: np.array(getattr(self, name), dtype=np.float64) for name in _ARRAY_FIELDS}
         arrays["free_mask"] = np.array(self.free_mask, dtype=np.bool_)
@@ -127,26 +126,9 @@ class MimicModel:
             raise ValueError("indicator_names must match the number of loadings")
         if len(self.covariate_names) != q:
             raise ValueError("covariate_names must match struct_coefs")
-        if not np.isfinite(np.concatenate([arrays[name] for name in _ARRAY_FIELDS] + [list(fixed.values())])).all():
-            values = {**arrays, **fixed}
-            name = next(n for n in _FLOAT_FIELDS if not np.isfinite(values[n]).all())
-            raise ValueError(f"{name} must be finite, got {values[name]!r}")
+        self._check_values()
         if self.loadings[0] != 1.0:
             raise ValueError("loadings[0] must be exactly 1 (identification)")
-        if not self.resid_vars.min() >= _TINY:
-            raise ValueError(f"resid_vars must all be at least the smallest normal float {_TINY!r}")
-        if self.latent_var <= 0.0:
-            raise ValueError("latent_var must be strictly positive")
-        # the terms of the closed-form precision, u = lambda / theta and
-        # t = psi lambda u, as _precision forms them, in Python floats,
-        # which overflow to inf without a warning
-        psi = fixed["latent_var"]
-        t = [psi * lam * (lam / theta) for lam, theta in zip(self.loadings.tolist(), self.resid_vars.tolist())]
-        if not math.isfinite(sum(t)):
-            raise ValueError(
-                "resid_vars are too small for the loadings and latent_var: "
-                "psi lambda_j^2 / theta_j or its sum over the indicators overflows"
-            )
         if self.dif_offsets[~self.free_mask].any():
             raise ValueError("constrained dif_offsets entries must be exactly 0")
         codes = sorted(self.sensitive_coding.values())
@@ -154,6 +136,48 @@ class MimicModel:
             raise ValueError("sensitive_coding must map exactly two levels to {0, 1}")
         for a in arrays.values():
             a.setflags(write=False)
+
+    def _check_values(self):
+        """The checks that the float values of a model of valid structure
+        can still fail: every value finite, every residual variance at least
+        the smallest normal float, a positive latent variance, and finite
+        terms of the closed-form precision."""
+        arrays = np.concatenate([getattr(self, n) for n in _ARRAY_FIELDS])
+        if not (np.isfinite(arrays).all() and math.isfinite(self.sens_coef) and math.isfinite(self.latent_var)):
+            name = next(n for n in _FLOAT_FIELDS if not np.isfinite(getattr(self, n)).all())
+            raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
+        psi, loadings, resid_vars = self.latent_var, self.loadings.tolist(), self.resid_vars.tolist()
+        if not min(resid_vars) >= _TINY:
+            raise ValueError(f"resid_vars must all be at least the smallest normal float {_TINY!r}")
+        if psi <= 0.0:
+            raise ValueError("latent_var must be strictly positive")
+        # the terms of the closed-form precision, u = lambda / theta and
+        # t = psi lambda u, as _precision forms them, in Python floats,
+        # which overflow to inf without a warning
+        t = [psi * lam * (lam / theta) for lam, theta in zip(loadings, resid_vars)]
+        if not math.isfinite(sum(t)):
+            raise ValueError(
+                "resid_vars are too small for the loadings and latent_var: "
+                "psi lambda_j^2 / theta_j or its sum over the indicators overflows"
+            )
+
+    @classmethod
+    def _trusted(cls, **fields) -> "MimicModel":
+        """The model with ``fields``, built without ``__post_init__``, for
+        values that come from a model or a packed vector of valid
+        structure: float64 arrays of the right lengths that no caller
+        holds, Python floats for the two scalars, a first loading of 1,
+        constrained offsets of 0, and the names and coding of a valid
+        model.  The conversions and the structural checks are skipped,
+        since such fields cannot fail them; the checks of
+        :meth:`_check_values`, which any values can fail, still run, and
+        the arrays are made read-only."""
+        for name in (*_ARRAY_FIELDS, "free_mask"):
+            fields[name].flags.writeable = False
+        model = object.__new__(cls)
+        model.__dict__.update(fields)
+        model._check_values()
+        return model
 
     @property
     def n_indicators(self):
@@ -312,49 +336,82 @@ def _layout_of(ind, cov, free_mask):
         k += size
     scatter = _scatter(layout, k, len(ind), len(cov))
     for a in (*(a for b in layout.values() for a in (b.index, b.at)), *scatter):
-        if a is not None:
+        if isinstance(a, np.ndarray):
             a.flags.writeable = False
     return MappingProxyType(layout), k, scatter
 
 
 class _Scatter(NamedTuple):
-    """Where the entries of the Jacobians of Bt and Sigma come from.
+    """Where the entries of the Jacobian, of the second differential and of
+    the curvature of the parameter map come from, as positions in a source
+    vector per member; they depend only on the layout, so each array is
+    filled by one gather.
 
-    ``bt`` gives, for each entry of the (k, q+2, p) Jacobian of Bt in
-    row-major order, its position in the source vector
-    ``[0, 1, beta, gamma, lambda, E]``, where ``E`` is the rows of ``eye``
-    at the free offsets; ``sigma`` does the same for the (k, p, p)
-    Jacobian of Sigma and the source
-    ``[0, psi lambda, 2 psi lambda, theta, psi lambda lambda']``.  They
-    depend only on the layout, so :func:`_jacobians` builds the two
-    sources and fills each Jacobian with one gather.
+    With ``m = (q+2)p + p^2``, ``jac`` gives, for each entry of the (k, m)
+    Jacobian ``J = [d vec Bt, d vec Sigma]``, its position in the source
+    ``[0, 1, E, x, theta, psi lambda, 2 psi lambda, psi lambda lambda']``,
+    where ``E`` is the rows of ``eye`` at the member's free offsets and ``x``
+    is its packed vector, and ``width`` is the source's length.  ``curv``
+    gives, for each
+    entry of the (k, k) curvature of the map, its position in
+    ``[0, vec G, vec M / 2, psi vec M, psi M lambda, gradient]``.
     """
 
-    bt: np.ndarray
-    sigma: np.ndarray
+    jac: np.ndarray
+    width: int
+    curv: np.ndarray
     eye: np.ndarray
 
 
 def _scatter(layout, k, p, q) -> _Scatter:
     """The :class:`_Scatter` of a layout with p indicators and q covariates."""
-    lo, th, delta = layout["lambda"], layout["log_theta"], layout["delta"]
-    one, beta, gamma, lam, rows = 1, 2, 2 + q, 3 + q, 3 + q + p  # offsets in the source of Bt
-    every, d = np.arange(p), len(delta.index)
-    bt = np.zeros((k, q + 2, p), dtype=np.intp)  # 0 picks the source's 0
-    bt[lo.at, 1 : q + 1, lo.index] = beta + np.arange(q)  # loading x beta
-    bt[lo.at, q + 1, lo.index] = gamma  # loading x gamma
-    bt[layout["nu"].at, 0, layout["nu"].index] = one
-    bt[layout["beta"].at, 1 + layout["beta"].index, :] = lam + every
-    bt[layout["gamma"].at, q + 1, :] = lam + every
+    lo, th, delta, lpsi = layout["lambda"], layout["log_theta"], layout["delta"], layout["log_psi"]
+    r, every, d = q + 2, np.arange(p), len(delta.index)
+    # the Jacobian source: 0, 1, E, x, theta, psi lambda, 2 psi lambda, psi lambda lambda'
+    rows, x = 2, 2 + d * p
+    theta, scaled = x + k, x + k + p
+    doubled, outer = scaled + p, scaled + 2 * p
+    lam = np.concatenate([[1], x + lo.at])
+    bt = np.zeros((k, r, p), dtype=np.intp)  # 0 picks the source's 0
+    bt[lo.at, 1 : q + 1, lo.index] = x + layout["beta"].at  # loading x beta
+    bt[lo.at, q + 1, lo.index] = x + layout["gamma"].at[0]  # loading x gamma
+    bt[layout["nu"].at, 0, layout["nu"].index] = 1
+    bt[layout["beta"].at, 1 + layout["beta"].index, :] = lam
+    bt[layout["gamma"].at, q + 1, :] = lam
     bt[delta.at, q + 1, :] = rows + np.arange(d * p).reshape(d, p)
-    scaled, doubled, theta, outer = 1, 1 + p, 1 + 2 * p, 1 + 3 * p  # offsets in the source of Sigma
     sigma = np.zeros((k, p, p), dtype=np.intp)
     sigma[lo.at, lo.index, :] = scaled + every  # d Sigma / d lambda_a = e_a (psi lambda)' + its transpose
     sigma[lo.at, :, lo.index] = scaled + every
     sigma[lo.at, lo.index, lo.index] = doubled + lo.index
     sigma[th.at, th.index, th.index] = theta + every
-    sigma[layout["log_psi"].at[0]] = outer + np.arange(p * p).reshape(p, p)
-    return _Scatter(bt.ravel(), sigma.ravel(), np.eye(p))
+    sigma[lpsi.at[0]] = outer + np.arange(p * p).reshape(p, p)
+    jac = np.concatenate([bt.reshape(k, -1), sigma.reshape(k, -1)], 1)
+
+    # the curvature: the second derivatives of Bt and Sigma against
+    # dll/dBt = G and dll/dSigma = M / 2, on both sides of the diagonal
+    g, m = 1, 1 + r * p + p * p  # where G and psi vec M start
+    lam_m, grad = m + p * p, m + p * p + p
+    fl = lo.index  # the free loadings' indicators
+    side = np.zeros((k, k), dtype=np.intp)
+    side[np.ix_(lo.at, layout["beta"].at)] = g + (1 + layout["beta"].index) * p + fl[:, None]  # loading x beta
+    side[lo.at, layout["gamma"].at[0]] = g + (q + 1) * p + fl  # loading x gamma
+    side[lo.at, lpsi.at[0]] = lam_m + fl  # loading x log psi
+    curv = side + side.T
+    curv[np.ix_(lo.at, lo.at)] = m + fl[:, None] * p + fl  # loading x loading
+    logs = np.concatenate([th.at, lpsi.at])
+    curv[logs, logs] = grad + logs  # the curvature of exp equals the block's gradient
+    return _Scatter(jac, outer + p * p, curv, np.eye(p))
+
+
+def _head(scatter, free) -> np.ndarray:
+    """The constant lead of each member's Jacobian source: 0, 1 and the
+    rows of the identity at the member's free offsets (``free`` as
+    :func:`_stack_layout` gives it)."""
+    rows = scatter.eye[np.nonzero(free)[-1]].reshape(free.shape[:-1] + (-1,))
+    head = np.zeros(rows.shape[:-1] + (2 + rows.shape[-1],))
+    head[..., 1] = 1.0
+    head[..., 2:] = rows
+    return head
 
 
 def _stack_layout(spec):
@@ -385,9 +442,10 @@ def _stack_layout(spec):
 
 class _Stack(tuple):
     """A sequence of specs, as :func:`_stack_layout` takes them, that keeps
-    what it resolves: ``layout``, ``k``, the (B, p) mask ``free`` and
-    ``scatter``.  A solve resolves its stack once; :meth:`members` takes
-    some members with their rows of the mask and looks nothing up again."""
+    what it resolves: ``layout``, ``k``, the (B, p) mask ``free``,
+    ``scatter`` and the members' constant ``head`` of :func:`_head`.  A
+    solve resolves its stack once; :meth:`members` takes some members with
+    their rows of the mask and of the head and looks nothing up again."""
 
     @classmethod
     def of(cls, specs) -> "_Stack":
@@ -398,13 +456,14 @@ class _Stack(tuple):
         resolved = _stack_layout(specs)
         stack = cls(specs)
         stack.layout, stack.k, stack.free, stack.scatter = resolved
+        stack.head = _head(stack.scatter, stack.free)
         return stack
 
     def members(self, rows) -> "_Stack":
         """The members at the positions ``rows``, in that order."""
         stack = _Stack(self[i] for i in rows)
         stack.layout, stack.k, stack.scatter = self.layout, self.k, self.scatter
-        stack.free = self.free[rows]
+        stack.free, stack.head = self.free[rows], self.head[rows]
         return stack
 
 
@@ -443,12 +502,25 @@ def _pack_fields(layout, values) -> np.ndarray:
 
 def unpack(spec: MimicModel, x: np.ndarray) -> MimicModel:
     """Rebuild a model from a packed free-parameter vector, keeping the
-    structure (names, free_mask, coding) of ``spec``."""
-    x = np.asarray(x, dtype=np.float64)
+    structure (names, free_mask, coding) of ``spec``.
+
+    The fields come from ``_field_values`` with the structure of a valid
+    spec, so the model is built by :meth:`MimicModel._trusted`, which keeps
+    every check that values from some ``x`` can fail."""
+    x = np.array(x, dtype=np.float64)  # a copy: the model's arrays are views of it
     layout, k, free, _ = _stack_layout(spec)
     if x.shape != (k,):
         raise ValueError(f"expected {k} free parameters, got {x.shape}")
-    return spec.with_values(**_field_values(layout, free, x))
+    values = _field_values(layout, free, x)
+    for name in _SCALAR_FIELDS:
+        values[name] = float(values[name])
+    return MimicModel._trusted(
+        **values,
+        free_mask=spec.free_mask,
+        indicator_names=spec.indicator_names,
+        covariate_names=spec.covariate_names,
+        sensitive_coding=dict(spec.sensitive_coding),
+    )
 
 
 def _field_values(layout, free, x: np.ndarray) -> dict:
@@ -458,12 +530,13 @@ def _field_values(layout, free, x: np.ndarray) -> dict:
     offsets outside ``free`` (the free-offset mask, (..., p)) are 0."""
     values = {}
     for b in layout.values():
-        v = np.exp(x[..., b.span]) if b.log else x[..., b.span]
-        values[b.field] = v[..., 0] if b.index is None else v
+        v = x[..., b.at[0] if b.index is None else b.span]
+        values[b.field] = np.exp(v) if b.log else v
     lam = np.ones(free.shape)
     lam[..., 1:] = values["loadings"]
     delta = np.zeros(free.shape)
-    delta[free] = values["dif_offsets"].ravel()  # which are free may differ by member
+    if values["dif_offsets"].size:
+        delta[free] = values["dif_offsets"].ravel()  # which are free may differ by member
     values["loadings"], values["dif_offsets"] = lam, delta
     return values
 
@@ -546,12 +619,20 @@ def _precision(values):
     p = lam.shape[-1]
     u = lam / theta
     t = psi * lam * u
-    total = t.sum(-1, keepdims=True)
+    total = np.add.reduce(t, -1, keepdims=True)
     scale = 1.0 + total
     v = u * np.sqrt(psi / scale)
     P = v[..., :, None] * -v[..., None, :]
-    P.reshape(lam.shape[:-1] + (p * p,))[..., :: p + 1] = (1.0 + t @ (1.0 - np.eye(p))) / (theta * scale)
-    return P, np.log(theta).sum(-1) + np.log1p(total[..., 0])
+    P.reshape(lam.shape[:-1] + (p * p,))[..., :: p + 1] = (1.0 + t @ _off_diagonal(p)) / (theta * scale)
+    return P, np.add.reduce(np.log(theta), -1) + np.log1p(total[..., 0])
+
+
+@functools.lru_cache(maxsize=128)
+def _off_diagonal(p: int) -> np.ndarray:
+    """``1 - I`` of order p, built once per p and read-only."""
+    off = 1.0 - np.eye(p)
+    off.flags.writeable = False
+    return off
 
 
 def implied_moments(model: MimicModel, covariates, sensitive) -> ImpliedMoments:
@@ -609,13 +690,39 @@ class SampleMoments:
     coding: dict | None = None
 
     @functools.cached_property
-    def cross(self) -> np.ndarray:
-        """``sum_i [1, w_i]' [1, w_i]``, the uncentred cross products of
-        the columns led by the intercept."""
-        m = np.concatenate([[1.0], self.mean])
-        cross = np.outer(self.n * m, m)
-        cross[1:, 1:] += self.gram
-        return cross
+    def _blocks(self) -> dict:
+        """The :class:`_MomentBlocks` the likelihood has read, by number of
+        covariates: each split once, then shared by every evaluation."""
+        return {}
+
+
+class _MomentBlocks(NamedTuple):
+    """The blocks of the moments of ``w = [z, y]``, ``z = [x, s]``, that the
+    likelihood reads: the means, the blocks of the centred Gram matrix,
+    ``n zbar`` as a column and ``szz = sum_i [1, z_i]' [1, z_i]``."""
+
+    zbar: np.ndarray
+    ybar: np.ndarray
+    czz: np.ndarray
+    czy: np.ndarray
+    cyy: np.ndarray
+    nzbar: np.ndarray
+    szz: np.ndarray
+
+    @classmethod
+    def of(cls, mom: SampleMoments, q: int) -> "_MomentBlocks":
+        """The blocks of ``mom`` for q covariates, split on first use."""
+        blocks = mom._blocks.get(q)
+        if blocks is None:
+            z, g = slice(0, q + 1), slice(q + 1, None)
+            m = np.concatenate([[1.0], mom.mean[z]])
+            szz = np.outer(mom.n * m, m)
+            szz[1:, 1:] += mom.gram[z, z]
+            blocks = mom._blocks[q] = cls(
+                mom.mean[z], mom.mean[g], mom.gram[z, z], mom.gram[z, g], mom.gram[g, g],
+                mom.n * mom.mean[z, None], szz,
+            )
+        return blocks
 
 
 def sample_moments(columns) -> SampleMoments:
@@ -760,18 +867,26 @@ def _extract_arrays(model: MimicModel, data):
 #   -tr(P dBt' S dBt) - 2 tr(F P dSigma P dBt')
 #   + n/2 tr(P dSigma P dSigma) - tr(P dSigma Q dSigma).
 #
-# The gradient and the Hessian map these through the Jacobians of Bt and
-# Sigma with respect to the packed parameters.  Each term of the second
-# differential then becomes a Kronecker sandwich of the flattened Jacobians,
-# and for row-major vec
+# The gradient and the Hessian map these through the (k, m) Jacobian J of
+# (vec Bt, vec Sigma), m = (q+2)p + p^2, with respect to the packed
+# parameters: the gradient is J (vec G, vec M / 2) with G = F P.  For
+# row-major vec
 #
 #   vec(X)' (A kron B) vec(Y) = sum(X * (A Y B'))
 #
-# (Magnus & Neudecker 2019, ch. 2), so each sandwich is one batched matrix
-# product over the k Jacobian slices and no Kronecker matrix is formed.  The
-# Hessian adds the curvature of that map: loading times beta or gamma in Bt,
-# loading times loading or log psi in Sigma, and on each log-scale block the
-# curvature of exp, which equals the block's gradient.
+# (Magnus & Neudecker 2019, ch. 2), so the second differential is the
+# quadratic form of the (m, m) matrix K with the blocks
+#
+#   -S kron P,   -G kron P,   P kron (n P / 2 - Q)
+#
+# (the second on both sides of the diagonal), and the Hessian is J K J'
+# plus the curvature of the map: loading times beta or gamma in Bt, loading
+# times loading or log psi in Sigma, and on each log-scale block the
+# curvature of exp, which equals the block's gradient.  An entry of
+# (A kron B) is an entry of A times an entry of B, so K is one gather from
+# the outer product of [vec S, vec G, vec P] and [-vec P, vec(n P / 2 - Q)],
+# and J and the curvature are one gather each from a short source vector,
+# at positions the layout fixes (_Scatter).
 #
 # Every array may carry a leading member axis: a stack of specs that differ
 # only in which offsets are free shares the data and the layout, so one
@@ -779,58 +894,70 @@ def _extract_arrays(model: MimicModel, data):
 # ---------------------------------------------------------------------------
 
 
-def _jacobians(scatter, free, values):
+def _jacobians(scatter, head, x, values):
     """Derivatives of Bt and of Sigma with respect to every packed
-    parameter, as (..., k, q+2, p) and (..., k, p, p) arrays with the
-    leading axes of ``values``, each gathered from its source vector by
-    the layout's :class:`_Scatter`; ``free`` is the free-offset mask of
-    :func:`_stack_layout`."""
-    lam, beta, gamma = values["loadings"], values["struct_coefs"], values["sens_coef"]
-    p, q = lam.shape[-1], beta.shape[-1]
-    lead = lam.shape[:-1]
-    rows = scatter.eye[np.nonzero(free)[-1]].reshape(lead + (-1,))  # the free offsets' rows of eye
-    src = np.empty(lead + (3 + q + p + rows.shape[-1],))
-    src[..., 0] = 0.0
-    src[..., 1] = 1.0
-    src[..., 2 : 2 + q] = beta
-    src[..., 2 + q] = gamma
-    src[..., 3 + q : 3 + q + p] = lam
-    src[..., 3 + q + p :] = rows
-    scaled = values["latent_var"][..., None] * lam
-    src_s = np.empty(lead + (1 + 3 * p + p * p,))
-    src_s[..., 0] = 0.0
-    src_s[..., 1 : 1 + p] = scaled
-    src_s[..., 1 + p : 1 + 2 * p] = 2.0 * scaled
-    src_s[..., 1 + 2 * p : 1 + 3 * p] = values["resid_vars"]
-    src_s[..., 1 + 3 * p :] = (scaled[..., :, None] * lam[..., None, :]).reshape(lead + (p * p,))
-    jb = src.take(scatter.bt, axis=-1).reshape(lead + (-1, q + 2, p))
-    return jb, src_s.take(scatter.sigma, axis=-1).reshape(lead + (-1, p, p))
+    parameter at the packed vectors ``x``, as the (..., k, m) Jacobian
+    ``J = [d vec Bt, d vec Sigma]`` with the leading axes of ``x``, gathered
+    from its source vector by the layout's :class:`_Scatter`; ``head`` is
+    the constant lead of the source, as :func:`_head` gives it, and
+    ``values`` the fields at ``x``."""
+    lam, theta = values["loadings"], values["resid_vars"]
+    lead, k, p, h = x.shape[:-1], x.shape[-1], lam.shape[-1], head.shape[-1]
+    scaled = h + k + p  # where psi lambda starts, after head, x and theta
+    src = np.empty(lead + (scatter.width,))
+    src[..., :h] = head
+    src[..., h : h + k] = x
+    src[..., h + k : scaled] = theta
+    np.multiply(values["latent_var"][..., None], lam, out=src[..., scaled : scaled + p])
+    np.multiply(src[..., scaled : scaled + p], 2.0, out=src[..., scaled + p : scaled + 2 * p])
+    outer = src[..., scaled + 2 * p :].reshape(lead + (p, p))
+    np.multiply(src[..., scaled : scaled + p, None], lam[..., None, :], out=outer)
+    return src.take(scatter.jac, -1)
 
 
-def _second_differential(jb, js, n, szz, G, P, Q):
+@functools.lru_cache(maxsize=128)
+def _kron_positions(r: int, p: int) -> np.ndarray:
+    """For each entry of the (m, m) matrix K of the second differential in
+    ``(vec Bt, vec Sigma)``, ``m = rp + p^2``, its position in the outer
+    product of ``U = [vec szz, vec G, vec P]`` and
+    ``V = [-vec P, vec(n P / 2 - Q)]``: the blocks of K are
+    ``-szz kron P``, ``-G kron P`` and its transpose, and
+    ``P kron (n P / 2 - Q)``.  Built once per shape and read-only."""
+    m, width = r * p + p * p, 2 * p * p  # the order of K and the length of V
+    rows, every = np.arange(r), np.arange(p)
+    kron = np.empty((m, m), dtype=np.intp)
+    i, a, j, b = np.ix_(rows, every, rows, every)
+    kron[: r * p, : r * p] = ((i * r + j) * width + a * p + b).reshape(r * p, r * p)
+    i, a, c, b = np.ix_(rows, every, every, every)
+    kron[: r * p, r * p :] = ((r * r + i * p + c) * width + a * p + b).reshape(r * p, p * p)
+    kron[r * p :, : r * p] = kron[: r * p, r * p :].T
+    a, b, c, d = np.ix_(every, every, every, every)
+    kron[r * p :, r * p :] = ((r * r + r * p + a * p + c) * width + p * p + b * p + d).reshape(p * p, p * p)
+    kron.flags.writeable = False
+    return kron
+
+
+def _second_differential(J, n, szz, G, P, Q):
     """The second differential of the log-likelihood in the packed
-    parameters, before the curvature of the parameter map: with ``jb`` and
-    ``js`` the Jacobians of Bt and Sigma,
+    parameters, before the curvature of the parameter map: with
+    ``J = [jb, js]`` the (..., k, m) Jacobian of :func:`_jacobians`, ``jb``
+    its Bt part and ``js`` its Sigma part,
 
         js (P kron (n P / 2 - Q)) js' - jb (szz kron P) jb' - C - C',
         C = jb (G kron P) js',
 
-    each sandwich evaluated slice by slice without the Kronecker matrix,
-    and member by member when the arrays carry a leading member axis."""
-    lead, k = jb.shape[:-3], jb.shape[-3]
-    flat_b, flat_s = jb.reshape(lead + (k, -1)), js.reshape(lead + (k, -1))
-    G, P, Q = G[..., None, :, :], P[..., None, :, :], Q[..., None, :, :]  # over the k slices
-
-    def sandwich(flat, slices):
-        return flat @ slices.reshape(lead + (k, -1)).swapaxes(-1, -2)
-
-    cross = sandwich(flat_b, G @ js @ P)
-    return (
-        sandwich(flat_s, P @ js @ (0.5 * n * P - Q.swapaxes(-1, -2)))
-        - sandwich(flat_b, szz @ jb @ P)
-        - cross
-        - cross.swapaxes(-1, -2)
-    )
+    evaluated as ``J K J'`` with K gathered at :func:`_kron_positions`,
+    member by member when the arrays carry a leading member axis."""
+    lead, r, p = J.shape[:-2], G.shape[-2], G.shape[-1]
+    U = np.empty(lead + (r * r + r * p + p * p,))
+    U[..., : r * r] = szz.reshape(-1)
+    U[..., r * r : r * r + r * p] = G.reshape(lead + (-1,))
+    U[..., r * r + r * p :] = P.reshape(lead + (-1,))
+    V = np.empty(lead + (2, p, p))
+    np.negative(P, out=V[..., 0, :, :])
+    np.subtract((0.5 * n) * P, Q, out=V[..., 1, :, :])
+    K = (U[..., :, None] * V.reshape(lead + (1, -1))).reshape(lead + (-1,)).take(_kron_positions(r, p), -1)
+    return J @ K @ J.swapaxes(-1, -2)
 
 
 def _loglik(x, spec, mom: SampleMoments, order: int = 0):
@@ -841,57 +968,59 @@ def _loglik(x, spec, mom: SampleMoments, order: int = 0):
     offsets are free (see :func:`_stack_layout`), with ``x`` the (B, k)
     stack of their packed vectors; the log-likelihoods (B,), gradients
     (B, k) and Hessians (B, k, k) then come from the same formulas, member
-    by member, in one batched product per step.
+    by member, in one batched product per step.  A :class:`_Stack` brings
+    what a solve's evaluations share, resolved once, and the moments keep
+    their blocks (:class:`_MomentBlocks`) for every later evaluation.
     """
     layout, k, free, scatter = _stack_layout(spec)
     values = _field_values(layout, free, x)
     Bt = _mean_coefs(values)
     P, logdet = _precision(values)
     p, q = Bt.shape[-1], Bt.shape[-2] - 2
+    r, m = q + 2, (q + 2) * p + p * p
     lead = Bt.shape[:-2]
     n = mom.n
-    zbar, ybar = mom.mean[: q + 1], mom.mean[q + 1 :]
-    czz, czy, cyy = mom.gram[: q + 1, : q + 1], mom.gram[: q + 1, q + 1 :], mom.gram[q + 1 :, q + 1 :]
+    zbar, ybar, czz, czy, cyy, nzbar, szz = _MomentBlocks.of(mom, q)
 
     B = Bt[..., 1:, :]
     rbar = ybar - Bt[..., 0, :] - zbar @ B
+    nr = n * rbar
     E = czy - czz @ B  # sum_i (z_i - zbar) r_i'
-    W = n * rbar[..., :, None] * rbar[..., None, :] + cyy - czy.T @ B - B.swapaxes(-1, -2) @ E
+    W = nr[..., :, None] * rbar[..., None, :] + cyy - czy.T @ B - B.swapaxes(-1, -2) @ E
 
-    ll = -0.5 * (n * (p * LOG_2PI + logdet) + (P * W).sum((-2, -1)))
+    ll = -0.5 * (n * (p * LOG_2PI + logdet) + np.add.reduce(P * W, (-2, -1)))
     if order == 0:
         return ll
 
+    # the curvature source [0, vec G, vec M / 2, psi vec M, psi M lambda,
+    # gradient]; its entries 1 .. m are dll / d(vec Bt, vec Sigma)
+    cs = np.empty(lead + (1 + m + p * p + p + k,))
+    cs[..., 0] = 0.0
     F = np.empty(Bt.shape)
-    F[..., 0, :] = n * rbar
-    F[..., 1:, :] = n * zbar[:, None] * rbar[..., None, :] + E
-    G = F @ P
+    F[..., 0, :] = nr
+    np.add(nzbar * rbar[..., None, :], E, out=F[..., 1:, :])
+    G = np.matmul(F, P, out=cs[..., 1 : 1 + r * p].reshape(lead + (r, p)))
     Q = P @ W @ P
-    M = 0.5 * (Q + Q.swapaxes(-1, -2)) - n * P
-    jb, js = _jacobians(scatter, free, values)
-    grad = (
-        jb.reshape(lead + (k, -1)) @ G.reshape(lead + (-1, 1))
-        + 0.5 * (js.reshape(lead + (k, -1)) @ M.reshape(lead + (-1, 1)))
-    )[..., 0]
+    half = cs[..., 1 + r * p : 1 + m].reshape(lead + (p, p))  # M / 2, M = (Q + Q') / 2 - n P
+    np.add(Q, Q.swapaxes(-1, -2), out=half)
+    half *= 0.25
+    half -= (0.5 * n) * P
+    head = spec.head if isinstance(spec, _Stack) else _head(scatter, free)
+    J = _jacobians(scatter, head, x, values)
+    grad = (J @ cs[..., 1 : 1 + m, None])[..., 0]
     if order == 1:
         return ll, grad
 
-    szz = mom.cross[: q + 2, : q + 2]  # sum_i [1, z_i]' [1, z_i]
-    hess = _second_differential(jb, js, n, szz, G, P, Q)
-    # The curvature of the parameter map.  The free loadings are all but
-    # the first; a term placed on one side of the diagonal only is doubled,
-    # for the symmetrization halves it.
-    lam, psi = values["loadings"], values["latent_var"]
-    lo = layout["lambda"].span
-    hess[..., lo, lo] += psi[..., None, None] * M[..., 1:, 1:]  # loading x loading
-    hess[..., lo, layout["beta"].span] += 2.0 * G[..., 1 : q + 1, 1:].swapaxes(-1, -2)
-    hess[..., lo, layout["gamma"].at[0]] += 2.0 * G[..., q + 1, 1:]
-    hess[..., lo, layout["log_psi"].at[0]] += 2.0 * psi[..., None] * (M @ lam[..., None])[..., 1:, 0]
-    diag = hess.reshape(lead + (k * k,))[..., :: k + 1]
-    for b in layout.values():
-        if b.log:  # the curvature of exp equals the block's gradient
-            diag[..., b.span] += grad[..., b.span]
-    return ll, grad, 0.5 * (hess + hess.swapaxes(-1, -2))
+    lam, two_psi = values["loadings"], 2.0 * values["latent_var"]
+    pm = 1 + m  # where psi vec M starts
+    np.multiply(two_psi[..., None, None], half, out=cs[..., pm : pm + p * p].reshape(lead + (p, p)))
+    np.multiply(two_psi[..., None], (half @ lam[..., None])[..., 0], out=cs[..., pm + p * p : pm + p * p + p])
+    cs[..., pm + p * p + p :] = grad
+    hess = _second_differential(J, n, szz, G, P, Q)
+    hess += hess.swapaxes(-1, -2)
+    hess *= 0.5
+    hess += cs.take(scatter.curv, -1)
+    return ll, grad, hess
 
 
 def _ll_value(x, spec, Y, X, s):

@@ -245,6 +245,44 @@ class TestDifScan:
         for row in report.rows:
             assert [line.split() for line in table if line.split()[:1] == [row.indicator]] == [[row.indicator, "failed"]]
 
+    def test_failed_rows_print_their_errors_below_the_table(self, generator, monkeypatch):
+        data, _ = simulate_from(generator, n=500, seed=65)
+
+        def broken_fit_stack(specs, d, options=None):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(dif_mod, "fit_stack", broken_fit_stack)
+        report = fm.dif_scan(base_template(generator), data)
+        lines = report.to_text_table().splitlines()
+        rows = len(report.rows)
+        assert [line.split() for line in lines[2 : 2 + rows]] == [[r.indicator, "failed"] for r in report.rows]
+        assert lines[2 + rows :] == ["Failed rows:"] + [f"  {r.indicator}: RuntimeError: boom" for r in report.rows]
+        assert all(line == line.rstrip() for line in lines)
+
+    def test_a_scan_builds_no_model_through_full_validation(self, monkeypatch):
+        # Deterministic per-scan counters: the models a scan builds from its
+        # own values (the fits' results and the nested specs) skip
+        # MimicModel.__post_init__, and the two solves take 10 order-2
+        # evaluations between them.
+        data, _ = simulate_from(make_generator(dif=(0.0, 0.0, 0.2, 0.0)), n=5000, seed=3)
+        base = base_template()
+        counts = collections.Counter()
+        real_post_init, real_loglik = fm.MimicModel.__post_init__, estimate_mod._loglik
+
+        def post_init(model):
+            counts["validating constructions"] += 1
+            real_post_init(model)
+
+        def loglik(x, spec, mom, order=0):
+            counts[f"order-{order} evaluations"] += 1
+            return real_loglik(x, spec, mom, order)
+
+        monkeypatch.setattr(fm.MimicModel, "__post_init__", post_init)
+        monkeypatch.setattr(estimate_mod, "_loglik", loglik)
+        report = fm.dif_scan(base, data)
+        assert all(r.error is None for r in report.rows)
+        assert counts == {"order-2 evaluations": 10}
+
     def test_moments_and_fingerprint_built_once_per_scan(self, generator, monkeypatch):
         data, _ = simulate_from(generator, n=500, seed=66)
         calls = counting(monkeypatch, (fm.Dataset, "sensitive_codes"), (dif_mod, "fit"), (dif_mod, "fit_stack"))

@@ -278,6 +278,21 @@ class TestStartValues:
         mom = data_moments(spec, data)
         np.testing.assert_array_equal(_start_values(spec, mom), _guess_values(spec, mom))
 
+    def test_guess_where_an_indicator_has_no_residual_variance(self, generator, monkeypatch):
+        # y4 = 2 x1 exactly, an affine function of [x, s]: the reduced-form
+        # regression leaves it a residual variance of exactly 0, and the
+        # start falls back to the guess before any triad is formed
+        data, _ = simulate_from(generator, n=2000, seed=30)
+        data = data.replace_columns({"y4": 2.0 * data.column("x1")})
+        spec = base_template(generator)
+        mom = data_moments(spec, data)
+
+        def no_triads(values):
+            raise AssertionError("the triads were formed")
+
+        monkeypatch.setattr(estimate_mod.statistics, "median", no_triads)
+        np.testing.assert_array_equal(_start_values(spec, mom), _guess_values(spec, mom))
+
 
 class TestFitFromMoments:
     def test_matches_fit_from_dataset(self, generator):

@@ -131,6 +131,33 @@ class TestValidation:
             warnings.simplefilter("error")
             assert np.isfinite(fm.log_likelihood(model, data))
 
+    def test_trusted_constructor_equals_the_validating_one(self):
+        fields = {k: np.array(v) if isinstance(v, np.ndarray) else v for k, v in vars(make_generator(dif=(0.0, 0.3, 0.0, 0.0))).items()}
+        plain = fm.MimicModel(**fields)
+        trusted = fm.MimicModel._trusted(**fields)
+        for f in dataclasses.fields(plain):
+            want, got = getattr(plain, f.name), getattr(trusted, f.name)
+            assert type(got) is type(want), f.name
+            if isinstance(want, np.ndarray):
+                assert got.dtype == want.dtype and not got.flags.writeable, f.name
+            np.testing.assert_array_equal(got, want)
+        assert vars(trusted).keys() == vars(plain).keys()
+
+    @pytest.mark.parametrize("changes, match", [
+        ({"intercepts": [0.0, math.nan]}, "intercepts must be finite"),
+        ({"loadings": [1.0, math.inf]}, "loadings must be finite"),
+        ({"sens_coef": math.inf}, "sens_coef must be finite"),
+        ({"latent_var": math.nan}, "latent_var must be finite"),
+        ({"resid_vars": [0.5, 1e-310]}, "smallest normal float"),
+        ({"latent_var": -1.0}, "strictly positive"),
+        ({"loadings": [1.0, 4.0], "resid_vars": [0.5, 3e-308], "latent_var": 10.0}, "overflows"),
+    ])
+    def test_trusted_constructor_keeps_the_value_checks(self, changes, match):
+        fields = {k: np.array(v) if isinstance(v, np.ndarray) else v for k, v in vars(tiny_model()).items()}
+        fields.update({k: np.array(v, dtype=np.float64) if isinstance(v, list) else v for k, v in changes.items()})
+        with pytest.raises(ValueError, match=match):
+            fm.MimicModel._trusted(**fields)
+
     def test_constrained_dif_must_be_zero(self):
         with pytest.raises(ValueError, match="constrained"):
             tiny_model(dif_offsets=[0.0, 0.1])
@@ -462,11 +489,10 @@ def test_layout_round_trip_and_derivatives(draw):
     np.testing.assert_allclose(hess, kron_hess, rtol=0, atol=1e-12 * np.abs(kron_hess).max())
 
 
-def _kron_second_differential(jb, js, n, szz, G, P, Q):
+def _kron_second_differential(J, n, szz, G, P, Q):
     """Oracle for ``model._second_differential`` that forms every Kronecker
-    matrix and sandwiches it between the flattened Jacobians."""
-    k = jb.shape[0]
-    jb, js = jb.reshape(k, -1), js.reshape(k, -1)
+    matrix and sandwiches it between the Jacobians of Bt and Sigma."""
+    jb, js = J[:, : G.size], J[:, G.size :]
     cross = jb @ np.kron(G, P) @ js.T
     return (
         js @ (0.5 * n * np.kron(P, P) - np.kron(P, Q)) @ js.T

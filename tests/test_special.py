@@ -8,6 +8,8 @@ from scipy.stats import chi2
 from fairmimic import data as data_mod
 from fairmimic._special import chi2_sf, ndtri
 
+from conftest import same_bits
+
 
 def _relative_error(got, want):
     got, want = np.asarray(got), np.asarray(want)
@@ -61,6 +63,20 @@ class TestNdtri:
         u[::97] *= 1e-12  # plenty of far-tail entries
         pieces = [ndtri(part) for part in np.split(u, cuts)]
         assert np.array_equal(ndtri(u).view(np.int64), np.concatenate(pieces).view(np.int64))
+
+    @pytest.mark.parametrize("shape", [(3200,), (50, 3), (0,), (0, 4)])
+    def test_out_gets_the_same_bits(self, shape):
+        u = np.random.default_rng(9).random(shape)
+        u.reshape(-1)[::7] *= 1e-14  # tail and far-tail entries
+        out = np.full(shape, np.nan)
+        assert ndtri(u, out=out) is out
+        assert same_bits(out, ndtri(u))
+
+    def test_out_must_fit_and_not_overlap(self):
+        u = np.random.default_rng(9).random(10)
+        for out in (np.empty(9), np.empty(10, dtype=np.float32), np.empty(20)[::2], u):
+            with pytest.raises(ValueError):
+                ndtri(u, out=out)
 
     def test_shape_is_kept(self):
         u = np.random.default_rng(8).random((50, 3))
