@@ -663,31 +663,6 @@ def _gauss(rng, size):
     return out
 
 
-# Rows whose ids _row_ids writes at a time, so that its temporaries stay
-# small next to the column it returns.
-ID_BLOCK = 1 << 14
-
-
-def _row_ids(n: int) -> np.ndarray:
-    """``[str(i) for i in range(n)]`` as an object array, from one bulk
-    conversion per ``ID_BLOCK`` rows: the digits of the block's row numbers
-    are written at once as ASCII, right-aligned behind spaces in rows of
-    equal width, and one ``split`` of that text makes the strings."""
-    ids = np.empty(n, dtype=object)
-    for a in range(0, n, ID_BLOCK):
-        b = min(a + ID_BLOCK, n)
-        width = len(str(b - 1))
-        chars = np.full((b - a, width + 1), ord(" "), dtype=np.uint8)
-        rest, digit = np.arange(a, b), np.empty(b - a, dtype=np.intp)
-        for j in range(width - 1, -1, -1):
-            np.divmod(rest, 10, out=(rest, digit))
-            # the numbers below 10^(width-1-j) have no digit in column j
-            lead = min(max(10 ** (width - 1 - j) - a, 0), b - a) if j < width - 1 else 0
-            np.add(digit[lead:], ord("0"), out=chars[lead:, j], casting="unsafe")
-        ids[a:b] = str(memoryview(chars), "ascii").split()
-    return ids
-
-
 def simulate(spec: SimSpec):
     """Draw a dataset from the generating model.
 
@@ -750,7 +725,7 @@ def simulate(spec: SimSpec):
     roles.update({c: "covariate" for c in model.covariate_names})
     roles.update({c: "indicator" for c in model.indicator_names})
     values = {
-        spec.id_column: _row_ids(n),
+        spec.id_column: np.fromiter(map(str, range(n)), dtype=object, count=n),
         spec.sensitive_column: labels,
         **dict(zip(model.covariate_names, X)),
         **dict(zip(model.indicator_names, Y)),

@@ -343,7 +343,7 @@ def fit_stack(specs, data, options: OptimOptions | None = None, callback=None) -
 
 def _norms(a) -> list:
     """The 2-norms of the rows of ``a``."""
-    return np.sqrt(np.add.reduce(a * a, 1)).tolist()
+    return np.sqrt((a * a).sum(1)).tolist()
 
 
 def _trial_loglik(x, specs, mom):
@@ -417,8 +417,8 @@ def _step(grad, info, radius):
     else:
         definite = True
         step = np.linalg.solve(info, grad[:, :, None])[:, :, 0]
-    newton = definite & (np.sqrt(np.add.reduce(step * step, 1)) <= radius)
-    predicted = 0.5 * np.add.reduce(grad * step, 1)
+    newton = definite & (np.sqrt((step * step).sum(1)) <= radius)
+    predicted = 0.5 * (grad * step).sum(1)
     if not newton.all():
         other = ~newton
         w, v = np.linalg.eigh(info[other])

@@ -342,10 +342,9 @@ def _layout_of(ind, cov, free_mask):
 
 
 class _Scatter(NamedTuple):
-    """Where the entries of the Jacobian, of the second differential and of
-    the curvature of the parameter map come from, as positions in a source
-    vector per member; they depend only on the layout, so each array is
-    filled by one gather.
+    """Where the entries of the Jacobian and of the curvature of the
+    parameter map come from, as positions in a source vector per member;
+    they depend only on the layout, so each array is filled by one gather.
 
     With ``m = (q+2)p + p^2``, ``jac`` gives, for each entry of the (k, m)
     Jacobian ``J = [d vec Bt, d vec Sigma]``, its position in the source
@@ -619,12 +618,12 @@ def _precision(values):
     p = lam.shape[-1]
     u = lam / theta
     t = psi * lam * u
-    total = np.add.reduce(t, -1, keepdims=True)
+    total = t.sum(-1, keepdims=True)
     scale = 1.0 + total
     v = u * np.sqrt(psi / scale)
     P = v[..., :, None] * -v[..., None, :]
     P.reshape(lam.shape[:-1] + (p * p,))[..., :: p + 1] = (1.0 + t @ _off_diagonal(p)) / (theta * scale)
-    return P, np.add.reduce(np.log(theta), -1) + np.log1p(total[..., 0])
+    return P, np.log(theta).sum(-1) + np.log1p(total[..., 0])
 
 
 @functools.lru_cache(maxsize=128)
@@ -874,19 +873,14 @@ def _extract_arrays(model: MimicModel, data):
 #
 #   vec(X)' (A kron B) vec(Y) = sum(X * (A Y B'))
 #
-# (Magnus & Neudecker 2019, ch. 2), so the second differential is the
-# quadratic form of the (m, m) matrix K with the blocks
-#
-#   -S kron P,   -G kron P,   P kron (n P / 2 - Q)
-#
-# (the second on both sides of the diagonal), and the Hessian is J K J'
-# plus the curvature of the map: loading times beta or gamma in Bt, loading
-# times loading or log psi in Sigma, and on each log-scale block the
-# curvature of exp, which equals the block's gradient.  An entry of
-# (A kron B) is an entry of A times an entry of B, so K is one gather from
-# the outer product of [vec S, vec G, vec P] and [-vec P, vec(n P / 2 - Q)],
-# and J and the curvature are one gather each from a short source vector,
-# at positions the layout fixes (_Scatter).
+# (Magnus & Neudecker 2019, ch. 2), so each term of the second differential,
+# a Kronecker sandwich of the Bt and Sigma parts of J, is one batched matrix
+# product over the k Jacobian slices and no Kronecker matrix is formed.  The
+# Hessian adds the curvature of the map: loading times beta or gamma in Bt,
+# loading times loading or log psi in Sigma, and on each log-scale block the
+# curvature of exp, which equals the block's gradient.  J and the curvature
+# are one gather each from a short source vector, at positions the layout
+# fixes (_Scatter).
 #
 # Every array may carry a leading member axis: a stack of specs that differ
 # only in which offsets are free shares the data and the layout, so one
@@ -915,49 +909,30 @@ def _jacobians(scatter, head, x, values):
     return src.take(scatter.jac, -1)
 
 
-@functools.lru_cache(maxsize=128)
-def _kron_positions(r: int, p: int) -> np.ndarray:
-    """For each entry of the (m, m) matrix K of the second differential in
-    ``(vec Bt, vec Sigma)``, ``m = rp + p^2``, its position in the outer
-    product of ``U = [vec szz, vec G, vec P]`` and
-    ``V = [-vec P, vec(n P / 2 - Q)]``: the blocks of K are
-    ``-szz kron P``, ``-G kron P`` and its transpose, and
-    ``P kron (n P / 2 - Q)``.  Built once per shape and read-only."""
-    m, width = r * p + p * p, 2 * p * p  # the order of K and the length of V
-    rows, every = np.arange(r), np.arange(p)
-    kron = np.empty((m, m), dtype=np.intp)
-    i, a, j, b = np.ix_(rows, every, rows, every)
-    kron[: r * p, : r * p] = ((i * r + j) * width + a * p + b).reshape(r * p, r * p)
-    i, a, c, b = np.ix_(rows, every, every, every)
-    kron[: r * p, r * p :] = ((r * r + i * p + c) * width + a * p + b).reshape(r * p, p * p)
-    kron[r * p :, : r * p] = kron[: r * p, r * p :].T
-    a, b, c, d = np.ix_(every, every, every, every)
-    kron[r * p :, r * p :] = ((r * r + r * p + a * p + c) * width + p * p + b * p + d).reshape(p * p, p * p)
-    kron.flags.writeable = False
-    return kron
-
-
-def _second_differential(J, n, szz, G, P, Q):
+def _second_differential(jb, js, n, szz, G, P, Q):
     """The second differential of the log-likelihood in the packed
-    parameters, before the curvature of the parameter map: with
-    ``J = [jb, js]`` the (..., k, m) Jacobian of :func:`_jacobians`, ``jb``
-    its Bt part and ``js`` its Sigma part,
+    parameters, before the curvature of the parameter map: with ``jb`` and
+    ``js`` the Jacobians of Bt and Sigma, (..., k, q+2, p) and (..., k, p, p),
 
         js (P kron (n P / 2 - Q)) js' - jb (szz kron P) jb' - C - C',
         C = jb (G kron P) js',
 
-    evaluated as ``J K J'`` with K gathered at :func:`_kron_positions`,
-    member by member when the arrays carry a leading member axis."""
-    lead, r, p = J.shape[:-2], G.shape[-2], G.shape[-1]
-    U = np.empty(lead + (r * r + r * p + p * p,))
-    U[..., : r * r] = szz.reshape(-1)
-    U[..., r * r : r * r + r * p] = G.reshape(lead + (-1,))
-    U[..., r * r + r * p :] = P.reshape(lead + (-1,))
-    V = np.empty(lead + (2, p, p))
-    np.negative(P, out=V[..., 0, :, :])
-    np.subtract((0.5 * n) * P, Q, out=V[..., 1, :, :])
-    K = (U[..., :, None] * V.reshape(lead + (1, -1))).reshape(lead + (-1,)).take(_kron_positions(r, p), -1)
-    return J @ K @ J.swapaxes(-1, -2)
+    each sandwich evaluated slice by slice without the Kronecker matrix,
+    and member by member when the arrays carry a leading member axis."""
+    lead, k = jb.shape[:-3], jb.shape[-3]
+    flat_b, flat_s = jb.reshape(lead + (k, -1)), js.reshape(lead + (k, -1))
+    G, P, Q = G[..., None, :, :], P[..., None, :, :], Q[..., None, :, :]  # over the k slices
+
+    def sandwich(flat, slices):
+        return flat @ slices.reshape(lead + (k, -1)).swapaxes(-1, -2)
+
+    cross = sandwich(flat_b, G @ js @ P)
+    return (
+        sandwich(flat_s, P @ js @ (0.5 * n * P - Q.swapaxes(-1, -2)))
+        - sandwich(flat_b, szz @ jb @ P)
+        - cross
+        - cross.swapaxes(-1, -2)
+    )
 
 
 def _loglik(x, spec, mom: SampleMoments, order: int = 0):
@@ -988,7 +963,7 @@ def _loglik(x, spec, mom: SampleMoments, order: int = 0):
     E = czy - czz @ B  # sum_i (z_i - zbar) r_i'
     W = nr[..., :, None] * rbar[..., None, :] + cyy - czy.T @ B - B.swapaxes(-1, -2) @ E
 
-    ll = -0.5 * (n * (p * LOG_2PI + logdet) + np.add.reduce(P * W, (-2, -1)))
+    ll = -0.5 * (n * (p * LOG_2PI + logdet) + (P * W).sum((-2, -1)))
     if order == 0:
         return ll
 
@@ -1016,7 +991,9 @@ def _loglik(x, spec, mom: SampleMoments, order: int = 0):
     np.multiply(two_psi[..., None, None], half, out=cs[..., pm : pm + p * p].reshape(lead + (p, p)))
     np.multiply(two_psi[..., None], (half @ lam[..., None])[..., 0], out=cs[..., pm + p * p : pm + p * p + p])
     cs[..., pm + p * p + p :] = grad
-    hess = _second_differential(J, n, szz, G, P, Q)
+    jb = J[..., : r * p].reshape(lead + (k, r, p))
+    js = J[..., r * p :].reshape(lead + (k, p, p))
+    hess = _second_differential(jb, js, n, szz, G, P, Q)
     hess += hess.swapaxes(-1, -2)
     hess *= 0.5
     hess += cs.take(scatter.curv, -1)

@@ -400,11 +400,10 @@ class TestSimulate:
             assert data.sensitive_labels().tolist() == [level[code] for code in s.astype(int).tolist()]
             assert data.column("id").tolist() == [str(i) for i in range(n)]
 
-    @pytest.mark.parametrize("n", [1, 9, 10, 11, 100, 1001, data_mod.GAUSS_BLOCK // 8 + 1, data_mod.ID_BLOCK + 1])
+    @pytest.mark.parametrize("n", [1, 9, 10, 11, 100, 1001, data_mod.GAUSS_BLOCK // 8 + 1])
     def test_ids_are_the_row_numbers_as_str(self, n):
         # the suite generator draws 8 normals a row, so GAUSS_BLOCK / 8 + 1
-        # rows cross a block of the draw, and ID_BLOCK + 1 rows a block of
-        # the ids
+        # rows cross a block of the draw
         ids = fm.simulate(fm.SimSpec(n=n, model=make_generator(), group_prob=0.5, seed=n))[0].column("id")
         assert ids.dtype == object and ids.shape == (n,)
         assert ids.tolist() == [str(i) for i in range(n)]

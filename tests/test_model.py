@@ -489,10 +489,11 @@ def test_layout_round_trip_and_derivatives(draw):
     np.testing.assert_allclose(hess, kron_hess, rtol=0, atol=1e-12 * np.abs(kron_hess).max())
 
 
-def _kron_second_differential(J, n, szz, G, P, Q):
+def _kron_second_differential(jb, js, n, szz, G, P, Q):
     """Oracle for ``model._second_differential`` that forms every Kronecker
-    matrix and sandwiches it between the Jacobians of Bt and Sigma."""
-    jb, js = J[:, : G.size], J[:, G.size :]
+    matrix and sandwiches it between the flattened Jacobians."""
+    k = jb.shape[0]
+    jb, js = jb.reshape(k, -1), js.reshape(k, -1)
     cross = jb @ np.kron(G, P) @ js.T
     return (
         js @ (0.5 * n * np.kron(P, P) - np.kron(P, Q)) @ js.T
