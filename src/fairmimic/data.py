@@ -129,6 +129,12 @@ class Dataset:
         return replace(self, values=values)
 
     def replace_columns(self, new_values: dict, log_scale=None) -> "Dataset":
+        """A copy with the columns named in ``new_values`` replaced and, given
+        ``log_scale``, that set of log-scale columns; a name that is not a
+        column raises DataValidationError."""
+        unknown = sorted(set(new_values) - set(self.values))
+        if unknown:
+            raise DataValidationError(f"no column named {', '.join(map(repr, unknown))} to replace")
         values = {c: new_values.get(c, v) for c, v in self.values.items()}
         return replace(self, values=values, log_scale=self.log_scale if log_scale is None else log_scale)
 

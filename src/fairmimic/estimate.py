@@ -13,10 +13,10 @@ import numpy as np
 from ._special import chi2_sf
 from .model import (
     MimicModel,
-    _layout,
     _loglik,
     _pack_fields,
     _Stack,
+    _structure,
     data_moments,
     pack,
     param_names,
@@ -184,7 +184,7 @@ def _start_values(spec: MimicModel, mom) -> np.ndarray:
         resid_vars=theta,
         latent_var=psi,
     )
-    return _pack_fields(_layout(spec)[0], start)
+    return _pack_fields(_structure(spec).layout, start)
 
 
 def _guess_values(spec: MimicModel, mom) -> np.ndarray:
@@ -208,7 +208,7 @@ def _guess_values(spec: MimicModel, mom) -> np.ndarray:
         resid_vars=var / 2.0,
         latent_var=float(var[0]) / 2.0,
     )
-    return _pack_fields(_layout(spec)[0], start)
+    return _pack_fields(_structure(spec).layout, start)
 
 
 def fit(spec: MimicModel, data, options: OptimOptions | None = None, callback=None) -> FitResult:
@@ -309,7 +309,7 @@ def fit_stack(specs, data, options: OptimOptions | None = None, callback=None) -
         live = [i for i in live if n_iter[i] < options.max_iter and norm[i] >= options.grad_tol]
         if not live:
             break
-        rows, members = (live, specs.members(live)) if len(live) < len(specs) else (slice(None), specs)
+        rows, members = (live, [specs[i] for i in live]) if len(live) < len(specs) else (slice(None), specs)
         step, predicted = _step(grad[rows], info[rows], np.array([radius[i] for i in live]))
         trial = x[rows] + step
         ll_try, grad_try, hess_try = _trial_loglik(trial, members, mom)
@@ -361,7 +361,7 @@ def _trial_loglik(x, specs, mom):
         if len(specs) == 1:
             k = x.shape[1]
             return [-np.inf], np.full((1, k), np.nan), np.full((1, k, k), np.nan)
-    ll, grad, hess = zip(*(_trial_loglik(x[i : i + 1], specs.members([i]), mom) for i in range(len(specs))))
+    ll, grad, hess = zip(*(_trial_loglik(x[i : i + 1], specs[i : i + 1], mom) for i in range(len(specs))))
     return sum(ll, []), np.concatenate(grad), np.concatenate(hess)
 
 

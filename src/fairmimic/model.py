@@ -303,42 +303,61 @@ class _Block(NamedTuple):
 
     field: str  # the MimicModel field it holds
     index: object  # the field's packed entries; None for a scalar field
-    names: tuple  # names of the field's entries, for the parameter names
     log: bool  # packed as the log of the field
     at: np.ndarray  # positions in the packed vector
     span: slice  # the same positions, as a slice
 
 
-def _layout(spec: MimicModel):
-    """The packed vector of ``spec``'s free parameters: its blocks by name,
-    in packing order, and its length.  Built once per structure and shared,
-    so the mapping and its index arrays are read-only."""
-    return _layout_of(spec.indicator_names, spec.covariate_names, spec.free_mask.tobytes())[:2]
+class _Structure(NamedTuple):
+    """The packed free-parameter vector of one structure (indicator names,
+    covariate names and free-offset mask): ``layout``, its blocks by name in
+    packing order; its length ``k``; the parameter ``names``; the
+    :class:`_Scatter` of its derivatives; the free-offset mask ``free``; and
+    ``head``, the constant lead of the Jacobian source (0, 1 and the rows of
+    the identity at the free offsets).  Built once per structure and shared,
+    so every array in it is read-only."""
+
+    layout: MappingProxyType
+    k: int
+    names: tuple
+    scatter: _Scatter
+    free: np.ndarray
+    head: np.ndarray
+
+
+def _structure(spec: MimicModel) -> _Structure:
+    """The :class:`_Structure` of ``spec``: every read of a spec's packed
+    structure goes through here."""
+    return _structure_of(spec.indicator_names, spec.covariate_names, spec.free_mask.tobytes())
 
 
 @functools.lru_cache(maxsize=128)
-def _layout_of(ind, cov, free_mask):
-    """The layout of a structure, its length and its :class:`_Scatter`."""
+def _structure_of(ind, cov, free_mask) -> _Structure:
+    """The :class:`_Structure` of indicators ``ind``, covariates ``cov`` and
+    the bytes of the free-offset mask, built once per structure."""
+    free = np.frombuffer(free_mask, dtype=np.bool_)
     every = np.arange(len(ind))
     rows = (  # name, field, packed entries, names of the field's entries, log scale
         ("lambda", "loadings", every[1:], ind, False),
         ("nu", "intercepts", every, ind, False),
         ("beta", "struct_coefs", np.arange(len(cov)), cov, False),
         ("gamma", "sens_coef", None, (), False),
-        ("delta", "dif_offsets", every[np.frombuffer(free_mask, dtype=np.bool_)], ind, False),
+        ("delta", "dif_offsets", every[free], ind, False),
         ("log_theta", "resid_vars", every, ind, True),
         ("log_psi", "latent_var", None, (), True),
     )
-    layout, k = {}, 0
-    for name, field, index, names, log in rows:
+    layout, names, k = {}, [], 0
+    for name, field, index, entries, log in rows:
         size = 1 if index is None else len(index)
-        layout[name] = _Block(field, index, names, log, np.arange(k, k + size), slice(k, k + size))
+        layout[name] = _Block(field, index, log, np.arange(k, k + size), slice(k, k + size))
+        names += [name] if index is None else [f"{name}[{entries[i]}]" for i in index]
         k += size
     scatter = _scatter(layout, k, len(ind), len(cov))
-    for a in (*(a for b in layout.values() for a in (b.index, b.at)), *scatter):
+    head = np.concatenate([[0.0, 1.0], np.eye(len(ind))[free].ravel()])
+    for a in (*(a for b in layout.values() for a in (b.index, b.at)), *scatter, free, head):
         if isinstance(a, np.ndarray):
             a.flags.writeable = False
-    return MappingProxyType(layout), k, scatter
+    return _Structure(MappingProxyType(layout), k, tuple(names), scatter, free, head)
 
 
 class _Scatter(NamedTuple):
@@ -349,17 +368,15 @@ class _Scatter(NamedTuple):
     With ``m = (q+2)p + p^2``, ``jac`` gives, for each entry of the (k, m)
     Jacobian ``J = [d vec Bt, d vec Sigma]``, its position in the source
     ``[0, 1, E, x, theta, psi lambda, 2 psi lambda, psi lambda lambda']``,
-    where ``E`` is the rows of ``eye`` at the member's free offsets and ``x``
-    is its packed vector, and ``width`` is the source's length.  ``curv``
-    gives, for each
-    entry of the (k, k) curvature of the map, its position in
-    ``[0, vec G, vec M / 2, psi vec M, psi M lambda, gradient]``.
+    where ``E`` is the rows of the identity at the member's free offsets and
+    ``x`` is its packed vector, and ``width`` is the source's length.
+    ``curv`` gives, for each entry of the (k, k) curvature of the map, its
+    position in ``[0, vec G, vec M / 2, psi vec M, psi M lambda, gradient]``.
     """
 
     jac: np.ndarray
     width: int
     curv: np.ndarray
-    eye: np.ndarray
 
 
 def _scatter(layout, k, p, q) -> _Scatter:
@@ -399,94 +416,48 @@ def _scatter(layout, k, p, q) -> _Scatter:
     curv[np.ix_(lo.at, lo.at)] = m + fl[:, None] * p + fl  # loading x loading
     logs = np.concatenate([th.at, lpsi.at])
     curv[logs, logs] = grad + logs  # the curvature of exp equals the block's gradient
-    return _Scatter(jac, outer + p * p, curv, np.eye(p))
-
-
-def _head(scatter, free) -> np.ndarray:
-    """The constant lead of each member's Jacobian source: 0, 1 and the
-    rows of the identity at the member's free offsets (``free`` as
-    :func:`_stack_layout` gives it)."""
-    rows = scatter.eye[np.nonzero(free)[-1]].reshape(free.shape[:-1] + (-1,))
-    head = np.zeros(rows.shape[:-1] + (2 + rows.shape[-1],))
-    head[..., 1] = 1.0
-    head[..., 2:] = rows
-    return head
-
-
-def _stack_layout(spec):
-    """The layout of ``spec``, its length, its free-offset mask and its
-    :class:`_Scatter`.
-
-    ``spec`` may also be a sequence of B specs with the same names and
-    packed length.  They then differ at most in which offsets are free, so
-    every block sits at the same positions, and the mask is (B, p): row b
-    marks the offsets member b's delta block holds.  A :class:`_Stack`
-    hands back what it resolved.
-    """
-    if isinstance(spec, _Stack):
-        return spec.layout, spec.k, spec.free, spec.scatter
-    first = spec if isinstance(spec, MimicModel) else spec[0]
-    layout, k, scatter = _layout_of(first.indicator_names, first.covariate_names, first.free_mask.tobytes())
-    if first is spec:
-        return layout, k, spec.free_mask, scatter
-    names = (first.indicator_names, first.covariate_names)
-    for s in spec:
-        if (s.indicator_names, s.covariate_names) != names or _layout(s)[1] != k:
-            raise ValueError(
-                "the specs of a stack must share their indicators and covariates "
-                "and have the same number of free parameters"
-            )
-    return layout, k, np.array([s.free_mask for s in spec]), scatter
+    return _Scatter(jac, outer + p * p, curv)
 
 
 class _Stack(tuple):
-    """A sequence of specs, as :func:`_stack_layout` takes them, that keeps
-    what it resolves: ``layout``, ``k``, the (B, p) mask ``free``,
-    ``scatter`` and the members' constant ``head`` of :func:`_head`.  A
-    solve resolves its stack once; :meth:`members` takes some members with
-    their rows of the mask and of the head and looks nothing up again."""
+    """A sequence of specs with the same names and packed length.  They then
+    differ at most in which offsets are free, so every block sits at the
+    same positions: the stack keeps the ``layout``, ``k`` and ``scatter`` its
+    members share, and stacks each member's ``free`` and ``head`` from the
+    member's own :class:`_Structure`, row b for member b."""
 
     @classmethod
     def of(cls, specs) -> "_Stack":
         """``specs`` as a stack, resolved; a stack is handed back as it is."""
         if isinstance(specs, cls):
             return specs
-        specs = tuple(specs)
-        resolved = _stack_layout(specs)
         stack = cls(specs)
-        stack.layout, stack.k, stack.free, stack.scatter = resolved
-        stack.head = _head(stack.scatter, stack.free)
-        return stack
-
-    def members(self, rows) -> "_Stack":
-        """The members at the positions ``rows``, in that order."""
-        stack = _Stack(self[i] for i in rows)
-        stack.layout, stack.k, stack.scatter = self.layout, self.k, self.scatter
-        stack.free, stack.head = self.free[rows], self.head[rows]
+        structures = [_structure(s) for s in stack]
+        first, names = structures[0], (stack[0].indicator_names, stack[0].covariate_names)
+        for s, st in zip(stack, structures):
+            if (s.indicator_names, s.covariate_names) != names or st.k != first.k:
+                raise ValueError(
+                    "the specs of a stack must share their indicators and covariates "
+                    "and have the same number of free parameters"
+                )
+        stack.layout, stack.k, stack.scatter = first.layout, first.k, first.scatter
+        stack.free = np.array([st.free for st in structures])
+        stack.head = np.array([st.head for st in structures])
         return stack
 
 
 def param_names(model: MimicModel):
     """Names of the free parameters in packing order."""
-    return _names_of(model.indicator_names, model.covariate_names, model.free_mask.tobytes())
-
-
-@functools.lru_cache(maxsize=128)
-def _names_of(ind, cov, free_mask):
-    """The parameter names of a structure, built once, as :func:`_layout_of`."""
-    names = []
-    for name, b in _layout_of(ind, cov, free_mask)[0].items():
-        names += [name] if b.index is None else [f"{name}[{b.names[i]}]" for i in b.index]
-    return tuple(names)
+    return _structure(model).names
 
 
 def n_free_params(model: MimicModel) -> int:
-    return _layout(model)[1]
+    return _structure(model).k
 
 
 def pack(model: MimicModel) -> np.ndarray:
     """Flatten the free parameters into a single vector."""
-    return _pack_fields(_layout(model)[0], vars(model))
+    return _pack_fields(_structure(model).layout, vars(model))
 
 
 def _pack_fields(layout, values) -> np.ndarray:
@@ -507,10 +478,10 @@ def unpack(spec: MimicModel, x: np.ndarray) -> MimicModel:
     spec, so the model is built by :meth:`MimicModel._trusted`, which keeps
     every check that values from some ``x`` can fail."""
     x = np.array(x, dtype=np.float64)  # a copy: the model's arrays are views of it
-    layout, k, free, _ = _stack_layout(spec)
-    if x.shape != (k,):
-        raise ValueError(f"expected {k} free parameters, got {x.shape}")
-    values = _field_values(layout, free, x)
+    structure = _structure(spec)
+    if x.shape != (structure.k,):
+        raise ValueError(f"expected {structure.k} free parameters, got {x.shape}")
+    values = _field_values(structure, x)
     for name in _SCALAR_FIELDS:
         values[name] = float(values[name])
     return MimicModel._trusted(
@@ -522,13 +493,14 @@ def unpack(spec: MimicModel, x: np.ndarray) -> MimicModel:
     )
 
 
-def _field_values(layout, free, x: np.ndarray) -> dict:
-    """The fields the packed vectors ``x`` (..., k) hold, by name, each with
-    the leading axes of ``x``.  Entries a packed vector does not hold are
-    the same in every model: the first loading is pinned to 1, and the
-    offsets outside ``free`` (the free-offset mask, (..., p)) are 0."""
-    values = {}
-    for b in layout.values():
+def _field_values(structure, x: np.ndarray) -> dict:
+    """The fields the packed vectors ``x`` (..., k) of a :class:`_Structure`
+    or a :class:`_Stack` hold, by name, each with the leading axes of ``x``.
+    Entries a packed vector does not hold are the same in every model: the
+    first loading is pinned to 1, and the offsets outside the structure's
+    ``free`` mask, (..., p), are 0."""
+    values, free = {}, structure.free
+    for b in structure.layout.values():
         v = x[..., b.at[0] if b.index is None else b.span]
         values[b.field] = np.exp(v) if b.log else v
     lam = np.ones(free.shape)
@@ -893,7 +865,7 @@ def _jacobians(scatter, head, x, values):
     parameter at the packed vectors ``x``, as the (..., k, m) Jacobian
     ``J = [d vec Bt, d vec Sigma]`` with the leading axes of ``x``, gathered
     from its source vector by the layout's :class:`_Scatter`; ``head`` is
-    the constant lead of the source, as :func:`_head` gives it, and
+    the constant lead of the source, as :class:`_Structure` holds it, and
     ``values`` the fields at ``x``."""
     lam, theta = values["loadings"], values["resid_vars"]
     lead, k, p, h = x.shape[:-1], x.shape[-1], lam.shape[-1], head.shape[-1]
@@ -940,15 +912,16 @@ def _loglik(x, spec, mom: SampleMoments, order: int = 0):
     gradient, with ``order`` 2 also the gradient and the exact Hessian.
 
     ``spec`` may also be a sequence of B specs that differ at most in which
-    offsets are free (see :func:`_stack_layout`), with ``x`` the (B, k)
+    offsets are free (see :class:`_Stack`), with ``x`` the (B, k)
     stack of their packed vectors; the log-likelihoods (B,), gradients
     (B, k) and Hessians (B, k, k) then come from the same formulas, member
     by member, in one batched product per step.  A :class:`_Stack` brings
     what a solve's evaluations share, resolved once, and the moments keep
     their blocks (:class:`_MomentBlocks`) for every later evaluation.
     """
-    layout, k, free, scatter = _stack_layout(spec)
-    values = _field_values(layout, free, x)
+    structure = _structure(spec) if isinstance(spec, MimicModel) else _Stack.of(spec)
+    k, scatter = structure.k, structure.scatter
+    values = _field_values(structure, x)
     Bt = _mean_coefs(values)
     P, logdet = _precision(values)
     p, q = Bt.shape[-1], Bt.shape[-2] - 2
@@ -980,8 +953,7 @@ def _loglik(x, spec, mom: SampleMoments, order: int = 0):
     np.add(Q, Q.swapaxes(-1, -2), out=half)
     half *= 0.25
     half -= (0.5 * n) * P
-    head = spec.head if isinstance(spec, _Stack) else _head(scatter, free)
-    J = _jacobians(scatter, head, x, values)
+    J = _jacobians(scatter, structure.head, x, values)
     grad = (J @ cs[..., 1 : 1 + m, None])[..., 0]
     if order == 1:
         return ll, grad

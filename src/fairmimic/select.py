@@ -211,6 +211,8 @@ def _arrays(features, target):
     y = np.asarray(target, dtype=np.float64)
     if F.ndim != 2 or y.ndim != 1 or F.shape[0] != y.shape[0]:
         raise ValueError("features must be n x q and target length n")
+    if F.shape[1] == 0:
+        raise ValueError("features have no columns: there is nothing to select")
     return F, y
 
 

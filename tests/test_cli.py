@@ -445,6 +445,18 @@ class TestScoreAuditDif:
         roles = json.loads((tmp_path / "sel" / "selected_roles.json").read_text())["roles"]
         assert [roles[c] for c in ("x1", "x2", "noise")] == ["covariate", "covariate", "ignore"]
 
+    def test_select_without_covariates_exits_1(self, sim_dir, tmp_path, capsys):
+        roles = json.loads((sim_dir / "roles.json").read_text())
+        roles["roles"] = {c: "ignore" if r == "covariate" else r for c, r in roles["roles"].items()}
+        (tmp_path / "roles.json").write_text(json.dumps(roles))
+        code = main(
+            ["select", "--data", str(sim_dir / "data.csv"), "--roles", str(tmp_path / "roles.json"),
+             "--out-dir", str(tmp_path / "sel")]
+        )
+        assert code == 1
+        assert "fairmimic select: error: features have no columns" in capsys.readouterr().err
+        assert not (tmp_path / "sel").exists()
+
     def test_schema_version_mismatch_exits_1(self, sim_dir, fit_dir, tmp_path):
         model = json.loads((fit_dir / "model.json").read_text())
         model["schema_version"] = 99

@@ -186,6 +186,11 @@ class TestSensitiveColumn:
         assert passes == []
         np.testing.assert_array_equal(out.sensitive_codes(), [0.0, 1.0, 0.0])
 
+    def test_replacing_an_unknown_column_raises(self):
+        ds = three_row_dataset(np.array(["a", "b", "a"], dtype=object), {"a": 0, "b": 1})
+        with pytest.raises(fm.DataValidationError, match="no column named 'y3', 'z' to replace"):
+            ds.replace_columns({"y1": np.zeros(3), "z": np.zeros(3), "y3": np.zeros(3)})
+
     def test_carried_coding_cannot_go_stale(self):
         ds = three_row_dataset(np.array(["a", "b", "a"], dtype=object), {"a": 0, "b": 1})
         with pytest.raises(ValueError):

@@ -11,9 +11,10 @@ from hypothesis import strategies as st
 import fairmimic as fm
 from fairmimic import dif as dif_mod
 from fairmimic import estimate as estimate_mod
-from fairmimic.model import data_moments
+from fairmimic import model as model_mod
+from fairmimic.model import _structure, data_moments
 
-from conftest import CODING, base_template, make_generator, simulate_from
+from conftest import CODING, base_template, make_generator, same_bits, simulate_from
 
 
 def counting(monkeypatch, *targets):
@@ -282,6 +283,32 @@ class TestDifScan:
         report = fm.dif_scan(base, data)
         assert all(r.error is None for r in report.rows)
         assert counts == {"order-2 evaluations": 10}
+
+    def test_stacked_rows_are_each_members_own_structure(self, generator, monkeypatch):
+        # Row b of every stack a scan evaluates, the members still running
+        # re-stacked included, holds member b's own free mask and Jacobian
+        # head, from the member's cached structure; a second scan with the
+        # same names builds no structure again.
+        stacks = []
+        real_loglik = estimate_mod._loglik
+
+        def loglik(x, spec, mom, order=0):
+            stacks.append(spec)
+            return real_loglik(x, spec, mom, order)
+
+        monkeypatch.setattr(estimate_mod, "_loglik", loglik)
+        data, _ = simulate_from(generator, n=500, seed=64)
+        fm.dif_scan(base_template(generator), data)
+        assert max(len(s) for s in stacks) == generator.n_indicators
+        assert any(1 < len(s) < generator.n_indicators for s in stacks)
+        for stack in stacks:
+            for b, member in enumerate(stack):
+                own = _structure(member)
+                assert same_bits(stack.free[b], own.free) and same_bits(stack.head[b], own.head)
+        misses = model_mod._structure_of.cache_info().misses
+        fresh, _ = simulate_from(generator, n=500, seed=65)
+        fm.dif_scan(base_template(generator), fresh)
+        assert model_mod._structure_of.cache_info().misses == misses
 
     def test_moments_and_fingerprint_built_once_per_scan(self, generator, monkeypatch):
         data, _ = simulate_from(generator, n=500, seed=66)

@@ -108,6 +108,31 @@ class TestFit:
         res_perm = fm.fit(permuted, data)
         assert res_perm.loglik == pytest.approx(res.loglik, abs=1e-8)
 
+    @pytest.mark.parametrize("seed", [5, 6, 7])
+    def test_swapping_the_coding_negates_the_group_effects(self, seed):
+        # Coding b as the reference in both the data and the spec is the same
+        # model with s -> 1 - s: ll is unchanged, gamma and the free offset
+        # negate, and the fair score, which sets every row to the group coded
+        # 0, is beta' x in both.
+        gen = make_generator(dif=(0.0, 0.0, 0.3, 0.0))
+        data, _ = simulate_from(gen, n=3000, seed=seed)
+        swapped_coding = {"a": 1, "b": 0}
+        swapped_data = fm.Dataset(
+            column_order=data.column_order,
+            roles=dict(data.roles),
+            values=dict(data.values),
+            sensitive_coding=swapped_coding,
+            log_scale=data.log_scale,
+        )
+        res = fm.fit(base_template(gen, free_dif=("y3",)), data)
+        swapped = fm.fit(fm.template(gen.indicator_names, gen.covariate_names, swapped_coding, ("y3",)), swapped_data)
+        assert res.converged and swapped.converged
+        assert abs(swapped.loglik - res.loglik) <= 1e-13 * abs(res.loglik)
+        for name in ("gamma", "delta[y3]"):
+            assert abs(swapped.estimate(name) + res.estimate(name)) <= 1e-12
+        X = data.covariate_matrix(gen.covariate_names)
+        np.testing.assert_allclose(fm.fair_score(swapped.model, X), fm.fair_score(res.model, X), rtol=0, atol=1e-12)
+
     def test_converged_implies_small_gradient(self, fitted_example):
         res, _ = fitted_example
         assert res.converged and res.grad_norm < 1e-5

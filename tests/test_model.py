@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import fairmimic as fm
 from fairmimic import model as model_mod
-from fairmimic.model import GRAM_CHUNK_ROWS, _extract_arrays, _layout, _matrix, _ll_value, _loglik, _precision, data_moments, n_free_params
+from fairmimic.model import GRAM_CHUNK_ROWS, _extract_arrays, _ll_value, _loglik, _matrix, _precision, _structure, data_moments, n_free_params
 
 from conftest import CODING, make_generator, simulate_from
 
@@ -460,9 +460,12 @@ def test_layout_round_trip_and_derivatives(draw):
     )
     x = fm.pack(model)
     assert len(fm.param_names(model)) == n_free_params(model) == len(x)
-    layout, _ = _layout(model)
-    assert _layout(model.with_values(sens_coef=1.0))[0] is layout  # one table per structure
-    assert not any(a.flags.writeable for b in layout.values() for a in (b.index, b.at) if a is not None)
+    structure = _structure(model)
+    assert _structure(model.with_values(sens_coef=1.0)) is structure  # one record per structure
+    arrays = [a for b in structure.layout.values() for a in (b.index, b.at) if a is not None]
+    arrays += [structure.free, structure.head, structure.scatter.jac, structure.scatter.curv]
+    assert not any(a.flags.writeable for a in arrays)
+    np.testing.assert_array_equal(structure.free, mask)
     back = fm.unpack(model, x)
     for f in dataclasses.fields(model):
         want, got = getattr(model, f.name), getattr(back, f.name)

@@ -418,6 +418,12 @@ class TestCvSelect:
         with pytest.raises(ValueError, match=match):
             fm.cv_select(args[0], args[1], k_folds=5, penalty_grid=args[2])
 
+    def test_design_without_columns_rejected(self):
+        y = random_instance(50, 1, seed=82)[1]
+        for call in (fm.cv_select, fm.penalty_max, lambda F, y: fm.lasso_fit(F, y, 0.1)):
+            with pytest.raises(ValueError, match="features have no columns"):
+                call(np.empty((50, 0)), y)
+
     def test_fold_too_small_rejected(self):
         F, y, _ = random_instance(5, 2, seed=79)
         with pytest.raises(ValueError, match="folds"):
