@@ -279,6 +279,8 @@ def counterfactual_check(model: MimicModel, covariates, reference_level=None, sc
     if score not in ("fair", "naive"):
         raise ValueError("score must be 'fair' or 'naive'")
     X = _covariate_matrix(model, covariates)
+    if len(X) == 0:
+        raise ValueError("covariates must be nonempty")
     if score == "fair":  # the blocked path pins every intervention at the reference
         reference = model.reference_level if reference_level is None else reference_level
         codes = [model.level_code(reference)]

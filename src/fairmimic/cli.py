@@ -70,12 +70,10 @@ def cmd_simulate(args) -> int:
 def cmd_fit(args) -> int:
     if not 0.0 < args.train_frac <= 1.0:
         raise ValueError(f"--train-frac must be in (0, 1], got {args.train_frac}")
-    dataset, roles_config = _load_dataset(args)
-
-    if args.train_frac < 1.0:
-        train, test = data_mod.split(dataset, args.train_frac, args.seed)
-    else:
-        train, test = dataset, None
+    train, roles_config = _load_dataset(args)
+    test = None
+    if args.train_frac < 1.0:  # the parts are copies: rebinding train frees the loaded table
+        train, test = data_mod.split(train, args.train_frac, args.seed)
     train, record = data_mod.transform(
         train, roles_config.get("log1p", ()), roles_config.get("standardize", ())
     )

@@ -15,6 +15,7 @@ from .model import (
     MimicModel,
     _loglik,
     _pack_fields,
+    _residual_moments,
     _Stack,
     _structure,
     data_moments,
@@ -81,15 +82,18 @@ class FitResult:
 
     SCHEMA_VERSION = 1
 
+    def _position(self, name: str) -> int:
+        """Index of a free parameter in ``param_names``; KeyError for no such name."""
+        if name not in self.param_names:
+            raise KeyError(f"no free parameter named {name!r}")
+        return self.param_names.index(name)
+
     def se(self, name: str) -> float:
         """Standard error of a named free parameter."""
-        try:
-            return float(self.std_errors[self.param_names.index(name)])
-        except ValueError:
-            raise KeyError(f"no free parameter named {name!r}") from None
+        return float(self.std_errors[self._position(name)])
 
     def estimate(self, name: str) -> float:
-        return float(pack(self.model)[self.param_names.index(name)])
+        return float(pack(self.model)[self._position(name)])
 
     def wald_ci(self, name: str):
         est, se = self.estimate(name), self.se(name)
@@ -129,15 +133,15 @@ def _start_values(spec: MimicModel, mom) -> np.ndarray:
     """Deterministic starting point: the one-factor model's noniterative
     moment estimate (Hägglund 1982; Bollen 1996).
 
-    The reduced-form regression of the indicators on [1, x, s], one solve
-    of the centred normal equations, gives the coefficients B and the
-    residual covariance S.  Spearman's triads on S, the median over pairs
-    (j, k) of S_1j S_1k / S_jk, give psi; then lambda_j = S_1j / psi and
-    theta_j = S_jj - psi lambda_j^2, at least 5% of S_jj.  Each row of B is
-    a multiple of lambda: weighted least squares with weights lambda/theta
-    gives beta from the covariate rows and gamma from the group row on the
-    items whose offset is fixed, and a free offset is what gamma lambda_j
-    leaves of its item's group coefficient.
+    The reduced-form regression of the indicators on [1, x, s], one solve of
+    the centred normal equations, gives the coefficients B and, through
+    ``_residual_moments``, the residual covariance S.  Spearman's triads on
+    S, the median over pairs (j, k) of S_1j S_1k / S_jk, give psi; then
+    lambda_j = S_1j / psi and theta_j = S_jj - psi lambda_j^2, at least 5%
+    of S_jj.  Each row of B is a multiple of lambda: weighted least squares
+    with weights lambda/theta gives beta from the covariate rows and gamma
+    from the group row on the items whose offset is fixed, and a free offset
+    is what gamma lambda_j leaves of its item's group coefficient.
 
     A triad counts only where its three residual correlations all exceed
     2 / sqrt(n), about twice the standard error of a correlation that is 0:
@@ -148,12 +152,12 @@ def _start_values(spec: MimicModel, mom) -> np.ndarray:
     collinear, it returns :func:`_guess_values` instead.
     """
     p, q = spec.n_indicators, spec.n_covariates
-    czz, czy = mom.gram[: q + 1, : q + 1], mom.gram[: q + 1, q + 1 :]
-    try:
-        slopes = np.linalg.solve(czz, czy)  # (q+1) x p: the rows of beta lambda' and gamma lambda + delta
+    try:  # (q+1) x p: the rows of beta lambda' and gamma lambda + delta
+        slopes = np.linalg.solve(mom.gram[: q + 1, : q + 1], mom.gram[: q + 1, q + 1 :])
     except np.linalg.LinAlgError:  # collinear covariates
         return _guess_values(spec, mom)
-    S = (mom.gram[q + 1 :, q + 1 :] - czy.T @ slopes) / mom.n
+    intercepts, _, _, W = _residual_moments(mom, slopes)
+    S = W / mom.n
     var = np.diag(S)
     if not (np.isfinite(S).all() and (var > 0.0).all()):
         return _guess_values(spec, mom)
@@ -177,7 +181,7 @@ def _start_values(spec: MimicModel, mom) -> np.ndarray:
     gamma = float(slopes[q, fixed] @ w[fixed] / (lam[fixed] @ w[fixed])) if fixed.any() else 0.0
     start = dict(
         loadings=lam,
-        intercepts=mom.mean[q + 1 :] - mom.mean[: q + 1] @ slopes,
+        intercepts=intercepts,
         struct_coefs=beta,
         sens_coef=gamma,
         dif_offsets=slopes[q] - gamma * lam,

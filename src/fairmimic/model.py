@@ -661,39 +661,33 @@ class SampleMoments:
     coding: dict | None = None
 
     @functools.cached_property
-    def _blocks(self) -> dict:
-        """The :class:`_MomentBlocks` the likelihood has read, by number of
-        covariates: each split once, then shared by every evaluation."""
+    def _szz(self) -> dict:
+        """``szz = sum_i [1, z_i]' [1, z_i]``, z = [x, s], by number of
+        covariates: the one uncentred block the Hessian reads, built by the
+        first order-2 :func:`_loglik` and shared by every later one."""
         return {}
 
 
-class _MomentBlocks(NamedTuple):
-    """The blocks of the moments of ``w = [z, y]``, ``z = [x, s]``, that the
-    likelihood reads: the means, the blocks of the centred Gram matrix,
-    ``n zbar`` as a column and ``szz = sum_i [1, z_i]' [1, z_i]``."""
+def _residual_moments(mom: SampleMoments, B, nu=None):
+    """Moments of the residuals ``r_i = y_i - nu - B' z_i``, with ``B`` the
+    (q+1) x p rows of Bt after nu.  Under the residual map A = [-B; I],
+    applied by blocks as ``X A = X_y - X_z B`` and never formed,
+    ``r_i - rbar = A' (w_i - wbar)``, so the centred Gram C of w = [z, y]
+    is read once, as C A:
 
-    zbar: np.ndarray
-    ybar: np.ndarray
-    czz: np.ndarray
-    czy: np.ndarray
-    cyy: np.ndarray
-    nzbar: np.ndarray
-    szz: np.ndarray
+        rbar = wbar A - nu,   E = sum_i (z_i - zbar) r_i' = the z rows of C A,
+        W = sum_i r_i r_i' = A' C A + n rbar rbar'.
 
-    @classmethod
-    def of(cls, mom: SampleMoments, q: int) -> "_MomentBlocks":
-        """The blocks of ``mom`` for q covariates, split on first use."""
-        blocks = mom._blocks.get(q)
-        if blocks is None:
-            z, g = slice(0, q + 1), slice(q + 1, None)
-            m = np.concatenate([[1.0], mom.mean[z]])
-            szz = np.outer(mom.n * m, m)
-            szz[1:, 1:] += mom.gram[z, z]
-            blocks = mom._blocks[q] = cls(
-                mom.mean[z], mom.mean[g], mom.gram[z, z], mom.gram[z, g], mom.gram[g, g],
-                mom.n * mom.mean[z, None], szz,
-            )
-        return blocks
+    Returns ``(nu, rbar, E, W)``; ``nu`` None stands for wbar A, the
+    intercepts that centre the residuals, so that W / n is their covariance.
+    ``B`` and ``nu`` may carry a leading member axis."""
+    z = B.shape[-2]
+    CA = mom.gram[:, z:] - mom.gram[:, :z] @ B
+    wA = mom.mean[z:] - mom.mean[:z] @ B
+    nu = wA if nu is None else nu
+    rbar = wA - nu
+    W = CA[..., z:, :] - B.swapaxes(-1, -2) @ CA[..., :z, :] + mom.n * rbar[..., :, None] * rbar[..., None, :]
+    return nu, rbar, CA[..., :z, :], W
 
 
 def sample_moments(columns) -> SampleMoments:
@@ -827,7 +821,7 @@ def _extract_arrays(model: MimicModel, data):
 # The conditional mean is [1, z_i] @ Bt with z_i = [x_i, s_i] and
 # Bt = [nu'; beta lambda'; (gamma lambda + delta)'], a (q+2) x p matrix, and
 # the covariance is Sigma = psi lambda lambda' + diag(theta).  With
-# P = Sigma^-1 and W the residual cross-product matrix,
+# P = Sigma^-1 and W the residual cross-product of _residual_moments,
 #
 #   ll = -(n p log 2 pi + n log|Sigma| + tr(P W)) / 2,
 #   dll/dBt = F P,  F = sum_i [1, z_i]' r_i',
@@ -917,7 +911,8 @@ def _loglik(x, spec, mom: SampleMoments, order: int = 0):
     (B, k) and Hessians (B, k, k) then come from the same formulas, member
     by member, in one batched product per step.  A :class:`_Stack` brings
     what a solve's evaluations share, resolved once, and the moments keep
-    their blocks (:class:`_MomentBlocks`) for every later evaluation.
+    the one block of theirs the Hessian reads, ``szz``, for every later
+    evaluation; the rest is read through :func:`_residual_moments`.
     """
     structure = _structure(spec) if isinstance(spec, MimicModel) else _Stack.of(spec)
     k, scatter = structure.k, structure.scatter
@@ -928,13 +923,8 @@ def _loglik(x, spec, mom: SampleMoments, order: int = 0):
     r, m = q + 2, (q + 2) * p + p * p
     lead = Bt.shape[:-2]
     n = mom.n
-    zbar, ybar, czz, czy, cyy, nzbar, szz = _MomentBlocks.of(mom, q)
-
-    B = Bt[..., 1:, :]
-    rbar = ybar - Bt[..., 0, :] - zbar @ B
+    _, rbar, E, W = _residual_moments(mom, Bt[..., 1:, :], Bt[..., 0, :])
     nr = n * rbar
-    E = czy - czz @ B  # sum_i (z_i - zbar) r_i'
-    W = nr[..., :, None] * rbar[..., None, :] + cyy - czy.T @ B - B.swapaxes(-1, -2) @ E
 
     ll = -0.5 * (n * (p * LOG_2PI + logdet) + (P * W).sum((-2, -1)))
     if order == 0:
@@ -946,7 +936,7 @@ def _loglik(x, spec, mom: SampleMoments, order: int = 0):
     cs[..., 0] = 0.0
     F = np.empty(Bt.shape)
     F[..., 0, :] = nr
-    np.add(nzbar * rbar[..., None, :], E, out=F[..., 1:, :])
+    np.add(mom.mean[: q + 1, None] * nr[..., None, :], E, out=F[..., 1:, :])
     G = np.matmul(F, P, out=cs[..., 1 : 1 + r * p].reshape(lead + (r, p)))
     Q = P @ W @ P
     half = cs[..., 1 + r * p : 1 + m].reshape(lead + (p, p))  # M / 2, M = (Q + Q') / 2 - n P
@@ -965,6 +955,11 @@ def _loglik(x, spec, mom: SampleMoments, order: int = 0):
     cs[..., pm + p * p + p :] = grad
     jb = J[..., : r * p].reshape(lead + (k, r, p))
     js = J[..., r * p :].reshape(lead + (k, p, p))
+    szz = mom._szz.get(q)
+    if szz is None:
+        mean1 = np.concatenate([[1.0], mom.mean[: q + 1]])  # the mean of [1, z_i]
+        szz = mom._szz[q] = np.outer(n * mean1, mean1)
+        szz[1:, 1:] += mom.gram[: q + 1, : q + 1]
     hess = _second_differential(jb, js, n, szz, G, P, Q)
     hess += hess.swapaxes(-1, -2)
     hess *= 0.5

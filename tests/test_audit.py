@@ -398,6 +398,11 @@ class TestCounterfactualCheck:
         disc = fm.counterfactual_check(res.model, X, score="naive")
         assert disc == pytest.approx(abs(res.model.sens_coef), abs=1e-12)
 
+    @pytest.mark.parametrize("score", ["fair", "naive"])
+    def test_zero_rows_rejected(self, score):
+        with pytest.raises(ValueError, match="covariates must be nonempty"):
+            fm.counterfactual_check(make_generator(), np.empty((0, 3)), score=score)
+
     @pytest.mark.parametrize("row", [0, GRAM_CHUNK_ROWS + 3, -1], ids=["first", "middle", "last"])
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_non_finite_covariate_row_gives_nan(self, bad, row):

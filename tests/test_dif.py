@@ -153,22 +153,33 @@ class TestDifScan:
                     assert abs(getattr(alone, field) - getattr(rows[name], field)) <= 1e-12
 
     def test_sign_flips_with_swapped_coding(self):
+        # Coding b as the reference is the same model with s -> 1 - s: on
+        # every row delta and its interval negate, the endpoints trading
+        # places, and the LR statistic and its p-value stay.  The tolerances
+        # sit at least 100 times above the float noise of seeds 61 and
+        # 71-75 (delta and endpoints 3.1e-15 absolute, the statistic
+        # 2.3e-12 and the p-value 8.2e-12 relative).
         gen = make_generator(dif=(0.0, 0.3, 0.0, 0.0))
-        data, _ = simulate_from(gen, n=3000, seed=61)
-        base = base_template(gen)
-        report = fm.dif_scan(base, data, indicators_to_test=["y2"])
-
         swapped_coding = {"a": 1, "b": 0}
-        swapped_data = fm.Dataset(
-            column_order=data.column_order,
-            roles=dict(data.roles),
-            values=dict(data.values),
-            sensitive_coding=swapped_coding,
-            log_scale=data.log_scale,
-        )
         swapped_base = fm.template(gen.indicator_names, gen.covariate_names, swapped_coding)
-        swapped = fm.dif_scan(swapped_base, swapped_data, indicators_to_test=["y2"])
-        assert swapped.rows[0].delta == pytest.approx(-report.rows[0].delta, abs=1e-6)
+        for seed in (61, 71, 72, 73):
+            data, _ = simulate_from(gen, n=3000, seed=seed)
+            report = fm.dif_scan(base_template(gen), data)
+            swapped_data = fm.Dataset(
+                column_order=data.column_order,
+                roles=dict(data.roles),
+                values=dict(data.values),
+                sensitive_coding=swapped_coding,
+                log_scale=data.log_scale,
+            )
+            swapped = fm.dif_scan(swapped_base, swapped_data)
+            assert len(report.rows) == len(swapped.rows) == 4
+            for row, flipped in zip(report.rows, swapped.rows):
+                assert row.error is None and flipped.error is None and row.indicator == flipped.indicator
+                assert abs(flipped.delta + row.delta) <= 1e-12
+                assert abs(flipped.ci_low + row.ci_high) <= 1e-12 and abs(flipped.ci_high + row.ci_low) <= 1e-12
+                assert flipped.lr_statistic == pytest.approx(row.lr_statistic, rel=1e-9, abs=0)
+                assert flipped.p_value == pytest.approx(row.p_value, rel=1e-9, abs=0)
 
     def test_percent_effect_only_for_log_scale(self):
         gen = make_generator(dif=(0.3, 0.0, 0.0, 0.0))

@@ -133,6 +133,37 @@ class TestFit:
         X = data.covariate_matrix(gen.covariate_names)
         np.testing.assert_allclose(fm.fair_score(swapped.model, X), fm.fair_score(res.model, X), rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("seed", [5, 6, 7])
+    def test_scaling_a_covariate_rescales_only_its_coefficient(self, seed):
+        # x2 -> 10 x2 is the same model with beta[x2] -> beta[x2] / 10: the
+        # conditional likelihood of the indicators is unchanged, beta[x2] and
+        # its SE divide by 10, and every other estimate and SE stays.  The
+        # tolerances sit at least 400 times above the float noise of seeds 5-9
+        # (ll 2.4e-16 relative, beta[x2] 6.6e-16 and its SE 2.3e-15
+        # relative, the other estimates 2.3e-15 absolute, their SEs 1.3e-14
+        # relative).
+        gen = make_generator(dif=(0.0, 0.0, 0.3, 0.0))
+        spec = base_template(gen, free_dif=("y3",))
+        data, _ = simulate_from(gen, n=3000, seed=seed)
+        res = fm.fit(spec, data)
+        scaled = fm.fit(spec, data.replace_columns({"x2": 10.0 * data.column("x2")}))
+        assert res.converged and scaled.converged
+        assert abs(scaled.loglik - res.loglik) <= 1e-12 * abs(res.loglik)
+        assert scaled.estimate("beta[x2]") * 10.0 == pytest.approx(res.estimate("beta[x2]"), rel=1e-12, abs=0)
+        assert scaled.se("beta[x2]") * 10.0 == pytest.approx(res.se("beta[x2]"), rel=1e-11, abs=0)
+        others = [name for name in res.param_names if name != "beta[x2]"]
+        assert {"gamma", "delta[y3]", "beta[x1]", "beta[x3]"} <= set(others)
+        for name in others:
+            assert abs(scaled.estimate(name) - res.estimate(name)) <= 1e-12, name
+            assert scaled.se(name) == pytest.approx(res.se(name), rel=1e-11, abs=0), name
+
+    @pytest.mark.parametrize("lookup", ["estimate", "se", "wald_ci"])
+    def test_unknown_parameter_name_raises_key_error(self, fitted_example, lookup):
+        res, _ = fitted_example
+        getattr(res, lookup)("gamma")  # a known name resolves
+        with pytest.raises(KeyError, match="no free parameter named 'nope'"):
+            getattr(res, lookup)("nope")
+
     def test_converged_implies_small_gradient(self, fitted_example):
         res, _ = fitted_example
         assert res.converged and res.grad_norm < 1e-5
