@@ -273,24 +273,21 @@ def counterfactual_check(model: MimicModel, covariates, reference_level=None, sc
     Cost: one predictor per distinct intervention, formed a block of rows at
     a time and reduced while the block is in cache.  The fair path pins
     every level at the reference, so it forms one predictor and takes its
-    spread with itself; the naive path keeps a running maximum and minimum
-    over the distinct level codes.
+    distance to itself; the naive path intervenes with the codes 0 and 1,
+    which every coding uses, and takes ``|pred_1 - pred_0|``.
     """
     if score not in ("fair", "naive"):
         raise ValueError("score must be 'fair' or 'naive'")
     X = _covariate_matrix(model, covariates)
     if len(X) == 0:
         raise ValueError("covariates must be nonempty")
+    low, high = 0.0, 1.0  # the naive path's interventions
     if score == "fair":  # the blocked path pins every intervention at the reference
         reference = model.reference_level if reference_level is None else reference_level
-        codes = [model.level_code(reference)]
-    else:
-        codes = sorted({model.level_code(level) for level in model.sensitive_coding})
+        low = high = model.level_code(reference)
     spans = []
     for *_, xb in _block_products(X, len(X), model.struct_coefs):
-        hi = lo = xb + model.sens_coef * codes[0]
-        for code in codes[1:]:
-            pred = xb + model.sens_coef * code
-            hi, lo = np.maximum(hi, pred), np.minimum(lo, pred)
-        spans.append(np.max(hi - lo))
+        pred = xb + model.sens_coef * low
+        other = pred if high == low else xb + model.sens_coef * high
+        spans.append(np.max(np.abs(other - pred)))
     return float(np.max(spans))

@@ -19,7 +19,7 @@ import numpy as np
 
 from ._special import ndtri
 from .exceptions import DataValidationError
-from .model import MimicModel, _block_products, _matrix, to_json
+from .model import MimicModel, _block_products, _coding, _levels, _matrix, to_json
 
 ROLES = ("indicator", "covariate", "sensitive", "id", "ignore")
 
@@ -52,9 +52,7 @@ class Dataset:
     def __post_init__(self):
         object.__setattr__(self, "column_order", tuple(self.column_order))
         object.__setattr__(self, "log_scale", frozenset(self.log_scale))
-        object.__setattr__(
-            self, "sensitive_coding", {str(k): v for k, v in self.sensitive_coding.items()}
-        )
+        object.__setattr__(self, "sensitive_coding", _coding(self.sensitive_coding))
         _validate_dataset(self)
         name = self.sensitive_name
         labels = _coded_labels(self.values[name])
@@ -155,8 +153,6 @@ def _validate_dataset(ds: Dataset):
         raise DataValidationError(
             "a measurement model needs at least 2 indicator columns"
         )
-    if sorted(ds.sensitive_coding.values()) != [0, 1]:
-        raise DataValidationError("sensitive_coding must map two levels to {0, 1}")
     for c in ds.column_order:
         if ds.roles[c] in _NUMERIC_ROLES:
             col = ds.values[c]
@@ -449,7 +445,6 @@ def load_csv(path, role_config: dict) -> Dataset:
     coding = role_config.get("sensitive_coding")
     if coding is None:
         coding = {levels[0]: 0, levels[1]: 1}
-    coding = {str(k): int(v) for k, v in coding.items()}
 
     return Dataset(
         column_order=tuple(header),
@@ -716,11 +711,8 @@ def simulate(spec: SimSpec):
             for j, y in enumerate(Y):
                 y[r0:r1] += direct[:, j]
 
-    level_of_code = [None, None]
-    for label, code in model.sensitive_coding.items():
-        level_of_code[code] = label
-    code = drawn.astype(np.intp)
-    labels = _labels_with_codes(np.array(level_of_code, dtype=object)[code], level_of_code, code)
+    levels, code = _levels(model.sensitive_coding), drawn.astype(np.intp)
+    labels = _labels_with_codes(np.array(levels, dtype=object)[code], levels, code)
 
     column_order = (
         (spec.id_column, spec.sensitive_column)

@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .estimate import OptimOptions, fit, fit_stack, lr_test
-from .model import MimicModel, SampleMoments, data_moments, to_json
+from .model import MimicModel, SampleMoments, _levels, data_moments, to_json
 
 
 def percent_effect(delta: float, ci=None):
@@ -93,8 +93,7 @@ class DifReport:
                     _fmt_p(r.p_value),
                 )
             )
-        one = next(k for k, v in self.coding.items() if v == 1)
-        zero = next(k for k, v in self.coding.items() if v == 0)
+        zero, one = _levels(self.coding)
         lines = [
             f"Group offsets per indicator: level {one!r} (coded 1) minus "
             f"level {zero!r} (coded 0), given the latent value."

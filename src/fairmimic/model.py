@@ -22,6 +22,7 @@ import functools
 import hashlib
 import json
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, fields, is_dataclass, replace
 from pathlib import Path
 from types import MappingProxyType
@@ -29,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .exceptions import SchemaVersionError
+from .exceptions import DataValidationError, SchemaVersionError
 
 LOG_2PI = math.log(2.0 * math.pi)
 _TINY = float(np.finfo(np.float64).tiny)
@@ -109,11 +110,7 @@ class MimicModel:
             object.__setattr__(self, name, value)
         object.__setattr__(self, "indicator_names", tuple(self.indicator_names))
         object.__setattr__(self, "covariate_names", tuple(self.covariate_names))
-        object.__setattr__(
-            self,
-            "sensitive_coding",
-            {str(k): int(v) for k, v in self.sensitive_coding.items()},
-        )
+        object.__setattr__(self, "sensitive_coding", _coding(self.sensitive_coding))
 
         p = self.loadings.shape[0]
         q = self.struct_coefs.shape[0]
@@ -131,9 +128,6 @@ class MimicModel:
             raise ValueError("loadings[0] must be exactly 1 (identification)")
         if self.dif_offsets[~self.free_mask].any():
             raise ValueError("constrained dif_offsets entries must be exactly 0")
-        codes = sorted(self.sensitive_coding.values())
-        if codes != [0, 1]:
-            raise ValueError("sensitive_coding must map exactly two levels to {0, 1}")
         for a in arrays.values():
             a.setflags(write=False)
 
@@ -190,7 +184,7 @@ class MimicModel:
     @property
     def reference_level(self):
         """Label of the group coded 0."""
-        return next(k for k, v in self.sensitive_coding.items() if v == 0)
+        return _levels(self.sensitive_coding)[0]
 
     def level_code(self, level) -> float:
         try:
@@ -217,6 +211,23 @@ class MimicModel:
                 f"(expected {cls.SCHEMA_VERSION})"
             )
         return cls(**{f.name: d[f.name] for f in fields(cls)})
+
+
+def _coding(mapping) -> dict:
+    """The package's one check of a sensitive coding: ``mapping`` as a dict
+    of two ``str`` levels to the ints 0 and 1, each code a Python or numpy
+    int.  A bool, a float (1.0 too), a string or two keys whose ``str``
+    collide raise DataValidationError.  The level coded 0 is the reference."""
+    coding = {str(k): v for k, v in mapping.items()} if isinstance(mapping, Mapping) else {}
+    codes = sorted(v for v in coding.values() if isinstance(v, (int, np.integer)) and not isinstance(v, bool))
+    if codes != [0, 1] or len(mapping) != 2:
+        raise DataValidationError(f"sensitive_coding must map two distinct levels to the ints 0 and 1, got {mapping!r}")
+    return {level: int(code) for level, code in coding.items()}
+
+
+def _levels(coding) -> tuple:
+    """The levels of a valid ``coding``: (the level coded 0, the level coded 1)."""
+    return tuple(sorted(coding, key=coding.__getitem__))
 
 
 def template(
