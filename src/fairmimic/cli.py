@@ -38,9 +38,12 @@ def _echo_config(args: argparse.Namespace, out_dir: Path) -> None:
 
 
 def _load_dataset(args):
-    """The ``--data`` table under the ``--roles`` config, and that config."""
+    """The ``--data`` table under the ``--roles`` config, and the config's
+    transforms: its ``log1p`` and ``standardize`` entries, those present,
+    keyed as :func:`~fairmimic.data.transform` takes them."""
     roles = _read_json(args.roles)
-    return data_mod.load_csv(args.data, roles), roles
+    transforms = {key: roles[key] for key in ("log1p", "standardize") if key in roles}
+    return data_mod.load_csv(args.data, roles), transforms
 
 
 def _optim_options(args) -> OptimOptions:
@@ -70,13 +73,11 @@ def cmd_simulate(args) -> int:
 def cmd_fit(args) -> int:
     if not 0.0 < args.train_frac <= 1.0:
         raise ValueError(f"--train-frac must be in (0, 1], got {args.train_frac}")
-    train, roles_config = _load_dataset(args)
+    train, transforms = _load_dataset(args)
     test = None
     if args.train_frac < 1.0:  # the parts are copies: rebinding train frees the loaded table
         train, test = data_mod.split(train, args.train_frac, args.seed)
-    train, record = data_mod.transform(
-        train, roles_config.get("log1p", ()), roles_config.get("standardize", ())
-    )
+    train, record = data_mod.transform(train, **transforms)
     if test is not None:
         test = record.apply(test)
 
@@ -104,11 +105,11 @@ def cmd_fit(args) -> int:
 
 def cmd_score(args) -> int:
     model = load_model(args.model)
-    dataset, roles_config = _load_dataset(args)
+    dataset, transforms = _load_dataset(args)
     if args.transform is not None:
         record = data_mod.TransformRecord.from_dict(_read_json(args.transform))
         dataset = record.apply(dataset)
-    elif roles_config.get("log1p") or roles_config.get("standardize"):
+    elif any(transforms.values()):
         raise FairMimicError(
             "the roles declare log1p/standardize transforms; pass the fit's "
             "transform_record.json with --transform, so the rows are scored "
@@ -220,10 +221,8 @@ def cmd_audit(args) -> int:
 
 
 def cmd_dif(args) -> int:
-    dataset, roles_config = _load_dataset(args)
-    dataset, _ = data_mod.transform(
-        dataset, roles_config.get("log1p", ()), roles_config.get("standardize", ())
-    )
+    dataset, transforms = _load_dataset(args)
+    dataset, _ = data_mod.transform(dataset, **transforms)
     base = template(
         dataset.indicator_names, dataset.covariate_names, dataset.sensitive_coding
     )
@@ -238,9 +237,8 @@ def cmd_dif(args) -> int:
 
 
 def cmd_select(args) -> int:
-    dataset, _ = _load_dataset(args)
-    target_name = args.target or dataset.indicator_names[0]
-    target = dataset.column(target_name)
+    dataset, transforms = _load_dataset(args)
+    (target,) = dataset.role_columns([args.target or dataset.indicator_names[0]], "indicator")
     names = dataset.covariate_names
     features = dataset.covariate_matrix(names)
 
@@ -255,9 +253,12 @@ def cmd_select(args) -> int:
 
     active = set(path.active_names())
     selected_roles = data_mod.role_config_of(dataset)
+    kept = selected_roles["roles"]
     for c in names:
         if c not in active:
-            selected_roles["roles"][c] = "ignore"
+            kept[c] = "ignore"
+    for key, columns in transforms.items():  # on the columns still modelled
+        selected_roles[key] = [c for c in columns if kept.get(c) in ("indicator", "covariate")]
 
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -329,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("select", help="LASSO feature selection with cross-validation")
     add_common(p)
-    p.add_argument("--target", default=None, help="target column (default: first indicator)")
+    p.add_argument("--target", default=None, help="target indicator column (default: first indicator)")
     p.add_argument("--folds", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--rule", choices=("min", "1se"), default="min")

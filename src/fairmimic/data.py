@@ -99,7 +99,8 @@ class Dataset:
         """The named columns, not copied, each checked to have ``role``."""
         for c in names:
             if self.roles.get(c) != role:
-                raise DataValidationError(f"column {c!r} is not a {role} column")
+                article = "an" if role[0] in "aeiou" else "a"
+                raise DataValidationError(f"column {c!r} is not {article} {role} column")
         return [self.values[c] for c in names]
 
     def sensitive_labels(self) -> "Labels":
@@ -153,6 +154,9 @@ def _validate_dataset(ds: Dataset):
         raise DataValidationError(
             "a measurement model needs at least 2 indicator columns"
         )
+    not_indicators = sorted(ds.log_scale - set(ds.indicator_names))
+    if not_indicators:
+        raise DataValidationError(f"log_scale names columns that are not indicators: {not_indicators}")
     for c in ds.column_order:
         if ds.roles[c] in _NUMERIC_ROLES:
             col = ds.values[c]
@@ -413,8 +417,9 @@ def load_csv(path, role_config: dict) -> Dataset:
     """Read a headered CSV into a validated :class:`Dataset`.
 
     ``role_config`` is a mapping with a required ``"roles"`` entry
-    (column name -> role) and optional ``"sensitive_coding"`` and
-    ``"log_scale"`` entries.  Every column in the file must be assigned a
+    (column name -> role) and optional ``"sensitive_coding"`` (the sorted
+    labels coded 0 and 1 when absent) and ``"log_scale"`` (indicator
+    names) entries.  Every column in the file must be assigned a
     role.  Rows with missing cells are rejected: the error names the first
     offending row and column and reports how many rows are affected.
     """

@@ -243,9 +243,10 @@ def fit(spec: MimicModel, data, options: OptimOptions | None = None, callback=No
     converged when its gradient norm is below ``options.grad_tol``, the
     tolerance the optimizer stops on; otherwise ``converged=False``, which
     does not raise.  The standard errors and ``vcov`` come from one
-    eigendecomposition of the information -H at the returned point; they
-    are all NaN, with a warning, unless -H is positive definite with
-    condition number below 1e12.
+    eigendecomposition of the information -H at the returned point, scaled
+    to unit diagonal; they are all NaN, with a warning, unless -H is
+    positive definite and the scaled matrix has condition number below
+    1e12, a cutoff that no change of a column's units moves.
 
     Parameters
     ----------
@@ -275,7 +276,8 @@ def fit_stack(specs, data, options: OptimOptions | None = None, callback=None) -
     still running are batched into one call.  A trial point outside the
     model rejects that member's step only, and the step route (Cholesky or
     eigendecomposition) is chosen member by member.  One batched
-    eigendecomposition at the returned points gives every member's SEs.
+    eigendecomposition of the scaled informations at the returned points
+    gives every member's SEs.
     Returns one :class:`FitResult` per spec, in order, each equal to
     ``fit(spec, data, options)``; ``callback`` is invoked with a member's
     packed vector after each of its accepted iterates.
@@ -341,7 +343,15 @@ def fit_stack(specs, data, options: OptimOptions | None = None, callback=None) -
         # a member stops when no step the floats can represent improves
         size = _norms(x[rows])
         live = [i for i, s in zip(live, size) if radius[i] > _EPS * (1.0 + s)]
-    w, v = np.linalg.eigh(info)
+    # The SEs' cutoff reads the information scaled to unit diagonal,
+    # D^-1/2 (-H) D^-1/2, which no change of a parameter's units moves; its
+    # eigenvectors map back through D^-1/2.  Scaling is a congruence, so it
+    # keeps whether -H is definite; a diagonal entry that is not positive,
+    # which only an indefinite -H has, is left unscaled.
+    diag = np.diagonal(info, axis1=1, axis2=2)
+    scale = np.where(diag > 0.0, diag, 1.0) ** -0.5
+    w, v = np.linalg.eigh(info * scale[:, :, None] * scale[:, None, :])
+    v *= scale[:, :, None]
     return tuple(_result(*a, mom, options.grad_tol) for a in zip(specs, x, ll, norm, w, v, n_iter))
 
 
@@ -371,15 +381,17 @@ def _trial_loglik(x, specs, mom):
 
 def _result(spec, x, ll, grad_norm, w, v, n_iter, mom, grad_tol) -> FitResult:
     """The FitResult of one member at its returned point, with the SEs from
-    its eigendecomposition ``w, v`` of the information -H; it has converged
-    when its gradient norm is below ``grad_tol``."""
-    if w[0] > 1e-12 * w[-1]:  # -H positive definite, condition number below 1e12
+    the eigenvalues ``w`` of its information -H scaled to unit diagonal and
+    their eigenvectors ``v`` mapped back through D^-1/2, so that
+    ``v diag(1/w) v'`` is the inverse of -H; it has converged when its
+    gradient norm is below ``grad_tol``."""
+    if w[0] > 1e-12 * w[-1]:  # -H positive definite, scaled condition number below 1e12
         root = v / np.sqrt(w)
         vcov = root @ root.T
         std_errors = np.sqrt(np.diag(vcov))
     else:
         warnings.warn(
-            f"observed information has eigenvalues from {w[0]:.3g} to {w[-1]:.3g}: "
+            f"observed information scaled to unit diagonal has eigenvalues from {w[0]:.3g} to {w[-1]:.3g}: "
             "not a well-identified maximum, standard errors set to NaN"
         )
         vcov = np.full(v.shape, np.nan)

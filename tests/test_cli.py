@@ -445,6 +445,35 @@ class TestScoreAuditDif:
         roles = json.loads((tmp_path / "sel" / "selected_roles.json").read_text())["roles"]
         assert [roles[c] for c in ("x1", "x2", "noise")] == ["covariate", "covariate", "ignore"]
 
+    def test_select_carries_the_roles_transforms_to_fit(self, tmp_path):
+        demo = Path(__file__).resolve().parents[1] / "scripts" / "demo_simspec.json"
+        sim, sel = tmp_path / "sim", tmp_path / "sel"
+        assert main(["simulate", "--spec", str(demo), "--out-dir", str(sim)]) == 0
+        roles = json.loads((sim / "roles.json").read_text())
+        covariates = [c for c, r in roles["roles"].items() if r == "covariate"]
+        (tmp_path / "roles.json").write_text(json.dumps({**roles, "standardize": covariates}))
+        data = ["--data", str(sim / "data.csv")]
+        code = main(["select", *data, "--roles", str(tmp_path / "roles.json"), "--target", "cost",
+                     "--seed", "1", "--rule", "1se", "--out-dir", str(sel)])
+        assert code == 0
+        selected = json.loads((sel / "selected_roles.json").read_text())
+        kept = [c for c in covariates if c not in ("noise1", "noise2")]
+        assert [c for c in covariates if selected["roles"][c] == "covariate"] == kept
+        assert selected["standardize"] == kept
+        assert main(["fit", *data, "--roles", str(sel / "selected_roles.json"), "--out-dir", str(tmp_path / "fit")]) == 0
+        record = json.loads((tmp_path / "fit" / "transform_record.json").read_text())
+        assert sorted(record["standardize"]) == sorted(kept)
+
+    @pytest.mark.parametrize("target", ["x1", "group", "nothere"])
+    def test_select_target_must_be_an_indicator(self, sim_dir, tmp_path, capsys, target):
+        code = main(
+            ["select", "--data", str(sim_dir / "data.csv"), "--roles", str(sim_dir / "roles.json"),
+             "--target", target, "--folds", "5", "--out-dir", str(tmp_path / "sel")]
+        )
+        assert code == 1
+        assert f"column {target!r} is not an indicator column" in capsys.readouterr().err
+        assert not (tmp_path / "sel").exists()
+
     def test_select_without_covariates_exits_1(self, sim_dir, tmp_path, capsys):
         roles = json.loads((sim_dir / "roles.json").read_text())
         roles["roles"] = {c: "ignore" if r == "covariate" else r for c, r in roles["roles"].items()}

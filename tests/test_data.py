@@ -1,5 +1,6 @@
 """Ingestion, transforms, splitting and the synthetic generator."""
 
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -12,6 +13,7 @@ import fairmimic as fm
 from fairmimic import audit as audit_mod
 from fairmimic import data as data_mod
 from fairmimic import score as score_mod
+from fairmimic.cli import main
 from fairmimic.data import role_config_of
 
 from conftest import CODING, make_generator, same_bits, same_table, simulate_from
@@ -68,6 +70,13 @@ class TestLoadCsv:
         with pytest.raises(fm.DataValidationError, match="2 indicator"):
             fm.load_csv(write_fixture(tmp_path), roles)
 
+    @pytest.mark.parametrize("name", ["cots", "x1", "grp"])
+    def test_log_scale_names_indicators_only(self, tmp_path, name):
+        # a typo or a non-indicator would load silently, and the DIF scan
+        # would then report no percent effect
+        with pytest.raises(fm.DataValidationError, match=f"log_scale names columns that are not indicators: \\['{name}'\\]"):
+            fm.load_csv(write_fixture(tmp_path), {**ROLES, "log_scale": [name]})
+
     def test_explicit_coding_respected(self, tmp_path):
         roles = {**ROLES, "sensitive_coding": {"b": 0, "a": 1}}
         ds = fm.load_csv(write_fixture(tmp_path), roles)
@@ -85,6 +94,56 @@ class TestLoadCsv:
             else:
                 assert list(back.values[c]) == list(data.values[c])
         assert same_table(back, data)
+
+
+BAD_CODINGS = [
+    {"a": 0.6, "b": 1.9},
+    {"a": 0.5, "b": 1},
+    {"a": 0, "b": "1"},
+    {"a": False, "b": True},
+    {"a": 0, "b": 1.0},
+    {"a": 0, "b": 0},
+    {"a": 0, "b": 2},
+    {"a": 0, "b": 1, "c": 1},
+    {1: 0, "1": 1},  # two keys whose str collide
+]
+
+
+class TestSensitiveCoding:
+    @pytest.mark.parametrize("coding", BAD_CODINGS, ids=repr)
+    def test_every_entry_point_refuses_a_bad_coding(self, tmp_path, capsys, coding):
+        gen = make_generator()
+        data, _ = simulate_from(gen, n=50, seed=1)
+        model_dict = {**gen.to_dict(), "sensitive_coding": coding}
+        calls = {
+            "template": lambda: fm.template(gen.indicator_names, gen.covariate_names, coding),
+            "MimicModel": lambda: dataclasses.replace(gen, sensitive_coding=coding),
+            "MimicModel.from_dict": lambda: fm.MimicModel.from_dict(model_dict),
+            "Dataset": lambda: fm.Dataset(data.column_order, data.roles, data.values, coding),
+            "load_csv": lambda: fm.load_csv(write_fixture(tmp_path), {**ROLES, "sensitive_coding": coding}),
+        }
+        for name, call in calls.items():
+            with pytest.raises(fm.DataValidationError, match="sensitive_coding"):
+                call()
+        fm.write_csv(data, tmp_path / "sim.csv")
+        (tmp_path / "roles.json").write_text(json.dumps({**role_config_of(data), "sensitive_coding": coding}))
+        argv = ["fit", "--data", str(tmp_path / "sim.csv"), "--roles", str(tmp_path / "roles.json")]
+        assert main([*argv, "--out-dir", str(tmp_path / "fit")]) == 1
+        assert "sensitive_coding must map" in capsys.readouterr().err
+        assert not (tmp_path / "fit").exists()
+
+    def test_a_numpy_int_coding_round_trips_as_ints(self, tmp_path):
+        coding = {"b": np.int32(1), "a": np.int64(0)}
+        gen = make_generator()
+        spec = fm.template(gen.indicator_names, gen.covariate_names, coding)
+        data, _ = simulate_from(gen, n=50, seed=1)
+        ds = fm.Dataset(data.column_order, data.roles, data.values, coding)
+        loaded = fm.load_csv(write_fixture(tmp_path), {**ROLES, "sensitive_coding": coding})
+        for coded in (spec.sensitive_coding, ds.sensitive_coding, loaded.sensitive_coding):
+            assert coded == CODING and all(type(v) is int for v in coded.values())
+        back = fm.MimicModel.from_dict(json.loads(json.dumps(spec.to_dict())))
+        assert back.sensitive_coding == CODING and back.reference_level == "a"
+        assert json.loads(json.dumps(role_config_of(ds)))["sensitive_coding"] == CODING
 
 
 def three_row_dataset(labels, coding):

@@ -276,6 +276,20 @@ class TestFit:
             res = fm.fit(base_template(generator), collinear)
         assert np.all(np.isnan(res.std_errors)) and np.all(np.isnan(res.vcov))
 
+    def test_standard_errors_do_not_depend_on_a_covariates_units(self):
+        # x2 in units 1e6 times smaller: the information's condition number
+        # grows by 1e12, the one scaled to unit diagonal does not move, and
+        # only beta[x2]'s SE changes, by the factor 1e6
+        gen = make_generator(dif=(0.0, 0.0, 0.3, 0.0))
+        spec = base_template(gen, free_dif=("y3",))
+        data, _ = simulate_from(gen, n=3000, seed=5)
+        plain = fm.fit(spec, data)
+        scaled = fm.fit(spec, data.replace_columns({"x2": data.column("x2") * 1e6}))
+        expected = plain.std_errors.copy()
+        expected[plain.param_names.index("beta[x2]")] /= 1e6
+        assert np.isfinite(scaled.std_errors).all()
+        np.testing.assert_allclose(scaled.std_errors, expected, rtol=1e-10)
+
     def test_duplicated_rows_divide_standard_errors_by_sqrt2(self):
         gen = make_generator(dif=(0.0, 0.0, 0.3, 0.0))
         spec = base_template(gen, free_dif=("y3",))
