@@ -122,7 +122,7 @@ class TestSensitiveCoding:
             "Dataset": lambda: fm.Dataset(data.column_order, data.roles, data.values, coding),
             "load_csv": lambda: fm.load_csv(write_fixture(tmp_path), {**ROLES, "sensitive_coding": coding}),
         }
-        for name, call in calls.items():
+        for call in calls.values():
             with pytest.raises(fm.DataValidationError, match="sensitive_coding"):
                 call()
         fm.write_csv(data, tmp_path / "sim.csv")
