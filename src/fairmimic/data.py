@@ -3,8 +3,10 @@
 A :class:`Dataset` is a column-major table in which every column carries a
 role: ``indicator`` (error-prone proxy of the latent target), ``covariate``,
 ``sensitive`` (exactly one, binary), ``id`` or ``ignore``.  Indicator and
-covariate columns are float64; the sensitive and id columns are kept as the
-string labels read from disk so that CSV round trips are exact.
+covariate columns are float64.  Text columns read from disk (sensitive, id,
+ignore) keep the text that was read, so CSV round trips are exact.  A
+simulated table's ids are its row numbers as int64, which print as that
+same text: ``0`` .. ``n-1``.
 """
 
 from __future__ import annotations
@@ -31,7 +33,9 @@ class Dataset:
     """Column-role-tagged table.
 
     ``values`` maps column name to a numpy array: float64 for indicator and
-    covariate columns, ``str`` arrays for sensitive/id/ignore columns.
+    covariate columns; for sensitive, id and ignore columns read from disk,
+    an object array of the text read.  The ids of a table from
+    :func:`simulate` are int64 row numbers, written as the same text.
     ``sensitive_coding`` maps the two sensitive labels to {0, 1}.
 
     The sensitive column is coded once, at construction, by
@@ -139,6 +143,9 @@ class Dataset:
 
 
 def _validate_dataset(ds: Dataset):
+    repeated = _repeated(ds.column_order)
+    if repeated:
+        raise DataValidationError(f"column_order repeats column names: {repeated}")
     if set(ds.roles) != set(ds.column_order):
         raise DataValidationError("roles must cover exactly the table columns")
     for c, r in ds.roles.items():
@@ -268,18 +275,23 @@ def read_table(path, dtypes_of):
 
     ``dtypes_of(header)`` gives each column's dtype (``np.float64``,
     ``np.int64`` or ``object`` for text) and may raise to reject the header.
-    A leading UTF-8 byte-order mark is dropped.  The rows are tokenized and
-    parsed in C by one ``np.loadtxt`` pass, whose quoting and line-end rules
-    are the csv module's and whose number parse is correctly rounded.  A file
-    it would read differently or rejects (a blank line, a ragged row, an
-    empty or unparsable cell) is read row by row with the csv module
-    instead, which loads it or names the first bad row or cell.
+    A header that repeats a name raises DataValidationError, since the
+    columns are keyed by name.  A leading UTF-8 byte-order mark is dropped.
+    The rows are tokenized and parsed in C by one ``np.loadtxt`` pass, whose
+    quoting and line-end rules are the csv module's and whose number parse
+    is correctly rounded.  A file it would read differently or rejects (a
+    blank line, a ragged row, an empty or unparsable cell) is read row by
+    row with the csv module instead, which loads it or names the first bad
+    row or cell.
     """
     fast = not _tokenized_differently(path)
     with open(path, newline="", encoding="utf-8-sig") as fh:
         header = next(csv.reader(iter(fh.readline, "")), None)
         if header is None:
             raise DataValidationError(f"{path}: empty file, header row required")
+        repeated = _repeated(header)
+        if repeated:
+            raise DataValidationError(f"{path}: header repeats column names: {repeated}")
         dtypes = [np.dtype(t) for t in dtypes_of(header)]
         body = fh.tell()
         if fast and fh.read(1):
@@ -290,6 +302,11 @@ def read_table(path, dtypes_of):
         fh.seek(body)
         rows = list(csv.reader(fh))
     return header, _row_columns(path, header, rows, dtypes)
+
+
+def _repeated(names) -> list:
+    """The names that occur more than once, sorted."""
+    return sorted({c for c in names if names.count(c) > 1})
 
 
 def _tokenized_differently(path) -> bool:
@@ -377,9 +394,13 @@ def write_table(path, header, columns) -> None:
     value, so :func:`read_table` gives back the same bits; any other column
     as the ``str`` of each value.  Rows are formatted and written
     ``CSV_BLOCK_ROWS`` at a time, so the text held in memory does not grow
-    with the number of rows.
+    with the number of rows.  Columns of unequal length, or a column count
+    other than the header's, raise ValueError.
     """
-    n = len(columns[0])
+    lengths = [len(col) for col in columns]
+    if len(lengths) != len(header) or len(set(lengths)) != 1:
+        raise ValueError(f"need one column per header name, all of one length: {len(header)} names, lengths {lengths}")
+    n = lengths[0]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(_csv_lines([_csv_fields([name]) for name in header]))
         for start in range(0, n, CSV_BLOCK_ROWS):
@@ -728,7 +749,7 @@ def simulate(spec: SimSpec):
     roles.update({c: "covariate" for c in model.covariate_names})
     roles.update({c: "indicator" for c in model.indicator_names})
     values = {
-        spec.id_column: np.fromiter(map(str, range(n)), dtype=object, count=n),
+        spec.id_column: np.arange(n, dtype=np.int64),
         spec.sensitive_column: labels,
         **dict(zip(model.covariate_names, X)),
         **dict(zip(model.indicator_names, Y)),

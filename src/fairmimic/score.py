@@ -142,8 +142,10 @@ def factor_score(model: MimicModel, data) -> np.ndarray:
 class ScoreSet:
     """Per-row fair and naive scores plus threshold decisions.
 
-    ``row_ids`` is the data's id column, or None for data without one, whose
-    rows are numbered 0 .. n-1 in the CSV file.
+    ``row_ids`` is the data's id column as the data holds it: the text read
+    from disk, or a simulated table's int64 row numbers, which the CSV file
+    prints as the same text.  It is None for data without an id column,
+    whose rows are numbered 0 .. n-1 in the CSV file.
     """
 
     row_ids: np.ndarray | None

@@ -69,6 +69,20 @@ class TestSimulate:
         assert capsys.readouterr().err.startswith(f"fairmimic simulate: error: {field} must be an integer")
         assert not (tmp_path / "out").exists()
 
+    def test_ids_are_the_row_numbers(self, sim_dir, fit_dir, tmp_path):
+        # the ids print as 0 .. n-1, and scores of those files pass audit's
+        # check that each scores row is the data row of the same id
+        expected = [str(i) for i in range(600)]
+        for name, column in (("data.csv", "id"), ("latent.csv", "row_id")):
+            with open(sim_dir / name, newline="", encoding="utf-8") as fh:
+                assert [row[column] for row in csv.DictReader(fh)] == expected, name
+        data_args = ["--data", str(sim_dir / "data.csv"), "--roles", str(sim_dir / "roles.json")]
+        code = main(["score", "--model", str(fit_dir / "model.json"), *data_args, "--out-dir", str(tmp_path / "s")])
+        assert code == 0
+        assert read_score_columns(tmp_path / "s" / "scores.csv")["row_id"] == expected
+        code = main(["audit", "--scores", str(tmp_path / "s" / "scores.csv"), *data_args, "--out-dir", str(tmp_path / "a")])
+        assert code == 0
+
     def test_seed_override_changes_data(self, sim_dir, tmp_path):
         code = main(
             ["simulate", "--spec", str(sim_dir / "simspec.json"), "--seed", "123",
@@ -499,10 +513,14 @@ class TestScoreAuditDif:
 
 
 def read_score_columns(path) -> dict:
-    """The fair scores and decisions of a scores.csv, as Python floats and ints."""
+    """The row ids, fair scores and decisions of a scores.csv, as text, Python floats and ints."""
     with open(path, newline="") as fh:
         rows = list(csv.DictReader(fh))
-    return {"fair_score": [float(r["fair_score"]) for r in rows], "decision": [int(r["decision"]) for r in rows]}
+    return {
+        "row_id": [r["row_id"] for r in rows],
+        "fair_score": [float(r["fair_score"]) for r in rows],
+        "decision": [int(r["decision"]) for r in rows],
+    }
 
 
 def test_flag_defaults_equal_the_library_defaults():

@@ -8,6 +8,7 @@ and ``csv.reader`` with ``float()`` per numeric cell for the values read.
 import csv
 import io
 import json
+import re
 import warnings
 
 import numpy as np
@@ -115,6 +116,10 @@ class TestAgainstCsvModule:
         path.unlink(missing_ok=True)
         path.write_bytes(csv_module_bytes(header, columns, lineterminator))
         dtypes = [np.float64 if f else object for f in numeric]
+        if len(set(header)) < len(header):  # columns are keyed by name
+            with pytest.raises(fm.DataValidationError, match="header repeats column names"):
+                data_mod.read_table(path, lambda h: dtypes)
+            return
         got_header, got = data_mod.read_table(path, lambda h: dtypes)
         expected_header, expected = csv_module_columns(path, numeric)
         assert got_header == expected_header == header
@@ -192,6 +197,21 @@ class TestWriterBlocks:
         assert (tmp_path / "data.csv").read_bytes() == csv_module_bytes(data.column_order, columns)
         expected = csv_module_bytes(("row_id", "latent"), (data.column("id"), latent))
         assert (tmp_path / "latent.csv").read_bytes() == expected
+
+    @pytest.mark.parametrize(
+        "header, columns, detail",
+        [
+            (("a", "b"), (np.arange(3), np.array([1.0])), "2 names, lengths [3, 1]"),
+            (("a", "b"), (np.arange(3),), "2 names, lengths [3]"),
+            (("a",), (np.arange(3), np.arange(3)), "1 names, lengths [3, 3]"),
+        ],
+    )
+    def test_ragged_columns_refused(self, tmp_path, header, columns, detail):
+        # rows are zipped, so a short column would drop rows without a word
+        path = tmp_path / "ragged.csv"
+        with pytest.raises(ValueError, match=re.escape(detail)):
+            data_mod.write_table(path, header, columns)
+        assert not path.exists()
 
 
 HEADER = "id,grp,x1,y1,y2\r\n"
@@ -294,6 +314,13 @@ class TestScoresFile:
         assert scores["fair_score"].dtype == np.float64 and scores["fair_score"].tolist() == [0.5]
         assert scores["naive_score"].tolist() == [-1e-300]
         assert scores["decision"].dtype == np.int64 and scores["decision"].tolist() == [1]
+
+    def test_repeated_column_refused(self, tmp_path):
+        # keyed by name, the second fair_score would replace the first
+        path = tmp_path / "scores.csv"
+        path.write_bytes(b"row_id,fair_score,naive_score,decision,fair_score\r\nr1,0.5,0.25,1,0.75\r\n")
+        with pytest.raises(fm.DataValidationError, match=r"header repeats column names: \['fair_score'\]"):
+            _read_scores(path)
 
     def test_missing_column_exits_1(self, tmp_path, capsys):
         gen = make_generator()

@@ -88,12 +88,27 @@ class TestLoadCsv:
         path = tmp_path / "round.csv"
         fm.write_csv(data, path)
         back = fm.load_csv(path, role_config_of(data))
+        # the simulated ids are int64 row numbers; the file holds them as
+        # text, which is what a table read from disk keeps
+        ids = data.column("id")
+        as_text = data.replace_columns({"id": np.array([str(i) for i in ids.tolist()], dtype=object)})
         for c in data.column_order:
             if data.values[c].dtype == np.float64:
                 np.testing.assert_array_equal(back.values[c], data.values[c])
             else:
-                assert list(back.values[c]) == list(data.values[c])
-        assert same_table(back, data)
+                assert list(back.values[c]) == list(as_text.values[c])
+        assert same_table(back, as_text)
+        # and the text is a fixed point: writing the loaded table gives the same bytes
+        again = tmp_path / "again.csv"
+        fm.write_csv(back, again)
+        assert again.read_bytes() == path.read_bytes()
+
+    def test_repeated_header_name_rejected(self, tmp_path):
+        # keyed by name, the second x1 would replace the first, and the fit
+        # would see one covariate twice
+        text = "id,grp,x1,x1,y1,y2\nr1,a,0.25,7.0,1.5,2.0\nr2,b,-1.0,3.0,0.5,0.125\nr3,a,2.0,-1.0,3.75,-0.5\n"
+        with pytest.raises(fm.DataValidationError, match=r"header repeats column names: \['x1'\]"):
+            fm.load_csv(write_fixture(tmp_path, text), ROLES)
 
 
 BAD_CODINGS = [
@@ -298,7 +313,17 @@ class TestSensitiveColumn:
         for rows in (mask, np.array(mask)):
             with pytest.raises(ValueError, match="flatnonzero"):
                 data.subset(rows)
-        assert data.subset(np.flatnonzero(mask)).column("id").tolist() == ["2", "3", "4"]
+        ids = data.subset(np.flatnonzero(mask)).column("id")
+        assert ids.dtype == np.int64 and ids.tolist() == [2, 3, 4]
+
+    def test_repeated_column_name_rejected(self):
+        with pytest.raises(fm.DataValidationError, match=r"column_order repeats column names: \['y1'\]"):
+            fm.Dataset(
+                column_order=("g", "y1", "y2", "y1"),
+                roles={"g": "sensitive", "y1": "indicator", "y2": "indicator"},
+                values={"g": np.array(["a", "b", "a"]), "y1": np.array([1.0, 2.0, 4.0]), "y2": np.array([0.5, 0.0, 1.0])},
+                sensitive_coding=CODING,
+            )
 
     def test_label_without_code_rejected(self):
         with pytest.raises(fm.DataValidationError, match=r"without a code: \['c'\]"):
@@ -462,16 +487,19 @@ class TestSimulate:
             for j, c in enumerate(model.indicator_names):
                 assert same_bits(data.column(c), Y[:, j]), c
             assert data.sensitive_labels().tolist() == [level[code] for code in s.astype(int).tolist()]
-            assert data.column("id").tolist() == [str(i) for i in range(n)]
+            assert same_bits(data.column("id"), np.arange(n, dtype=np.int64))
 
     @pytest.mark.parametrize("n", [1, 9, 10, 11, 100, 1001, data_mod.GAUSS_BLOCK // 8 + 1])
-    def test_ids_are_the_row_numbers_as_str(self, n):
+    def test_ids_are_the_row_numbers_as_str(self, n, tmp_path):
         # the suite generator draws 8 normals a row, so GAUSS_BLOCK / 8 + 1
-        # rows cross a block of the draw
-        ids = fm.simulate(fm.SimSpec(n=n, model=make_generator(), group_prob=0.5, seed=n))[0].column("id")
-        assert ids.dtype == object and ids.shape == (n,)
-        assert ids.tolist() == [str(i) for i in range(n)]
-        assert {type(i) for i in ids.tolist()} == {str}
+        # rows cross a block of the draw.  The ids are held as int64 row
+        # numbers and written as their str.
+        data = fm.simulate(fm.SimSpec(n=n, model=make_generator(), group_prob=0.5, seed=n))[0]
+        ids = data.column("id")
+        assert same_bits(ids, np.arange(n, dtype=np.int64))
+        fm.write_csv(data, tmp_path / "data.csv")
+        lines = (tmp_path / "data.csv").read_text().splitlines()
+        assert [line.split(",", 1)[0] for line in lines] == ["id"] + [str(i) for i in range(n)]
 
     @pytest.mark.parametrize(
         "n, group_prob, coding, present",
@@ -498,17 +526,22 @@ class TestSimulate:
             assert present is None or levels == present
 
     def test_draw_holds_one_block_beyond_the_table(self):
-        # At 200k rows the table is about 30 MB; the dense draw, which held
-        # every normal draw and the indicator matrix at once, peaked at 1.8
-        # times that.
-        spec = fm.SimSpec(n=200_000, model=make_generator(), group_prob=0.5, seed=1)
+        # The dense draw, which held every normal draw and the indicator
+        # matrix at once, peaked at 1.8 times the table.  What is kept is
+        # q + p + 5 arrays of 8 bytes a row: the value columns, the latent,
+        # the label pointers, the codes, the group index and the ids; a
+        # Python str per id would add about 50 bytes a row.
+        n, model = 200_000, make_generator()
+        spec = fm.SimSpec(n=n, model=model, group_prob=0.5, seed=1)
         tracemalloc.start()
         try:
             table = fm.simulate(spec)
             kept, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert table[0].n == 200_000
+        assert table[0].n == n
+        arrays = model.n_covariates + model.n_indicators + 5
+        assert kept <= 8 * n * arrays + 1e6, f"{kept / 1e6:.2f} MB kept for {arrays} arrays of {n} rows"
         assert peak <= 1.3 * kept, f"peak {peak / 1e6:.1f} MB for {kept / 1e6:.1f} MB returned"
 
     def test_noiseless_degenerate(self):
