@@ -157,8 +157,6 @@ def _read_scores(path) -> dict:
 
 
 def cmd_audit(args) -> int:
-    if args.reference_level is not None and args.model is None:
-        raise FairMimicError("--reference-level sets the counterfactual check's level; it needs --model")
     dataset, _ = _load_dataset(args)
     scores = _read_scores(args.scores)
     if len(scores["row_id"]) != dataset.n:
@@ -170,7 +168,7 @@ def cmd_audit(args) -> int:
         raise FairMimicError("row_id column of scores does not match the data ids")
 
     proxy_name = args.proxy or dataset.indicator_names[0]
-    proxy = dataset.column(proxy_name)
+    (proxy,) = dataset.role_columns([proxy_name], "indicator")
     sensitive = dataset.sensitive_labels()
 
     parity = audit_mod.statistical_parity(scores["decision"], sensitive)
@@ -197,8 +195,8 @@ def cmd_audit(args) -> int:
         model = load_model(args.model)
         X = dataset.covariate_matrix(model.covariate_names)
         report["counterfactual_discrepancy"] = {
-            "fair": audit_mod.counterfactual_check(model, X, args.reference_level, "fair"),
-            "naive": audit_mod.counterfactual_check(model, X, args.reference_level, "naive"),
+            "fair": audit_mod.counterfactual_check(model, X, score="fair"),
+            "naive": audit_mod.counterfactual_check(model, X, score="naive"),
         }
     if args.outcome_col is not None:
         # as floats, so that predictive_parity refuses a 0.5 an integer cast would truncate to 0
@@ -316,10 +314,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("audit", help="fairness diagnostics for a score set")
     add_common(p)
     p.add_argument("--scores", required=True, help="scores.csv from score")
-    p.add_argument("--proxy", default=None, help="proxy column to audit (default: first indicator)")
+    p.add_argument("--proxy", default=None, help="proxy indicator to audit (default: first indicator)")
     p.add_argument("--bins", type=int, default=10)
     p.add_argument("--model", default=None, help="model.json for the counterfactual check")
-    p.add_argument("--reference-level", default=None)
     p.add_argument("--outcome-col", default=None, help="binary outcome column for PPV parity")
     p.set_defaults(func=cmd_audit)
 

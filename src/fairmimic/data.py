@@ -27,6 +27,9 @@ ROLES = ("indicator", "covariate", "sensitive", "id", "ignore")
 
 _NUMERIC_ROLES = ("indicator", "covariate")
 
+# The keys of a role config; the last two are the CLI's transforms.
+ROLE_CONFIG_KEYS = ("roles", "sensitive_coding", "log_scale", "log1p", "standardize")
+
 
 @dataclass(frozen=True)
 class Dataset:
@@ -146,6 +149,9 @@ def _validate_dataset(ds: Dataset):
     repeated = _repeated(ds.column_order)
     if repeated:
         raise DataValidationError(f"column_order repeats column names: {repeated}")
+    missing, extra = sorted(set(ds.column_order) - set(ds.values)), sorted(set(ds.values) - set(ds.column_order))
+    if missing or extra:
+        raise DataValidationError(f"values must hold exactly the table columns: missing {missing}, extra {extra}")
     if set(ds.roles) != set(ds.column_order):
         raise DataValidationError("roles must cover exactly the table columns")
     for c, r in ds.roles.items():
@@ -440,10 +446,16 @@ def load_csv(path, role_config: dict) -> Dataset:
     ``role_config`` is a mapping with a required ``"roles"`` entry
     (column name -> role) and optional ``"sensitive_coding"`` (the sorted
     labels coded 0 and 1 when absent) and ``"log_scale"`` (indicator
-    names) entries.  Every column in the file must be assigned a
+    names) entries; any key not in :data:`ROLE_CONFIG_KEYS` raises
+    DataValidationError.  Every column in the file must be assigned a
     role.  Rows with missing cells are rejected: the error names the first
     offending row and column and reports how many rows are affected.
     """
+    unknown = sorted(set(role_config) - set(ROLE_CONFIG_KEYS))
+    if unknown:
+        raise DataValidationError(f"role config has unknown keys {unknown}; its keys are {list(ROLE_CONFIG_KEYS)}")
+    if "roles" not in role_config:
+        raise DataValidationError("role config has no 'roles' entry")
     roles = dict(role_config["roles"])
 
     def dtypes_of(header):

@@ -16,7 +16,7 @@ from .model import (
     _loglik,
     _pack_fields,
     _residual_moments,
-    _Stack,
+    _stack,
     _structure,
     data_moments,
     pack,
@@ -30,6 +30,10 @@ from .model import (
 STATIONARY_GRAD_NORM = 1e-3
 
 WALD_Z = 1.96  # two-sided 95%
+
+# lr_test's float noise, relative to |ll|: twice the drift of 500 accepted
+# steps that each lower the log-likelihood by the solver's 1e-12 |ll|.
+LR_REL_TOL = 1e-9
 
 _EPS = np.finfo(float).eps
 
@@ -115,9 +119,10 @@ class LrTestResult:
     @classmethod
     def from_statistic(cls, statistic: float, df: int) -> "LrTestResult":
         """The test of ``statistic`` against chi-square with ``df`` degrees
-        of freedom; a small negative statistic (float noise in two nearly
-        equal log-likelihoods) counts as 0, a non-finite one raises, and so
-        does a ``df`` that is not a nonnegative integer."""
+        of freedom; a negative statistic, which from :func:`lr_test` is
+        float noise in two nearly equal log-likelihoods, counts as 0, a
+        non-finite one raises, and so does a ``df`` that is not a
+        nonnegative integer."""
         if not math.isfinite(statistic):
             raise ValueError(f"LR statistic must be finite, got {statistic}")
         statistic = max(0.0, float(statistic))
@@ -286,12 +291,9 @@ def fit_stack(specs, data, options: OptimOptions | None = None, callback=None) -
     specs = tuple(specs)
     if not specs:
         raise ValueError("fit_stack needs at least one spec")
-    specs = _Stack.of(specs)  # the specs share their names and length, resolved once
-    k = specs.k
-    mom = data
-    for s in specs:  # the moments are built for the first spec and checked against each
-        mom = data_moments(s, mom)
-    spec, q = specs[0], specs[0].n_covariates
+    stack, spec = _stack(specs), specs[0]  # the members share their names, length and coding,
+    mom = data_moments(spec, data)  # so moments that fit the first fit them all
+    k, q = stack.k, spec.n_covariates
     if mom.n < k:
         raise ValueError(f"need at least {k} rows to estimate {k} free parameters, got {mom.n}")
     var = np.diag(mom.gram)[q + 1 :]
@@ -306,7 +308,7 @@ def fit_stack(specs, data, options: OptimOptions | None = None, callback=None) -
 
     start = pack if options.init == "model" else (lambda s: _start_values(s, mom))
     x = np.array([start(s) for s in specs])
-    ll, grad, hess = _loglik(x, specs, mom, order=2)
+    ll, grad, hess = _loglik(x, stack, mom, order=2)
     ll, info = ll.tolist(), -hess
     norm = _norms(grad)
     radius, n_iter = [1.0] * len(specs), [0] * len(specs)
@@ -315,7 +317,7 @@ def fit_stack(specs, data, options: OptimOptions | None = None, callback=None) -
         live = [i for i in live if n_iter[i] < options.max_iter and norm[i] >= options.grad_tol]
         if not live:
             break
-        rows, members = (live, [specs[i] for i in live]) if len(live) < len(specs) else (slice(None), specs)
+        rows, members = (live, stack.members(live)) if len(live) < len(specs) else (slice(None), stack)
         step, predicted = _step(grad[rows], info[rows], np.array([radius[i] for i in live]))
         trial = x[rows] + step
         ll_try, grad_try, hess_try = _trial_loglik(trial, members, mom)
@@ -360,22 +362,22 @@ def _norms(a) -> list:
     return np.sqrt((a * a).sum(1)).tolist()
 
 
-def _trial_loglik(x, specs, mom):
-    """The order-2 log-likelihood of a stack at trial points, the values as
-    a list.  A member whose point lies outside the model gets log-likelihood
-    -inf (a rejected step); when one does, the members are evaluated one at
-    a time to find it.  A point is outside the model when its evaluation
-    overflows or divides by zero, as where a variance underflows to 0."""
-    specs = _Stack.of(specs)
+def _trial_loglik(x, stack, mom):
+    """The order-2 log-likelihood at the trial points ``x`` of the members
+    of a :func:`~fairmimic.model._stack` record, the values as a list.  A
+    member whose point lies outside the model gets log-likelihood -inf (a
+    rejected step); when one does, the members are evaluated one at a time
+    to find it.  A point is outside the model when its evaluation overflows
+    or divides by zero, as where a variance underflows to 0."""
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            ll, grad, hess = _loglik(x, specs, mom, order=2)
+            ll, grad, hess = _loglik(x, stack, mom, order=2)
             return ll.tolist(), grad, hess
     except FloatingPointError:
-        if len(specs) == 1:
+        if len(x) == 1:
             k = x.shape[1]
             return [-np.inf], np.full((1, k), np.nan), np.full((1, k, k), np.nan)
-    ll, grad, hess = zip(*(_trial_loglik(x[i : i + 1], specs[i : i + 1], mom) for i in range(len(specs))))
+    ll, grad, hess = zip(*(_trial_loglik(x[i : i + 1], stack.members([i]), mom) for i in range(len(x))))
     return sum(ll, []), np.concatenate(grad), np.concatenate(hess)
 
 
@@ -523,7 +525,9 @@ def lr_test(full: FitResult, nested: FitResult) -> LrTestResult:
 
     Both fits must come from the same data (checked by the fingerprint of
     their sample moments) and the nested model's free parameters must be a
-    subset of the full model's.
+    subset of the full model's.  A full fit below the nested fit's
+    log-likelihood by more than ``LR_REL_TOL * |ll|`` has not reached its
+    maximum and raises; a smaller shortfall reads as statistic 0.
     """
     if full.data_fingerprint != nested.data_fingerprint:
         raise ValueError("fits were computed on different datasets")
@@ -532,5 +536,7 @@ def lr_test(full: FitResult, nested: FitResult) -> LrTestResult:
     if not nested_names <= full_names:
         extra = sorted(nested_names - full_names)
         raise ValueError(f"models are not nested; nested-only parameters: {extra}")
+    if full.loglik < nested.loglik - LR_REL_TOL * abs(nested.loglik):
+        raise ValueError(f"full fit's log-likelihood {full.loglik!r} is below the nested fit's {nested.loglik!r}")
     df = len(full_names) - len(nested_names)
     return LrTestResult.from_statistic(2.0 * (full.loglik - nested.loglik), df)

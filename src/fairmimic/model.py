@@ -326,14 +326,20 @@ class _Structure(NamedTuple):
     :class:`_Scatter` of its derivatives; the free-offset mask ``free``; and
     ``head``, the constant lead of the Jacobian source (0, 1 and the rows of
     the identity at the free offsets).  Built once per structure and shared,
-    so every array in it is read-only."""
+    so every array in it is read-only.  The record of a stack of specs, from
+    :func:`_stack`, has ``free`` and ``head`` with a leading member axis and
+    no ``names``."""
 
     layout: MappingProxyType
     k: int
-    names: tuple
+    names: tuple | None
     scatter: _Scatter
     free: np.ndarray
     head: np.ndarray
+
+    def members(self, rows) -> "_Structure":
+        """The record of a stack's members at ``rows``, in that order."""
+        return self._replace(free=self.free[rows], head=self.head[rows])
 
 
 def _structure(spec: MimicModel) -> _Structure:
@@ -430,31 +436,20 @@ def _scatter(layout, k, p, q) -> _Scatter:
     return _Scatter(jac, outer + p * p, curv)
 
 
-class _Stack(tuple):
-    """A sequence of specs with the same names and packed length.  They then
-    differ at most in which offsets are free, so every block sits at the
-    same positions: the stack keeps the ``layout``, ``k`` and ``scatter`` its
-    members share, and stacks each member's ``free`` and ``head`` from the
-    member's own :class:`_Structure`, row b for member b."""
-
-    @classmethod
-    def of(cls, specs) -> "_Stack":
-        """``specs`` as a stack, resolved; a stack is handed back as it is."""
-        if isinstance(specs, cls):
-            return specs
-        stack = cls(specs)
-        structures = [_structure(s) for s in stack]
-        first, names = structures[0], (stack[0].indicator_names, stack[0].covariate_names)
-        for s, st in zip(stack, structures):
-            if (s.indicator_names, s.covariate_names) != names or st.k != first.k:
-                raise ValueError(
-                    "the specs of a stack must share their indicators and covariates "
-                    "and have the same number of free parameters"
-                )
-        stack.layout, stack.k, stack.scatter = first.layout, first.k, first.scatter
-        stack.free = np.array([st.free for st in structures])
-        stack.head = np.array([st.head for st in structures])
-        return stack
+def _stack(specs) -> _Structure:
+    """The :class:`_Structure` of a sequence of specs with the same names,
+    packed length and sensitive coding.  They then differ at most in which
+    offsets are free, so every block sits at the same positions: the record
+    keeps the ``layout``, ``k`` and ``scatter`` the members share, and
+    stacks each member's own ``free`` and ``head``, row b for member b."""
+    first, structures = specs[0], [_structure(s) for s in specs]
+    shared = (first.indicator_names, first.covariate_names, first.sensitive_coding, structures[0].k)
+    for s, st in zip(specs, structures):
+        if (s.indicator_names, s.covariate_names, s.sensitive_coding, st.k) != shared:
+            raise ValueError("the specs of a stack must share their names and sensitive coding and "
+                             "have the same number of free parameters")
+    free, head = (np.array([getattr(st, a) for st in structures]) for a in ("free", "head"))
+    return structures[0]._replace(names=None, free=free, head=head)
 
 
 def param_names(model: MimicModel):
@@ -506,7 +501,7 @@ def unpack(spec: MimicModel, x: np.ndarray) -> MimicModel:
 
 def _field_values(structure, x: np.ndarray) -> dict:
     """The fields the packed vectors ``x`` (..., k) of a :class:`_Structure`
-    or a :class:`_Stack` hold, by name, each with the leading axes of ``x``.
+    hold, by name, each with the leading axes of ``x``.
     Entries a packed vector does not hold are the same in every model: the
     first loading is pinned to 1, and the offsets outside the structure's
     ``free`` mask, (..., p), are 0."""
@@ -659,9 +654,10 @@ class SampleMoments:
     the column means and ``gram = sum_i (w_i - mean)(w_i - mean)'``.
 
     Moments built by :func:`data_moments` also record the names of the
-    columns, in that order, the dataset's sensitive coding and a SHA-256
-    ``fingerprint`` of all of these; those from :func:`sample_moments`
-    record none of them.
+    columns, in that order, the dataset's sensitive coding, a SHA-256
+    ``fingerprint`` of all of these and ``szz = sum_i [1, z_i]' [1, z_i]``,
+    z = [x, s], the one uncentred block the Hessian reads; those from
+    :func:`sample_moments` record none of them.
     """
 
     n: int
@@ -670,13 +666,7 @@ class SampleMoments:
     columns: tuple | None = None
     fingerprint: str | None = None
     coding: dict | None = None
-
-    @functools.cached_property
-    def _szz(self) -> dict:
-        """``szz = sum_i [1, z_i]' [1, z_i]``, z = [x, s], by number of
-        covariates: the one uncentred block the Hessian reads, built by the
-        first order-2 :func:`_loglik` and shared by every later one."""
-        return {}
+    szz: np.ndarray | None = None
 
 
 def _residual_moments(mom: SampleMoments, B, nu=None):
@@ -791,9 +781,10 @@ def _matrix(columns, n: int) -> np.ndarray:
 
 def data_moments(model: MimicModel, data) -> SampleMoments:
     """Sample moments of the model's covariates, group codes and indicators
-    in ``data``, with their column names, the dataset's coding and their
-    fingerprint: the one way data reach the likelihood.  Such moments given
-    as ``data`` are checked to hold the model's columns and coding.
+    in ``data``, with their column names, the dataset's coding, their
+    fingerprint and ``szz``: the one way data reach the likelihood.  Such
+    moments given as ``data`` are checked to hold the model's columns and
+    coding.
 
     The likelihood reads the data only through these moments, so their
     digest is what identifies "the same data" for ``lr_test``; it costs
@@ -814,16 +805,11 @@ def data_moments(model: MimicModel, data) -> SampleMoments:
     digest = hashlib.sha256(json.dumps([mom.n, columns, model.sensitive_coding], sort_keys=True).encode())
     digest.update(mom.mean.tobytes())
     digest.update(mom.gram.tobytes())
-    return replace(mom, columns=columns, fingerprint=digest.hexdigest(), coding=dict(data.sensitive_coding))
-
-
-def _extract_arrays(model: MimicModel, data):
-    """Row-wise (Y, X, s) arrays of the model's columns in ``data``."""
-    cov, s, ind = _columns(model, data)
-    Y, X = _matrix(ind, len(s)), _matrix(cov, len(s))
-    if not (np.all(np.isfinite(Y)) and np.all(np.isfinite(X))):
-        raise ValueError("data contains missing or non-finite values")
-    return Y, X, s
+    q = model.n_covariates
+    mean1 = np.concatenate([[1.0], mom.mean[: q + 1]])  # the mean of [1, z_i]
+    szz = np.outer(mom.n * mean1, mean1)
+    szz[1:, 1:] += mom.gram[: q + 1, : q + 1]
+    return replace(mom, columns=columns, fingerprint=digest.hexdigest(), coding=dict(data.sensitive_coding), szz=szz)
 
 
 # ---------------------------------------------------------------------------
@@ -838,9 +824,10 @@ def _extract_arrays(model: MimicModel, data):
 #   dll/dBt = F P,  F = sum_i [1, z_i]' r_i',
 #   dll/dSigma = M / 2,  M = Q - n P,  Q = P W P,
 #
-# and the second differential, with S = sum_i [1, z_i]' [1, z_i], is
+# and the second differential, with szz = sum_i [1, z_i]' [1, z_i], which
+# data_moments records with the moments, is
 #
-#   -tr(P dBt' S dBt) - 2 tr(F P dSigma P dBt')
+#   -tr(P dBt' szz dBt) - 2 tr(F P dSigma P dBt')
 #   + n/2 tr(P dSigma P dSigma) - tr(P dSigma Q dSigma).
 #
 # The gradient and the Hessian map these through the (k, m) Jacobian J of
@@ -861,7 +848,8 @@ def _extract_arrays(model: MimicModel, data):
 #
 # Every array may carry a leading member axis: a stack of specs that differ
 # only in which offsets are free shares the data and the layout, so one
-# batched call evaluates every member by the same formulas.
+# batched call evaluates every member by the same formulas, reading each
+# member's free mask and Jacobian head from its row of the _stack record.
 # ---------------------------------------------------------------------------
 
 
@@ -917,15 +905,17 @@ def _loglik(x, spec, mom: SampleMoments, order: int = 0):
     gradient, with ``order`` 2 also the gradient and the exact Hessian.
 
     ``spec`` may also be a sequence of B specs that differ at most in which
-    offsets are free (see :class:`_Stack`), with ``x`` the (B, k)
-    stack of their packed vectors; the log-likelihoods (B,), gradients
-    (B, k) and Hessians (B, k, k) then come from the same formulas, member
-    by member, in one batched product per step.  A :class:`_Stack` brings
-    what a solve's evaluations share, resolved once, and the moments keep
-    the one block of theirs the Hessian reads, ``szz``, for every later
-    evaluation; the rest is read through :func:`_residual_moments`.
+    offsets are free, or their :class:`_Structure` from :func:`_stack`,
+    which a solve resolves once for all its evaluations, with ``x`` the
+    (B, k) stack of their packed vectors; the log-likelihoods (B,),
+    gradients (B, k) and Hessians (B, k, k) then come from the same
+    formulas, member by member, in one batched product per step.  The
+    moments are read through :func:`_residual_moments`, and order 2 also
+    reads their ``szz``, which only :func:`data_moments` records.
     """
-    structure = _structure(spec) if isinstance(spec, MimicModel) else _Stack.of(spec)
+    structure = spec
+    if not isinstance(spec, _Structure):  # a spec, or the specs of a stack
+        structure = _structure(spec) if isinstance(spec, MimicModel) else _stack(spec)
     k, scatter = structure.k, structure.scatter
     values = _field_values(structure, x)
     Bt = _mean_coefs(values)
@@ -966,21 +956,11 @@ def _loglik(x, spec, mom: SampleMoments, order: int = 0):
     cs[..., pm + p * p + p :] = grad
     jb = J[..., : r * p].reshape(lead + (k, r, p))
     js = J[..., r * p :].reshape(lead + (k, p, p))
-    szz = mom._szz.get(q)
-    if szz is None:
-        mean1 = np.concatenate([[1.0], mom.mean[: q + 1]])  # the mean of [1, z_i]
-        szz = mom._szz[q] = np.outer(n * mean1, mean1)
-        szz[1:, 1:] += mom.gram[: q + 1, : q + 1]
-    hess = _second_differential(jb, js, n, szz, G, P, Q)
+    hess = _second_differential(jb, js, n, mom.szz, G, P, Q)
     hess += hess.swapaxes(-1, -2)
     hess *= 0.5
     hess += cs.take(scatter.curv, -1)
     return ll, grad, hess
-
-
-def _ll_value(x, spec, Y, X, s):
-    """Log-likelihood at a packed vector, from row-wise arrays."""
-    return _loglik(x, spec, sample_moments([*X.T, s, *Y.T]))
 
 
 def log_likelihood(model: MimicModel, data) -> float:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import fairmimic as fm
+from fairmimic import model as model_mod
 
 CODING = {"a": 0, "b": 1}
 
@@ -104,3 +105,14 @@ def injected_dif_study():
         data, _ = simulate_from(gen, n=5000, seed=90_000 + rep)
         reports.append(fm.dif_scan(base, data))
     return reports
+
+
+def extract_arrays(model, data):
+    """Row-wise (Y, X, s) arrays of the model's columns in ``data``."""
+    cov, s, ind = model_mod._columns(model, data)
+    return model_mod._matrix(ind, len(s)), model_mod._matrix(cov, len(s)), s
+
+
+def ll_value(x, spec, Y, X, s):
+    """Log-likelihood at a packed vector, from row-wise arrays."""
+    return model_mod._loglik(x, spec, model_mod.sample_moments([*X.T, s, *Y.T]))

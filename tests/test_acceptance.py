@@ -13,9 +13,8 @@ from pathlib import Path
 import numpy as np
 
 import fairmimic as fm
-from fairmimic.model import _extract_arrays, _ll_value
 
-from conftest import CODING, base_template, make_generator, simulate_from
+from conftest import CODING, base_template, extract_arrays, ll_value, make_generator, simulate_from
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -34,7 +33,7 @@ def _report(num, desc, ok, extra=""):
 def test_criterion_01_gradient_correctness():
     gen = make_generator(dif=(0.0, 0.3, 0.0, 0.0))
     data, _ = simulate_from(gen, n=150, seed=201)
-    Y, X, s = _extract_arrays(gen, data)
+    Y, X, s = extract_arrays(gen, data)
     x0 = fm.pack(gen)
     rng = np.random.default_rng(202)
     t0 = time.perf_counter()
@@ -49,7 +48,7 @@ def test_criterion_01_gradient_correctness():
             xp[k] += h
             xm = x.copy()
             xm[k] -= h
-            fd[k] = (_ll_value(xp, gen, Y, X, s) - _ll_value(xm, gen, Y, X, s)) / (2 * h)
+            fd[k] = (ll_value(xp, gen, Y, X, s) - ll_value(xm, gen, Y, X, s)) / (2 * h)
         rel = np.abs(grad - fd) / np.maximum(1.0, np.abs(fd))
         worst = max(worst, float(rel.max()))
     elapsed = time.perf_counter() - t0

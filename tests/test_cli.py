@@ -254,6 +254,18 @@ class TestScoreAuditDif:
                             "--out-dir", str(tmp_path / "scored")])
         assert code == 0
 
+    def test_fit_refuses_a_misspelled_roles_key(self, sim_dir, tmp_path, capsys):
+        # "standardise" would be ignored, and the covariates fitted unscaled
+        roles = json.loads((sim_dir / "roles.json").read_text())
+        roles["standardise"] = ["x1"]
+        roles_path = tmp_path / "roles.json"
+        roles_path.write_text(json.dumps(roles))
+        code = main(["fit", "--data", str(sim_dir / "data.csv"), "--roles", str(roles_path),
+                     "--out-dir", str(tmp_path / "fit")])
+        assert code == 1
+        assert "unknown keys ['standardise']" in capsys.readouterr().err
+        assert not (tmp_path / "fit").exists()
+
     def test_audit_outputs(self, sim_dir, fit_dir, tmp_path):
         score_dir = tmp_path / "scores"
         main(
@@ -302,20 +314,20 @@ class TestScoreAuditDif:
                 writer.writerow([name, lo, hi, group, "" if mean is None else repr(mean), count])
         assert (audit_dir / "parity_curve.csv").read_bytes().decode() == expected.getvalue()
 
-    def test_audit_reference_level_needs_model(self, sim_dir, fit_dir, tmp_path, capsys):
-        # --reference-level only sets the counterfactual check's level, which
-        # runs with --model; alone it would do nothing
+    @pytest.mark.parametrize("proxy", ["id", "x1", "group", "nothere"])
+    def test_audit_proxy_must_be_an_indicator(self, sim_dir, fit_dir, tmp_path, capsys, proxy):
+        # a proxy that is not an indicator (the ids, a covariate, the group)
+        # would be audited as if it were an outcome
         main(
             ["score", "--model", str(fit_dir / "model.json"), "--data", str(sim_dir / "data.csv"),
              "--roles", str(sim_dir / "roles.json"), "--out-dir", str(tmp_path)]
         )
         code = main(
             ["audit", "--scores", str(tmp_path / "scores.csv"), "--data", str(sim_dir / "data.csv"),
-             "--roles", str(sim_dir / "roles.json"), "--reference-level", "b",
-             "--out-dir", str(tmp_path / "audit")]
+             "--roles", str(sim_dir / "roles.json"), "--proxy", proxy, "--out-dir", str(tmp_path / "audit")]
         )
         assert code == 1
-        assert "--model" in capsys.readouterr().err
+        assert f"column {proxy!r} is not an indicator column" in capsys.readouterr().err
         assert not (tmp_path / "audit").exists()
 
     def test_audit_rejects_scores_of_other_rows(self, sim_dir, fit_dir, tmp_path, capsys):

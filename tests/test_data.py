@@ -60,6 +60,16 @@ class TestLoadCsv:
         with pytest.raises(fm.DataValidationError, match="unknown columns"):
             fm.load_csv(write_fixture(tmp_path), roles)
 
+    @pytest.mark.parametrize("key", ["standardise", "role", "log_scales"])
+    def test_unknown_config_key(self, tmp_path, key):
+        # a misspelled key would be ignored, and its transform never applied
+        with pytest.raises(fm.DataValidationError, match=f"unknown keys \\['{key}'\\]"):
+            fm.load_csv(write_fixture(tmp_path), {**ROLES, key: ["x1"]})
+
+    def test_config_without_roles(self, tmp_path):
+        with pytest.raises(fm.DataValidationError, match="no 'roles' entry"):
+            fm.load_csv(write_fixture(tmp_path), {"sensitive_coding": CODING})
+
     def test_unassigned_column(self, tmp_path):
         roles = {"roles": {k: v for k, v in ROLES["roles"].items() if k != "x1"}}
         with pytest.raises(fm.DataValidationError, match="without a role"):
@@ -322,6 +332,29 @@ class TestSensitiveColumn:
                 column_order=("g", "y1", "y2", "y1"),
                 roles={"g": "sensitive", "y1": "indicator", "y2": "indicator"},
                 values={"g": np.array(["a", "b", "a"]), "y1": np.array([1.0, 2.0, 4.0]), "y2": np.array([0.5, 0.0, 1.0])},
+                sensitive_coding=CODING,
+            )
+
+    def test_extra_values_key_rejected(self):
+        # an extra column would survive subset and be dropped by write_csv
+        values = {"g": np.array(["a", "b", "a"]), "y1": np.array([1.0, 2.0, 4.0]), "y2": np.array([0.5, 0.0, 1.0])}
+        with pytest.raises(fm.DataValidationError, match=r"missing \[\], extra \['z'\]"):
+            fm.Dataset(
+                column_order=("g", "y1", "y2"),
+                roles={"g": "sensitive", "y1": "indicator", "y2": "indicator"},
+                values={**values, "z": np.zeros(3)},
+                sensitive_coding=CODING,
+            )
+
+    def test_missing_values_key_rejected(self):
+        # a table without its id values would report id_name "id", and
+        # write_csv would then fail on the absent column
+        values = {"g": np.array(["a", "b", "a"]), "y1": np.array([1.0, 2.0, 4.0]), "y2": np.array([0.5, 0.0, 1.0])}
+        with pytest.raises(fm.DataValidationError, match=r"missing \['id'\], extra \[\]"):
+            fm.Dataset(
+                column_order=("id", "g", "y1", "y2"),
+                roles={"id": "id", "g": "sensitive", "y1": "indicator", "y2": "indicator"},
+                values=values,
                 sensitive_coding=CODING,
             )
 

@@ -285,9 +285,9 @@ class TestDifScan:
             counts["validating constructions"] += 1
             real_post_init(model)
 
-        def loglik(x, spec, mom, order=0):
+        def loglik(x, stack, mom, order=0):
             counts[f"order-{order} evaluations"] += 1
-            return real_loglik(x, spec, mom, order)
+            return real_loglik(x, stack, mom, order)
 
         monkeypatch.setattr(fm.MimicModel, "__post_init__", post_init)
         monkeypatch.setattr(estimate_mod, "_loglik", loglik)
@@ -296,25 +296,30 @@ class TestDifScan:
         assert counts == {"order-2 evaluations": 10}
 
     def test_stacked_rows_are_each_members_own_structure(self, generator, monkeypatch):
-        # Row b of every stack a scan evaluates, the members still running
-        # re-stacked included, holds member b's own free mask and Jacobian
-        # head, from the member's cached structure; a second scan with the
-        # same names builds no structure again.
+        # Row b of every stacked record a scan evaluates, the members still
+        # running included, holds member b's own free mask and Jacobian
+        # head, from the member's cached structure; the nested members free
+        # one offset each, in indicator order, so a row's free offset names
+        # its member.  A second scan with the same names builds no structure
+        # again.
         stacks = []
         real_loglik = estimate_mod._loglik
 
-        def loglik(x, spec, mom, order=0):
-            stacks.append(spec)
-            return real_loglik(x, spec, mom, order)
+        def loglik(x, stack, mom, order=0):
+            stacks.append(stack)
+            return real_loglik(x, stack, mom, order)
 
         monkeypatch.setattr(estimate_mod, "_loglik", loglik)
         data, _ = simulate_from(generator, n=500, seed=64)
         fm.dif_scan(base_template(generator), data)
-        assert max(len(s) for s in stacks) == generator.n_indicators
-        assert any(1 < len(s) < generator.n_indicators for s in stacks)
+        p, names = generator.n_indicators, generator.indicator_names
+        assert max(len(s.free) for s in stacks) == p
+        assert any(1 < len(s.free) < p for s in stacks)
         for stack in stacks:
-            for b, member in enumerate(stack):
-                own = _structure(member)
+            freed = [tuple(np.flatnonzero(free)) for free in stack.free]
+            assert freed == sorted(set(freed)) and all(len(f) <= 1 for f in freed)
+            for b, offsets in enumerate(freed):
+                own = _structure(base_template(generator, free_dif=[names[j] for j in offsets]))
                 assert same_bits(stack.free[b], own.free) and same_bits(stack.head[b], own.head)
         misses = model_mod._structure_of.cache_info().misses
         fresh, _ = simulate_from(generator, n=500, seed=65)

@@ -1,5 +1,6 @@
 """Fitting, observed information, and likelihood-ratio tests."""
 
+import re
 import warnings
 from dataclasses import replace
 
@@ -9,8 +10,8 @@ from scipy.stats import chi2
 
 import fairmimic as fm
 from fairmimic import estimate as estimate_mod
-from fairmimic.estimate import _guess_values, _start_values, _step, _trial_loglik, _trust_step, fit_stack
-from fairmimic.model import _loglik, data_moments, sample_moments
+from fairmimic.estimate import LR_REL_TOL, _guess_values, _start_values, _step, _trial_loglik, _trust_step, fit_stack
+from fairmimic.model import _loglik, _stack, data_moments, sample_moments
 
 from conftest import CODING, base_template, make_generator, simulate_from
 
@@ -421,6 +422,12 @@ class TestFitStack:
         with pytest.raises(ValueError, match="same number of free parameters"):
             fit_stack(specs, data)
 
+    def test_specs_coded_differently_refused(self, generator):
+        data, _ = simulate_from(generator, n=400, seed=50)
+        flipped = fm.template(generator.indicator_names, generator.covariate_names, {"a": 1, "b": 0})
+        with pytest.raises(ValueError, match="sensitive coding"):
+            fit_stack([base_template(generator), flipped], data)
+
     def test_indefinite_member_does_not_change_the_others(self):
         # Member y3 starts at the template's neutral values, where -H is
         # indefinite; the others start at the base optimum, where it is
@@ -467,16 +474,15 @@ class TestFitStack:
         # whether it is evaluated in the stack or by itself.
         real, points, poisoned = estimate_mod._loglik, [], []
 
-        def loglik(x, spec, mom, order=0):
-            members = [spec] if isinstance(spec, fm.MimicModel) else list(spec)
-            for member, row in zip(members, np.atleast_2d(x)):
-                if member.free_mask[1]:
-                    points.append((len(members), row.copy()))
+        def loglik(x, stack, mom, order=0):
+            for free, row in zip(stack.free, x):  # each member's row of the stacked record
+                if free[1]:
+                    points.append((len(x), row.copy()))
                     if len(points) == 2:
                         poisoned.append(row.copy())
                     if poisoned and np.array_equal(row, poisoned[0]):
                         raise FloatingPointError("overflow")
-            return real(x, spec, mom, order)
+            return real(x, stack, mom, order)
 
         monkeypatch.setattr(estimate_mod, "_loglik", loglik)
         stacked = fit_stack(specs, mom, warm)
@@ -502,7 +508,7 @@ class TestFitStack:
         x[1, fm.param_names(spec).index("log_theta[y3]")] = -800.0
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            ll, grad, _ = _trial_loglik(x, [spec, spec], mom)
+            ll, grad, _ = _trial_loglik(x, _stack([spec, spec]), mom)
         assert ll[1] == -np.inf
         assert ll[0] == _loglik(x[0], spec, mom) and np.isfinite(grad[0]).all()
 
@@ -620,6 +626,20 @@ class TestLrTest:
         # max(0.0, nan) is 0.0 in Python: a NaN statistic must not pass as 0
         with pytest.raises(ValueError, match="finite"):
             fm.LrTestResult.from_statistic(statistic, 1)
+
+    def test_nested_fit_above_the_full_one_refused(self, generator):
+        # a full fit stopped at the template's neutral values is far below
+        # the converged nested fit; only float noise counts as statistic 0
+        data, _ = simulate_from(generator, n=2000, seed=34)
+        nested = fm.fit(base_template(generator), data)
+        with pytest.warns(UserWarning, match="not a well-identified maximum"):  # -H is indefinite there
+            full = fm.fit(base_template(generator, free_dif=("y2",)), data, fm.OptimOptions(max_iter=0, init="model"))
+        assert full.loglik < nested.loglik - 1.0
+        with pytest.raises(ValueError, match=f"{re.escape(repr(full.loglik))}.*{re.escape(repr(nested.loglik))}"):
+            fm.lr_test(full, nested)
+        noise = replace(full, loglik=nested.loglik - 0.5 * LR_REL_TOL * abs(nested.loglik))
+        out = fm.lr_test(noise, nested)
+        assert out.statistic == 0.0 and out.p_value == 1.0
 
     def test_small_negative_statistic_counts_as_zero(self):
         res = fm.LrTestResult.from_statistic(-1e-10, 1)

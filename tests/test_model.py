@@ -14,9 +14,9 @@ from hypothesis import strategies as st
 
 import fairmimic as fm
 from fairmimic import model as model_mod
-from fairmimic.model import GRAM_CHUNK_ROWS, _extract_arrays, _ll_value, _loglik, _matrix, _precision, _structure, data_moments, n_free_params
+from fairmimic.model import GRAM_CHUNK_ROWS, _loglik, _matrix, _precision, _structure, data_moments, n_free_params
 
-from conftest import CODING, make_generator, simulate_from
+from conftest import CODING, extract_arrays, ll_value, make_generator, simulate_from
 
 
 def tiny_model(**overrides):
@@ -271,7 +271,7 @@ class TestLogLikelihood:
 class TestGradient:
     def test_matches_central_differences(self, generator):
         data, _ = simulate_from(generator, n=120, seed=8)
-        Y, X, s = _extract_arrays(generator, data)
+        Y, X, s = extract_arrays(generator, data)
         rng = np.random.default_rng(9)
         x0 = fm.pack(generator)
         for _ in range(5):
@@ -418,6 +418,19 @@ def test_data_coded_the_other_way_rejected(generator, call):
         call(generator, swapped)
 
 
+def test_data_moments_record_the_uncentred_block_of_the_regressors():
+    """``szz`` is sum_i [1, z_i]' [1, z_i], z = [x, s], summed row by row
+    here, for the spec's own covariates, across Gram blocks."""
+    gen = make_generator()
+    data, _ = simulate_from(gen, n=GRAM_CHUNK_ROWS + 77, seed=16)
+    for spec in (gen, fm.template(gen.indicator_names, gen.covariate_names[:1], CODING)):
+        Z = np.column_stack([np.ones(data.n), data.covariate_matrix(spec.covariate_names), data.sensitive_codes()])
+        expected = Z.T @ Z
+        szz = data_moments(spec, data).szz
+        assert szz.shape == (spec.n_covariates + 2,) * 2
+        np.testing.assert_allclose(szz, expected, rtol=1e-12, atol=1e-12 * np.abs(expected).max())
+
+
 B = GRAM_CHUNK_ROWS
 
 
@@ -549,7 +562,7 @@ class TestHessian:
 def _row_wise_loglik(model, data):
     """Brute force from the scalar model equations: explicit inverse and
     determinant, one row at a time."""
-    Y, X, s = _extract_arrays(model, data)
+    Y, X, s = extract_arrays(model, data)
     lam, p = model.loadings, model.n_indicators
     cov = np.empty((p, p))
     for j in range(p):
@@ -572,7 +585,7 @@ def _fd_gradient(x, spec, Y, X, s, h=1e-5):
         xp[k] += h
         xm = x.copy()
         xm[k] -= h
-        fd[k] = (_ll_value(xp, spec, Y, X, s) - _ll_value(xm, spec, Y, X, s)) / (2 * h)
+        fd[k] = (ll_value(xp, spec, Y, X, s) - ll_value(xm, spec, Y, X, s)) / (2 * h)
     return fd
 
 

@@ -83,7 +83,7 @@ DEMO_KEY_PATHS = {
     ),
     "audit/run_config.json": sorted(
         RUN_CONFIG
-        | {"bins", "data", "model", "outcome_col", "proxy", "reference_level", "roles", "scores"}
+        | {"bins", "data", "model", "outcome_col", "proxy", "roles", "scores"}
     ),
     "dif/dif_report.json": [
         "base_loglik", "coding", "coding.*", "n_obs", "rows", "rows[].ci_high", "rows[].ci_low",
