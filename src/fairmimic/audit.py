@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import group_codes, write_table
+from .data import group_codes
 from .model import MimicModel, _block_products, _covariate_matrix, to_json
 
 
@@ -29,8 +29,9 @@ def _binary(values) -> bool:
     return bool(((values == 0) | (values == 1)).all())
 
 
-def statistical_parity(decisions, sensitive, levels=None) -> ParityReport:
-    """Selection rate P(d=1 | group) per group and the max pairwise gap."""
+def statistical_parity(decisions, sensitive) -> ParityReport:
+    """Selection rate P(d=1 | group) per group present in ``sensitive``, in
+    :func:`~fairmimic.data.group_codes` order, and the max pairwise gap."""
     d = np.asarray(decisions)
     if d.size == 0:
         raise ValueError("decisions must be nonempty")
@@ -39,27 +40,18 @@ def statistical_parity(decisions, sensitive, levels=None) -> ParityReport:
     names, codes = group_codes(sensitive)
     if codes.shape[0] != d.shape[0]:
         raise ValueError("decisions and sensitive must have equal length")
-    levels = names if levels is None else [str(v) for v in levels]
-    index = {g: i for i, g in enumerate(names)}
     # one integer tally per (group, selected) cell, at 2 * code + selected
     cell = 2 * codes
     cell += d != 0
     tally = np.bincount(cell, minlength=2 * len(names))
     n_rows = (tally[0::2] + tally[1::2]).tolist()
     n_selected = tally[1::2].tolist()
-    rates, counts = {}, {}
-    for g in levels:
-        i = index.get(g)
-        n_g = 0 if i is None else n_rows[i]
-        if n_g == 0:
-            raise ValueError(f"group {g!r} has zero rows")
-        counts[g] = n_g
-        rates[g] = n_selected[i] / n_g
+    rates = {g: sel / n_g for g, sel, n_g in zip(names, n_selected, n_rows)}
     vals = list(rates.values())
     return ParityReport(
         rate_by_group=rates,
         parity_gap=float(max(vals) - min(vals)),
-        n_by_group=counts,
+        n_by_group=dict(zip(names, n_rows)),
     )
 
 
@@ -100,20 +92,14 @@ class ConditionalParityCurve:
     def to_dict(self) -> dict:
         return to_json(self)
 
-    def csv_rows(self, score_type=None) -> list:
-        """``to_rows()`` as records of the tidy CSV, in the order of
-        ``CSV_HEADER``: the mean as its ``repr``, empty for an empty cell,
-        and ``score_type`` in front when one is given."""
-        lead = [] if score_type is None else [score_type]
+    def csv_rows(self, score_type: str) -> list:
+        """``to_rows()`` as records of the tidy CSV, ``score_type`` in front
+        of the columns of ``CSV_HEADER``: the mean as its ``repr``, empty
+        for an empty cell."""
         return [
-            lead + [lo, hi, group, "" if mean is None else repr(float(mean)), count]
+            [score_type, lo, hi, group, "" if mean is None else repr(float(mean)), count]
             for lo, hi, group, mean, count in self.to_rows()
         ]
-
-    def write_csv(self, path, score_type=None) -> None:
-        """Tidy CSV (bin bounds, group, mean, count) for external plotting."""
-        header = self.CSV_HEADER if score_type is None else ("score_type", *self.CSV_HEADER)
-        write_table(path, header, list(zip(*self.csv_rows(score_type))))
 
 
 def conditional_parity_curve(scores, sensitive, proxy_values, n_bins: int = 10) -> ConditionalParityCurve:

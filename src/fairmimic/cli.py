@@ -3,6 +3,8 @@
 Every subcommand is a pure function of its input files, flags and seed;
 rerunning with identical inputs produces byte-identical outputs.  Exit
 codes: 0 success, 1 input or validation error, 2 numerical non-convergence.
+After a subcommand returns 0 or 2, :func:`main` writes its flags to
+``run_config.json`` in ``--out-dir``; after an error it writes nothing more.
 """
 
 from __future__ import annotations
@@ -32,9 +34,10 @@ def _read_json(path):
     return json.loads(Path(path).read_text())
 
 
-def _echo_config(args: argparse.Namespace, out_dir: Path) -> None:
+def _echo_config(args: argparse.Namespace) -> None:
+    """The run's flags, as ``run_config.json`` beside the command's outputs."""
     config = {k: v for k, v in vars(args).items() if k != "func"}
-    dump_json(config, out_dir / "run_config.json")
+    dump_json(config, Path(args.out_dir) / "run_config.json")
 
 
 def _load_dataset(args):
@@ -66,7 +69,6 @@ def cmd_simulate(args) -> int:
     data_mod.write_csv(dataset, out / "data.csv")
     data_mod.write_table(out / "latent.csv", ("row_id", "latent"), (dataset.column(dataset.id_name), latent))
     dump_json(data_mod.role_config_of(dataset), out / "roles.json")
-    _echo_config(args, out)
     return EXIT_OK
 
 
@@ -99,7 +101,6 @@ def cmd_fit(args) -> int:
     save_model(result.model, out / "model.json")
     dump_json(report, out / "fit_report.json")
     dump_json(record.to_dict(), out / "transform_record.json")
-    _echo_config(args, out)
     return EXIT_OK if result.converged else EXIT_NOT_CONVERGED
 
 
@@ -118,8 +119,7 @@ def cmd_score(args) -> int:
 
     reference_scores = None
     if args.reference_scores is not None:
-        rows = _read_scores(args.reference_scores)
-        reference_scores = rows["fair_score"]
+        reference_scores = score_mod.read_scores(args.reference_scores)["fair_score"]
 
     scores = score_mod.score_dataset(
         model,
@@ -133,32 +133,12 @@ def cmd_score(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     scores.to_csv(out / "scores.csv")
     dump_json(scores.summary_dict(), out / "score_summary.json")
-    _echo_config(args, out)
     return EXIT_OK
-
-
-_SCORE_DTYPES = {"row_id": object, "fair_score": np.float64, "naive_score": np.float64, "decision": np.int64}
-
-
-def _read_scores(path) -> dict:
-    def dtypes_of(header):
-        missing = [c for c in _SCORE_DTYPES if c not in header]
-        if missing:
-            raise FairMimicError(f"{path}: scores file has no column {missing[0]!r}")
-        return [_SCORE_DTYPES.get(c, object) for c in header]
-
-    header, columns = data_mod.read_table(path, dtypes_of)
-    values = dict(zip(header, columns))
-    for c in ("fair_score", "naive_score"):
-        bad = np.flatnonzero(~np.isfinite(values[c]))
-        if bad.size:
-            raise FairMimicError(f"{path}: column {c!r} has a non-finite value in row {bad[0] + 2}")
-    return {c: values[c] for c in _SCORE_DTYPES}
 
 
 def cmd_audit(args) -> int:
     dataset, _ = _load_dataset(args)
-    scores = _read_scores(args.scores)
+    scores = score_mod.read_scores(args.scores)
     if len(scores["row_id"]) != dataset.n:
         raise FairMimicError(
             f"scores file has {len(scores['row_id'])} rows, data has {dataset.n}"
@@ -214,7 +194,6 @@ def cmd_audit(args) -> int:
         ("score_type", *audit_mod.ConditionalParityCurve.CSV_HEADER),
         list(zip(*rows)),
     )
-    _echo_config(args, out)
     return EXIT_OK
 
 
@@ -230,7 +209,6 @@ def cmd_dif(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     dump_json(report.to_dict(), out / "dif_report.json")
     (out / "dif_table.txt").write_text(report.to_text_table())
-    _echo_config(args, out)
     return EXIT_OK
 
 
@@ -262,7 +240,6 @@ def cmd_select(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     dump_json(path.to_dict(), out / "lasso_path.json")
     dump_json(selected_roles, out / "selected_roles.json")
-    _echo_config(args, out)
     return EXIT_OK
 
 
@@ -340,10 +317,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        _echo_config(args)
     except (FairMimicError, ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         print(f"fairmimic {args.command}: error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
+    return code
 
 
 if __name__ == "__main__":

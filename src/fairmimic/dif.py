@@ -113,32 +113,23 @@ def _fmt_p(p: float) -> str:
     return "<0.001" if p < 0.001 else f"{p:.3f}"
 
 
-def dif_scan(
-    base_spec: MimicModel,
-    data,
-    indicators_to_test=None,
-    options: OptimOptions | None = None,
-) -> DifReport:
-    """Scan indicators for differential item functioning.
+def dif_scan(base_spec: MimicModel, data, options: OptimOptions | None = None) -> DifReport:
+    """Scan every indicator for differential item functioning, one row per
+    indicator in ``indicator_names`` order.
 
-    ``base_spec`` must constrain every dif offset to 0.  Per tested
-    indicator, the corresponding offset is freed, the model refitted from
-    the base optimum (shared starting point, which keeps the LR statistic
-    nonnegative), and the estimate, Wald interval, LR statistic and p-value
-    recorded.  The refits run as one stacked solve.  A row whose result
-    fails is recorded as failed and the scan continues; should the stacked
-    solve itself raise, every row records that error.  The sample moments,
+    ``base_spec`` must constrain every dif offset to 0.  Per indicator, its
+    offset is freed, the model refitted from the base optimum (shared
+    starting point, which keeps the LR statistic nonnegative), and the
+    estimate, Wald interval, LR statistic and p-value recorded.  The refits
+    run as one stacked solve.  A row whose result fails is recorded as
+    failed and the scan continues; should the stacked solve itself raise,
+    every row records that error.  The sample moments,
     with their fingerprint, are built once and shared by every fit of the
     scan.  ``data`` must be the :class:`~fairmimic.data.Dataset`, not its
     sample moments: the percent effects read its ``log_scale``.
     """
     if base_spec.free_mask.any():
         raise ValueError("base_spec must have every dif offset constrained to 0")
-    if indicators_to_test is None:
-        indicators_to_test = base_spec.indicator_names
-    unknown = set(indicators_to_test) - set(base_spec.indicator_names)
-    if unknown:
-        raise ValueError(f"unknown indicators: {sorted(unknown)}")
     options = options or OptimOptions()
 
     mom = data_moments(base_spec, data)
@@ -147,17 +138,16 @@ def dif_scan(
             "dif_scan needs the Dataset, not its SampleMoments: the percent effects read the dataset's log_scale"
         )
     base_fit = fit(base_spec, mom, options)
-    columns = [base_spec.indicator_names.index(name) for name in indicators_to_test]
     # the base optimum with one offset freed: its offsets are all 0, so every
     # mask leaves a valid model
-    fields = vars(base_fit.model)
-    specs = [MimicModel._trusted(**{**fields, "free_mask": np.arange(base_spec.n_indicators) == j}) for j in columns]
+    fields, p = vars(base_fit.model), base_spec.n_indicators
+    specs = [MimicModel._trusted(**{**fields, "free_mask": np.arange(p) == j}) for j in range(p)]
     try:
-        nested = fit_stack(specs, mom, replace(options, init="model")) if specs else ()
+        nested = fit_stack(specs, mom, replace(options, init="model"))
     except Exception as exc:  # the stacked refit failed: every row records it
-        nested = [exc] * len(specs)
+        nested = [exc] * p
     rows = []
-    for name, j, fit_j in zip(indicators_to_test, columns, nested):
+    for j, (name, fit_j) in enumerate(zip(base_spec.indicator_names, nested)):
         log_flag = name in data.log_scale
         try:
             if isinstance(fit_j, Exception):

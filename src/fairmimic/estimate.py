@@ -119,13 +119,15 @@ class LrTestResult:
     @classmethod
     def from_statistic(cls, statistic: float, df: int) -> "LrTestResult":
         """The test of ``statistic`` against chi-square with ``df`` degrees
-        of freedom; a negative statistic, which from :func:`lr_test` is
-        float noise in two nearly equal log-likelihoods, counts as 0, a
-        non-finite one raises, and so does a ``df`` that is not a
-        nonnegative integer."""
+        of freedom; a negative or non-finite statistic raises, and so does a
+        ``df`` that is not a nonnegative integer.  Float noise in two nearly
+        equal log-likelihoods is :func:`lr_test`'s to read as 0, since only
+        it has the log-likelihoods that noise is relative to."""
         if not math.isfinite(statistic):
             raise ValueError(f"LR statistic must be finite, got {statistic}")
-        statistic = max(0.0, float(statistic))
+        if statistic < 0.0:
+            raise ValueError(f"LR statistic must be nonnegative, got {statistic!r}")
+        statistic = float(statistic)
         if isinstance(df, bool) or not isinstance(df, numbers.Integral) or df < 0:
             raise ValueError(f"df must be a nonnegative integer, got {df!r}")
         df = int(df)
@@ -220,7 +222,7 @@ def _guess_values(spec: MimicModel, mom) -> np.ndarray:
     return _pack_fields(_structure(spec).layout, start)
 
 
-def fit(spec: MimicModel, data, options: OptimOptions | None = None, callback=None) -> FitResult:
+def fit(spec: MimicModel, data, options: OptimOptions | None = None) -> FitResult:
     """Maximize the model log-likelihood by trust-region Newton steps on the
     exact Hessian.
 
@@ -263,14 +265,13 @@ def fit(spec: MimicModel, data, options: OptimOptions | None = None, callback=No
         the same covariates and indicators as ``spec``.  Its sensitive
         coding must equal the spec's.
     options : OptimOptions, optional
-    callback : callable, optional
-        Invoked with the packed parameter vector after every accepted
-        iterate; ``n_iter`` of the result counts these calls.
+        ``n_iter`` of the result counts the accepted iterates, at most
+        ``options.max_iter``.
     """
-    return fit_stack((spec,), data, options, callback)[0]
+    return fit_stack((spec,), data, options)[0]
 
 
-def fit_stack(specs, data, options: OptimOptions | None = None, callback=None) -> tuple:
+def fit_stack(specs, data, options: OptimOptions | None = None) -> tuple:
     """Fit several specs to one dataset in one stacked Newton solve.
 
     The specs share their covariates, indicators, sensitive coding and
@@ -284,8 +285,7 @@ def fit_stack(specs, data, options: OptimOptions | None = None, callback=None) -
     eigendecomposition of the scaled informations at the returned points
     gives every member's SEs.
     Returns one :class:`FitResult` per spec, in order, each equal to
-    ``fit(spec, data, options)``; ``callback`` is invoked with a member's
-    packed vector after each of its accepted iterates.
+    ``fit(spec, data, options)``.
     """
     options = options or OptimOptions()
     specs = tuple(specs)
@@ -339,9 +339,6 @@ def fit_stack(specs, data, options: OptimOptions | None = None, callback=None) -
             every = len(accepted) == len(live)
             took, moved = (slice(None), rows) if every else (accepted, [live[j] for j in accepted])
             x[moved], grad[moved], info[moved] = trial[took], grad_try[took], -hess_try[took]
-            if callback is not None:
-                for j in accepted:
-                    callback(trial[j].copy())
         # a member stops when no step the floats can represent improves
         size = _norms(x[rows])
         live = [i for i, s in zip(live, size) if radius[i] > _EPS * (1.0 + s)]
@@ -527,7 +524,8 @@ def lr_test(full: FitResult, nested: FitResult) -> LrTestResult:
     their sample moments) and the nested model's free parameters must be a
     subset of the full model's.  A full fit below the nested fit's
     log-likelihood by more than ``LR_REL_TOL * |ll|`` has not reached its
-    maximum and raises; a smaller shortfall reads as statistic 0.
+    maximum and raises; a smaller shortfall is float noise and reads as
+    statistic 0.
     """
     if full.data_fingerprint != nested.data_fingerprint:
         raise ValueError("fits were computed on different datasets")
@@ -539,4 +537,4 @@ def lr_test(full: FitResult, nested: FitResult) -> LrTestResult:
     if full.loglik < nested.loglik - LR_REL_TOL * abs(nested.loglik):
         raise ValueError(f"full fit's log-likelihood {full.loglik!r} is below the nested fit's {nested.loglik!r}")
     df = len(full_names) - len(nested_names)
-    return LrTestResult.from_statistic(2.0 * (full.loglik - nested.loglik), df)
+    return LrTestResult.from_statistic(max(0.0, 2.0 * (full.loglik - nested.loglik)), df)

@@ -195,10 +195,6 @@ class MimicModel:
                 f"declared levels: {sorted(self.sensitive_coding)}"
             ) from None
 
-    def with_values(self, **changes) -> "MimicModel":
-        """Return a copy with the given fields replaced."""
-        return replace(self, **changes)
-
     def to_dict(self) -> dict:
         return to_json(self)
 
@@ -455,10 +451,6 @@ def _stack(specs) -> _Structure:
 def param_names(model: MimicModel):
     """Names of the free parameters in packing order."""
     return _structure(model).names
-
-
-def n_free_params(model: MimicModel) -> int:
-    return _structure(model).k
 
 
 def pack(model: MimicModel) -> np.ndarray:

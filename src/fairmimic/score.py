@@ -15,7 +15,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .data import group_codes, write_table
+from .data import group_codes, read_table, write_table
+from .exceptions import FairMimicError
 from .model import (
     MimicModel,
     _block_products,
@@ -138,6 +139,10 @@ def factor_score(model: MimicModel, data) -> np.ndarray:
     return out
 
 
+# The scores file's columns and the dtypes they are read as, in file order.
+_SCORE_DTYPES = {"row_id": object, "fair_score": np.float64, "naive_score": np.float64, "decision": np.int64}
+
+
 @dataclass(frozen=True)
 class ScoreSet:
     """Per-row fair and naive scores plus threshold decisions.
@@ -155,22 +160,17 @@ class ScoreSet:
     threshold_value: float
     threshold_percentile: float
     reference_level: str
-    decided_on: str = "fair"
 
     def to_csv(self, path) -> None:
+        """The scores file :func:`read_scores` reads."""
         ids = range(len(self.fair)) if self.row_ids is None else self.row_ids
-        write_table(
-            path,
-            ("row_id", "fair_score", "naive_score", "decision"),
-            (ids, self.fair, self.naive, self.decision),
-        )
+        write_table(path, tuple(_SCORE_DTYPES), (ids, self.fair, self.naive, self.decision))
 
     def summary_dict(self) -> dict:
         return {
             "threshold_value": self.threshold_value,
             "threshold_percentile": self.threshold_percentile,
             "reference_level": self.reference_level,
-            "decided_on": self.decided_on,
             "n": len(self.fair),
             "n_selected": int(self.decision.sum()),
         }
@@ -182,13 +182,12 @@ def score_dataset(
     percentile: float = 55.0,
     reference_level=None,
     reference_scores=None,
-    decided_on: str = "fair",
 ) -> ScoreSet:
-    """Score every row of a dataset and apply the percentile decision rule.
+    """Score every row of a dataset and apply the percentile decision rule
+    to its fair scores.
 
-    ``reference_scores`` (training-set scores) define the threshold; they
-    default to the scores of ``data`` itself.  Decisions are taken on the
-    fair score unless ``decided_on="naive"``.
+    ``reference_scores`` (training-set fair scores) define the threshold;
+    they default to the fair scores of ``data`` itself.
 
     The covariate columns are read one block of rows at a time into one
     reused buffer, and both scores are written from that block's
@@ -196,16 +195,13 @@ def score_dataset(
     equal :func:`fair_score` and :func:`naive_score` of that matrix bit for
     bit.
     """
-    if decided_on not in ("fair", "naive"):
-        raise ValueError("decided_on must be 'fair' or 'naive'")
     if reference_level is None:
         reference_level = model.reference_level
     cov, s, _ = _columns(model, data)
     # the dataset's codes are 0/1 under the model's coding, checked by _columns
     codes = [model.level_code(reference_level), s]
     fair, naive = _predictors(model, cov, len(s), codes)
-    chosen = fair if decided_on == "fair" else naive
-    decisions, threshold = decide(chosen, percentile, reference_scores)
+    decisions, threshold = decide(fair, percentile, reference_scores)
     return ScoreSet(
         row_ids=None if data.id_name is None else data.column(data.id_name),
         fair=fair,
@@ -214,5 +210,24 @@ def score_dataset(
         threshold_value=threshold,
         threshold_percentile=float(percentile),
         reference_level=str(reference_level),
-        decided_on=decided_on,
     )
+
+
+def read_scores(path) -> dict:
+    """The columns of a scores file that :meth:`ScoreSet.to_csv` wrote, by
+    name and in its order; columns it did not write are ignored.  A missing
+    column or a non-finite score raises FairMimicError."""
+
+    def dtypes_of(header):
+        missing = [c for c in _SCORE_DTYPES if c not in header]
+        if missing:
+            raise FairMimicError(f"{path}: scores file has no column {missing[0]!r}")
+        return [_SCORE_DTYPES.get(c, object) for c in header]
+
+    header, columns = read_table(path, dtypes_of)
+    values = dict(zip(header, columns))
+    for c in ("fair_score", "naive_score"):
+        bad = np.flatnonzero(~np.isfinite(values[c]))
+        if bad.size:
+            raise FairMimicError(f"{path}: column {c!r} has a non-finite value in row {bad[0] + 2}")
+    return {c: values[c] for c in _SCORE_DTYPES}

@@ -216,14 +216,6 @@ def _arrays(features, target):
     return F, y
 
 
-def _check_penalties(values, name: str) -> None:
-    values = np.asarray(values, dtype=np.float64)
-    if not np.isfinite(values).all():
-        raise ValueError(f"{name} must be finite")
-    if (values < 0).any():
-        raise ValueError(f"{name} must be nonnegative")
-
-
 def penalty_max(features, target) -> float:
     """Smallest penalty at which every coefficient is exactly zero."""
     return _penalty_max(_moments(*_arrays(features, target)))
@@ -265,9 +257,12 @@ def lasso_fit(features, target, penalty_weight: float):
         than 1e-7 after 10^4 sweeps.
     """
     F, y = _arrays(features, target)
-    _check_penalties(penalty_weight, "penalty_weight")
-    mom = _moments(F, y)
     pen = float(penalty_weight)
+    if not np.isfinite(pen):
+        raise ValueError("penalty_weight must be finite")
+    if pen < 0:
+        raise ValueError("penalty_weight must be nonnegative")
+    mom = _moments(F, y)
     pmax = _penalty_max(mom)
     if pen >= pmax:
         w = np.zeros(F.shape[1])
@@ -318,10 +313,6 @@ class LassoPath:
     def to_dict(self) -> dict:
         return to_json(self)
 
-    def to_role_fragment(self) -> dict:
-        """Role-config fragment declaring the selected features as covariates."""
-        return {"roles": {name: "covariate" for name in self.active_names()}}
-
 
 def _fit_path(mom: _Moments, grid):
     """Coefficients and intercepts over a descending grid from one set of
@@ -363,12 +354,13 @@ def cv_select(
     features,
     target,
     k_folds: int = 10,
-    penalty_grid=None,
     seed: int = 0,
     rule: str = "min",
     feature_names=None,
 ) -> LassoPath:
-    """K-fold cross-validated LASSO path and penalty choice.
+    """K-fold cross-validated LASSO path and penalty choice over the default
+    grid: ``GRID_POINTS`` log-spaced penalties from :func:`penalty_max` of
+    the full data down to ``GRID_RATIO`` times it.
 
     The penalty minimizing CV MSE is chosen (``rule="min"``); ``rule="1se"``
     instead picks the largest penalty within one standard error of the
@@ -401,15 +393,7 @@ def cv_select(
     after.reverse()
     full = _scaled(_pool(before[-1], parts[-1]))
 
-    if penalty_grid is None:
-        grid = _penalty_grid(_penalty_max(full))
-    else:
-        grid = np.asarray(penalty_grid, dtype=np.float64)
-        if grid.ndim != 1 or grid.size == 0:
-            raise ValueError("penalty_grid must be a non-empty 1-D sequence")
-        _check_penalties(grid, "penalty_grid")
-        if np.any(np.diff(grid) > 0):
-            raise ValueError("penalty_grid must be descending")
+    grid = _penalty_grid(_penalty_max(full))
 
     fold_mse = np.empty((k_folds, len(grid)))
     for f, val_idx in enumerate(folds):

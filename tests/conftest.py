@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,22 @@ from fairmimic import model as model_mod
 CODING = {"a": 0, "b": 1}
 
 ACCEPTANCE_LINES = []
+
+
+def pytest_configure(config):
+    """Import ``libcst`` once with its DeprecationWarning ignored.
+
+    Hypothesis imports it to report a failing ``@given`` test, and the
+    ``mypy_extensions.TypedDict is deprecated`` warning of that import,
+    turned into an error by ``filterwarnings = ["error"]``, would stop the
+    run with an INTERNALERROR instead of reporting the failure.
+    """
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)
+        try:
+            import libcst  # noqa: F401
+        except ImportError:
+            pass
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -52,10 +52,6 @@ class TestStatisticalParity:
             == fm.statistical_parity(decisions, renamed).parity_gap
         )
 
-    def test_declared_empty_group_rejected(self):
-        with pytest.raises(ValueError, match="zero rows"):
-            fm.statistical_parity([1, 0], ["a", "a"], levels=["a", "b"])
-
     def test_non_binary_decisions_rejected(self):
         with pytest.raises(ValueError):
             fm.statistical_parity([1, 2], ["a", "b"])
@@ -144,16 +140,6 @@ class TestConditionalParityCurve:
             scores, data.sensitive_labels(), data.column("y2"), n_bins=10
         )
         assert all(g is not None and g > 0 for g in curve.gap_by_bin)
-
-    def test_csv_export(self, tmp_path):
-        curve = fm.conditional_parity_curve(
-            np.arange(10.0), ["a", "b"] * 5, np.arange(10.0), n_bins=2
-        )
-        path = tmp_path / "curve.csv"
-        curve.write_csv(path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "percentile_low,percentile_high,group,mean_proxy,count"
-        assert len(lines) == 1 + 2 * 2  # bins x groups
 
 
 def str_labels(sensitive):

@@ -18,7 +18,8 @@ from hypothesis import strategies as st
 
 import fairmimic as fm
 from fairmimic import data as data_mod
-from fairmimic.cli import _read_scores, main
+from fairmimic.cli import main
+from fairmimic.score import read_scores
 
 from conftest import make_generator, same_table, simulate_from
 
@@ -178,15 +179,15 @@ class TestWriterBlocks:
         columns = (scores.row_ids, scores.fair, scores.naive, scores.decision)
         assert (tmp_path / "scores.csv").read_bytes() == csv_module_bytes(header, columns)
 
+        # the parity curve file as the audit command writes it
         curve = fm.conditional_parity_curve(scores.fair, data.sensitive_labels(), data.column("y1"), 4)
-        for score_type in (None, "fair"):
-            curve.write_csv(tmp_path / "curve.csv", score_type)
-            lead = () if score_type is None else ("score_type",)
-            expected = io.StringIO(newline="")
-            writer = csv.writer(expected)
-            writer.writerow([*lead, *curve.CSV_HEADER])
-            writer.writerows(curve.csv_rows(score_type))
-            assert (tmp_path / "curve.csv").read_bytes() == expected.getvalue().encode()
+        header = ("score_type", *curve.CSV_HEADER)
+        data_mod.write_table(tmp_path / "curve.csv", header, list(zip(*curve.csv_rows("fair"))))
+        expected = io.StringIO(newline="")
+        writer = csv.writer(expected)
+        writer.writerow(header)
+        writer.writerows(curve.csv_rows("fair"))
+        assert (tmp_path / "curve.csv").read_bytes() == expected.getvalue().encode()
 
     def test_simulate_files(self, tmp_path):
         spec = fm.SimSpec(n=50, model=make_generator(), group_prob=0.5, seed=13)
@@ -308,7 +309,7 @@ class TestScoresFile:
     def test_column_dtypes(self, tmp_path):
         path = tmp_path / "scores.csv"
         path.write_bytes(b"row_id,fair_score,naive_score,decision,extra\r\nr1,0.5,-1e-300,1,z\r\n")
-        scores = _read_scores(path)
+        scores = read_scores(path)
         assert list(scores) == ["row_id", "fair_score", "naive_score", "decision"]
         assert scores["row_id"].dtype == object and scores["row_id"].tolist() == ["r1"]
         assert scores["fair_score"].dtype == np.float64 and scores["fair_score"].tolist() == [0.5]
@@ -320,7 +321,7 @@ class TestScoresFile:
         path = tmp_path / "scores.csv"
         path.write_bytes(b"row_id,fair_score,naive_score,decision,fair_score\r\nr1,0.5,0.25,1,0.75\r\n")
         with pytest.raises(fm.DataValidationError, match=r"header repeats column names: \['fair_score'\]"):
-            _read_scores(path)
+            read_scores(path)
 
     def test_missing_column_exits_1(self, tmp_path, capsys):
         gen = make_generator()

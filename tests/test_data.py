@@ -545,7 +545,7 @@ class TestSimulate:
         ],
     )
     def test_carries_the_coding_group_codes_gives(self, monkeypatch, n, group_prob, coding, present):
-        gen = make_generator().with_values(sensitive_coding=coding)
+        gen = dataclasses.replace(make_generator(), sensitive_coding=coding)
         group_codes = data_mod.group_codes
         passes = count_coding_passes(monkeypatch)
         for seed in range(3):
@@ -578,7 +578,8 @@ class TestSimulate:
         assert peak <= 1.3 * kept, f"peak {peak / 1e6:.1f} MB for {kept / 1e6:.1f} MB returned"
 
     def test_noiseless_degenerate(self):
-        gen = make_generator(gamma=0.0).with_values(
+        gen = dataclasses.replace(
+            make_generator(gamma=0.0),
             struct_coefs=np.zeros(3),
             resid_vars=np.full(4, 1e-12),
             latent_var=1e-12,
@@ -588,7 +589,7 @@ class TestSimulate:
         np.testing.assert_allclose(Y, np.broadcast_to(gen.intercepts, Y.shape), atol=1e-5)
 
     def test_sample_covariance_matches_implied(self):
-        gen = make_generator(gamma=0.0).with_values(struct_coefs=np.zeros(3))
+        gen = dataclasses.replace(make_generator(gamma=0.0), struct_coefs=np.zeros(3))
         data, _ = simulate_from(gen, n=100_000, seed=11)
         Y = np.column_stack([data.column(c) for c in data.indicator_names])
         sample = np.cov(Y, rowvar=False)

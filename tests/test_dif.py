@@ -2,6 +2,7 @@
 
 import collections
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ import fairmimic as fm
 from fairmimic import dif as dif_mod
 from fairmimic import estimate as estimate_mod
 from fairmimic import model as model_mod
+from fairmimic.estimate import fit_stack
 from fairmimic.model import _structure, data_moments
 
 from conftest import CODING, base_template, make_generator, same_bits, simulate_from
@@ -127,30 +129,35 @@ class TestDifScan:
         assert report.base_loglik == base_fit.loglik
         for j, row in enumerate(report.rows):
             assert row.error is None and row.converged
-            spec_j = base_fit.model.with_values(free_mask=np.arange(4) == j)
+            spec_j = replace(base_fit.model, free_mask=np.arange(4) == j)
             fit_j = fm.fit(spec_j, data, fm.OptimOptions(init="model"))
             assert row.lr_statistic >= 0.0
             assert abs(row.lr_statistic - 2.0 * (fit_j.loglik - base_fit.loglik)) <= 1e-8
 
     def test_rows_do_not_depend_on_the_other_indicators(self):
         # The nested fits are solved as one stack: a row must come out the
-        # same whether its indicator is scanned alone, with the others, or
-        # in reverse order, here with DIF on y3.
+        # same as its indicator's refit alone and as its refit in a stack of
+        # the reverse order, here with DIF on y3.
         gen = make_generator(dif=(0.0, 0.0, 0.3, 0.0))
         data, _ = simulate_from(gen, n=3000, seed=67)
         base = base_template(gen)
         names = gen.indicator_names
         full = fm.dif_scan(base, data)
-        reverse = fm.dif_scan(base, data, indicators_to_test=names[::-1])
-        assert tuple(r.indicator for r in reverse.rows) == names[::-1]
+        assert tuple(r.indicator for r in full.rows) == names
         assert full.rows[2].p_value < 1e-6  # the injected DIF is found
-        scans = [{r.indicator: r for r in report.rows} for report in (full, reverse)]
-        for name in names:
-            (alone,) = fm.dif_scan(base, data, indicators_to_test=[name]).rows
-            assert alone.error is None and alone.converged
-            for rows in scans:
-                for field in ("delta", "ci_low", "ci_high", "lr_statistic", "p_value"):
-                    assert abs(getattr(alone, field) - getattr(rows[name], field)) <= 1e-12
+        mom, warm = data_moments(base, data), fm.OptimOptions(init="model")
+        base_fit = fm.fit(base, mom)
+        specs = [replace(base_fit.model, free_mask=np.arange(4) == j) for j in range(4)]
+        reverse = fit_stack(specs[::-1], mom, warm)[::-1]
+        for j, (name, row) in enumerate(zip(names, full.rows)):
+            (alone,) = fit_stack([specs[j]], mom, warm)
+            for fit_j in (alone, reverse[j]):
+                assert fit_j.converged
+                test = fm.lr_test(fit_j, base_fit)
+                got = (fit_j.model.dif_offsets[j], *fit_j.wald_ci(f"delta[{name}]"), test.statistic, test.p_value)
+                want = (row.delta, row.ci_low, row.ci_high, row.lr_statistic, row.p_value)
+                for g, w in zip(got, want):
+                    assert abs(g - w) <= 1e-12
 
     def test_sign_flips_with_swapped_coding(self):
         # Coding b as the reference is the same model with s -> 1 - s: on
@@ -204,11 +211,6 @@ class TestDifScan:
         data, _ = simulate_from(gen, n=500, seed=63)
         with pytest.raises(ValueError, match="constrained"):
             fm.dif_scan(base_template(gen, free_dif=("y2",)), data)
-
-    def test_unknown_indicator_rejected(self, generator):
-        data, _ = simulate_from(generator, n=500, seed=64)
-        with pytest.raises(ValueError, match="unknown indicators"):
-            fm.dif_scan(base_template(generator), data, indicators_to_test=["nope"])
 
     def test_sample_moments_refused_before_fitting(self, generator, monkeypatch):
         # the percent effects need the dataset's log_scale, which moments lack

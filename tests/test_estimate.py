@@ -48,11 +48,17 @@ class TestFit:
         np.testing.assert_allclose(fm.pack(again.model), fm.pack(res.model), rtol=0, atol=1e-8)
 
     def test_monotone_ascent_of_accepted_iterates(self, generator):
+        # The solver is deterministic, so a fit stopped after i accepted
+        # iterates returns the full fit's i-th iterate.
         data, _ = simulate_from(generator, n=800, seed=23)
         spec = base_template(generator)
-        lls = []
-        fm.fit(spec, data, callback=lambda x: lls.append(fm.log_likelihood(fm.unpack(spec, x), data)))
-        lls = np.asarray(lls)
+        full = fm.fit(spec, data)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # SEs away from the optimum
+            stops = [fm.fit(spec, data, fm.OptimOptions(max_iter=i)) for i in range(full.n_iter + 1)]
+        assert full.n_iter > 0 and [r.n_iter for r in stops] == list(range(full.n_iter + 1))
+        assert fm.pack(stops[-1].model).tobytes() == fm.pack(full.model).tobytes()
+        lls = np.array([fm.log_likelihood(r.model, data) for r in stops])
         slack = 1e-9 * np.abs(lls[:-1])
         assert np.all(np.diff(lls) >= -slack)
 
@@ -77,26 +83,13 @@ class TestFit:
         assert [w.category for w in caught] == [UserWarning]
         assert np.all(np.isnan(start.std_errors)) and np.all(np.isnan(start.vcov))
 
-    def test_callback_fires_once_per_iterate(self, generator):
-        data, _ = simulate_from(generator, n=800, seed=45)
-        cold = []
-        res = fm.fit(base_template(generator), data, callback=cold.append)
-        assert len(cold) == res.n_iter > 0
-        warm = []
-        spec = res.model.with_values(free_mask=np.array([False, True, False, False]))
-        refit = fm.fit(spec, data, fm.OptimOptions(init="model"), callback=warm.append)
-        assert len(warm) == refit.n_iter > 0
-
     @pytest.mark.parametrize("max_iter", [1, 2, 3])
     def test_max_iter_bounds_iterates(self, generator, max_iter):
         data, _ = simulate_from(generator, n=800, seed=46)
-        calls = []
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # SEs away from the optimum
-            res = fm.fit(
-                base_template(generator), data, fm.OptimOptions(max_iter=max_iter), callback=calls.append
-            )
-        assert len(calls) == res.n_iter <= max_iter
+            res = fm.fit(base_template(generator), data, fm.OptimOptions(max_iter=max_iter))
+        assert res.n_iter <= max_iter
 
     def test_indicator_reordering_invariance(self, generator):
         data, _ = simulate_from(generator, n=1500, seed=24)
@@ -395,7 +388,7 @@ class TestFitStack:
     @staticmethod
     def nested_specs(data, gen):
         base = fm.fit(base_template(gen), data)
-        return [base.model.with_values(free_mask=np.arange(4) == j) for j in range(4)]
+        return [replace(base.model, free_mask=np.arange(4) == j) for j in range(4)]
 
     @staticmethod
     def assert_same_fit(a, b, tol=1e-12):
@@ -641,9 +634,12 @@ class TestLrTest:
         out = fm.lr_test(noise, nested)
         assert out.statistic == 0.0 and out.p_value == 1.0
 
-    def test_small_negative_statistic_counts_as_zero(self):
-        res = fm.LrTestResult.from_statistic(-1e-10, 1)
-        assert res.statistic == 0.0 and res.p_value == 1.0
+    def test_negative_statistic_refused(self):
+        # only lr_test has the log-likelihoods that float noise is relative
+        # to, so it alone reads a small shortfall as 0
+        for statistic in (-1e-10, -50.0):
+            with pytest.raises(ValueError, match="LR statistic must be nonnegative"):
+                fm.LrTestResult.from_statistic(statistic, 1)
 
     def test_null_calibration(self, null_dif_study):
         # under a true null the rejection rate at p < 0.05 is near nominal

@@ -63,7 +63,7 @@ DEMO_KEY_PATHS = {
         RUN_CONFIG | {"data", "free_dif", "max_iter", "roles", "seed", "tol", "train_frac"}
     ),
     "score/score_summary.json": [
-        "decided_on", "n", "n_selected", "reference_level", "threshold_percentile",
+        "n", "n_selected", "reference_level", "threshold_percentile",
         "threshold_value",
     ],
     "score/run_config.json": sorted(
@@ -166,7 +166,7 @@ def test_model_and_sim_spec_dicts():
 def test_dif_dicts():
     data, _ = simulate_from(make_generator(dif=(0.3, 0.0, 0.0, 0.0)), n=400, seed=21)
     data = data.replace_columns({}, log_scale={"y1"})
-    report = fm.dif_scan(base_template(), data, indicators_to_test=["y1", "y2"])
+    report = fm.dif_scan(base_template(), data)
     d = report.to_dict()
     assert set(d) == field_names(report) | {"schema_version"}
     rows = [fm.DifRow(indicator="y3", converged=False, error="ValueError: x"), *report.rows]

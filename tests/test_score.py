@@ -1,6 +1,7 @@
 """Fair/naive scoring, percentile decisions, and factor scores."""
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -235,7 +236,7 @@ class TestNearestRankPercentile:
 
 class TestFactorScore:
     def test_noiseless_limit_pins_first_indicator(self):
-        gen = make_generator().with_values(resid_vars=np.full(4, 1e-8))
+        gen = replace(make_generator(), resid_vars=np.full(4, 1e-8))
         data, eta = simulate_from(gen, n=50, seed=40)
         fs = fm.factor_score(gen, data)
         y1 = data.column("y1")
@@ -279,16 +280,6 @@ class TestScoreSet:
         assert scores.reference_level == res.model.reference_level
         # decision rule: strictly above the threshold on the fair score
         np.testing.assert_array_equal(scores.decision, (scores.fair > scores.threshold_value).astype(int))
-
-    def test_decisions_on_the_naive_score(self, fitted_example):
-        res, data = fitted_example
-        reference = fm.score_dataset(res.model, data).naive[::3]
-        scores = fm.score_dataset(res.model, data, percentile=40.0, reference_scores=reference, decided_on="naive")
-        decisions, threshold = fm.decide(scores.naive, 40.0, reference)
-        assert scores.decision.tobytes() == decisions.tobytes()
-        assert scores.threshold_value == threshold
-        assert scores.summary_dict()["decided_on"] == "naive"
-        assert not np.array_equal(scores.decision, fm.decide(scores.fair, 40.0, reference)[0])
 
     def test_fair_invariant_naive_not(self, fitted_example):
         res, data = fitted_example

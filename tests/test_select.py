@@ -367,8 +367,8 @@ class TestCvSelect:
         rng = np.random.default_rng(76)
         F = rng.normal(size=(10, 3))
         y = F @ np.array([1.0, 0.0, -0.5]) + 0.3 * rng.normal(size=10)
-        grid = np.geomspace(fm.penalty_max(F, y), 1e-3 * fm.penalty_max(F, y), 12)
-        path = fm.cv_select(F, y, k_folds=10, penalty_grid=grid, seed=3)
+        path = fm.cv_select(F, y, k_folds=10, seed=3)
+        grid = path.penalties
 
         brute = np.zeros(len(grid))
         for i in range(10):
@@ -398,25 +398,13 @@ class TestCvSelect:
         [
             ("1-D features", "n x q"),
             ("short target", "n x q"),
-            ("empty grid", "non-empty"),
-            ("negative penalty", "nonnegative"),
-            ("NaN penalty", "finite"),
-            ("infinite penalty", "finite"),
         ],
     )
     def test_invalid_inputs(self, case, match):
         F, y, _ = random_instance(40, 3, seed=81)
-        pmax = fm.penalty_max(F, y)
-        args = {
-            "1-D features": (F[:, 0], y, None),
-            "short target": (F, y[:-1], None),
-            "empty grid": (F, y, []),
-            "negative penalty": (F, y, [pmax, 0.1 * pmax, -0.01 * pmax]),
-            "NaN penalty": (F, y, [pmax, np.nan]),
-            "infinite penalty": (F, y, [np.inf, pmax]),
-        }[case]
+        args = {"1-D features": (F[:, 0], y), "short target": (F, y[:-1])}[case]
         with pytest.raises(ValueError, match=match):
-            fm.cv_select(args[0], args[1], k_folds=5, penalty_grid=args[2])
+            fm.cv_select(*args, k_folds=5)
 
     def test_design_without_columns_rejected(self):
         y = random_instance(50, 1, seed=82)[1]
@@ -438,13 +426,6 @@ class TestCvSelect:
         monkeypatch.setattr(select, "_fit_path", no_fit)
         with pytest.raises(ValueError, match="feature_names"):
             fm.cv_select(F, y, k_folds=5, feature_names=("a", "b", "c"))
-
-    def test_role_fragment(self):
-        F, y, _ = random_instance(100, 4, seed=80, noise=0.2)
-        path = fm.cv_select(F, y, k_folds=5, seed=0, feature_names=("a", "b", "c", "d"))
-        frag = path.to_role_fragment()
-        assert set(frag["roles"].values()) == {"covariate"}
-        assert set(frag["roles"]) == set(path.active_names())
 
 
 class TestSpearman:
