@@ -113,7 +113,7 @@ def _fmt_p(p: float) -> str:
     return "<0.001" if p < 0.001 else f"{p:.3f}"
 
 
-def dif_scan(base_spec: MimicModel, data, options: OptimOptions | None = None) -> DifReport:
+def dif_scan(base_spec: MimicModel, data, *, options: OptimOptions | None = None) -> DifReport:
     """Scan every indicator for differential item functioning, one row per
     indicator in ``indicator_names`` order.
 

@@ -525,7 +525,7 @@ def lr_test(full: FitResult, nested: FitResult) -> LrTestResult:
     subset of the full model's.  A full fit below the nested fit's
     log-likelihood by more than ``LR_REL_TOL * |ll|`` has not reached its
     maximum and raises; a smaller shortfall is float noise and reads as
-    statistic 0.
+    statistic 0.  A NaN log-likelihood on either fit raises.
     """
     if full.data_fingerprint != nested.data_fingerprint:
         raise ValueError("fits were computed on different datasets")
@@ -537,4 +537,6 @@ def lr_test(full: FitResult, nested: FitResult) -> LrTestResult:
     if full.loglik < nested.loglik - LR_REL_TOL * abs(nested.loglik):
         raise ValueError(f"full fit's log-likelihood {full.loglik!r} is below the nested fit's {nested.loglik!r}")
     df = len(full_names) - len(nested_names)
-    return LrTestResult.from_statistic(max(0.0, 2.0 * (full.loglik - nested.loglik)), df)
+    statistic = 2.0 * (full.loglik - nested.loglik)
+    # a NaN log-likelihood compares False here and goes on to be refused
+    return LrTestResult.from_statistic(0.0 if statistic < 0.0 else statistic, df)

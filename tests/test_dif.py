@@ -244,6 +244,29 @@ class TestDifScan:
         for name in ("y1", "y3", "y4"):
             assert by_name[name].error is None
 
+    def test_nan_loglik_refit_recorded_as_failed(self, generator, monkeypatch):
+        # a refit with a NaN log-likelihood has no LR statistic: its row
+        # fails instead of reading as statistic 0, p 1
+        data, _ = simulate_from(generator, n=500, seed=65)
+        real_fit_stack = dif_mod.fit_stack
+
+        def nan_y2_fit_stack(specs, d, options=None):
+            fits = real_fit_stack(specs, d, options)
+            return [replace(f, loglik=float("nan")) if "delta[y2]" in f.param_names else f for f in fits]
+
+        monkeypatch.setattr(dif_mod, "fit_stack", nan_y2_fit_stack)
+        report = fm.dif_scan(base_template(generator), data)
+        by_name = {r.indicator: r for r in report.rows}
+        assert by_name["y2"].error is not None and "finite" in by_name["y2"].error
+        assert by_name["y2"].p_value is None
+        for name in ("y1", "y3", "y4"):
+            assert by_name[name].error is None
+
+    def test_options_are_keyword_only(self, generator):
+        data, _ = simulate_from(generator, n=500, seed=65)
+        with pytest.raises(TypeError, match="positional"):
+            fm.dif_scan(base_template(generator), data, fm.OptimOptions())
+
     def test_failed_stacked_refit_recorded_in_every_row(self, generator, monkeypatch):
         data, _ = simulate_from(generator, n=500, seed=65)
 

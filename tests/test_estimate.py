@@ -634,6 +634,19 @@ class TestLrTest:
         out = fm.lr_test(noise, nested)
         assert out.statistic == 0.0 and out.p_value == 1.0
 
+    @pytest.mark.parametrize("side", ["full", "nested"])
+    def test_nan_loglik_refused(self, generator, side):
+        # no comparison with a NaN is true, so it must not pass the shortfall
+        # check and be read as statistic 0
+        data, _ = simulate_from(generator, n=400, seed=35)
+        fits = {
+            "full": fm.fit(base_template(generator, free_dif=("y2",)), data),
+            "nested": fm.fit(base_template(generator), data),
+        }
+        fits[side] = replace(fits[side], loglik=float("nan"))
+        with pytest.raises(ValueError, match="finite"):
+            fm.lr_test(fits["full"], fits["nested"])
+
     def test_negative_statistic_refused(self):
         # only lr_test has the log-likelihoods that float noise is relative
         # to, so it alone reads a small shortfall as 0
